@@ -23,10 +23,8 @@ from .errors import (
     VacuousBoundError,
 )
 from .losses import (
-    CalibratedScores,
     LossResult,
     ScoreBatch,
-    calibrate,
     calibrated_log_loss,
     compute_margins_lambda,
     cross_entropy,

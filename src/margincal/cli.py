@@ -142,8 +142,6 @@ def _trained_model(args, margins_needed: bool):
         learning_rate=args.lr,
         momentum=args.momentum,
         seed=args.seed,
-        tau=args.tau,
-        upsilon=args.upsilon,
         eval_every=args.eval_every,
         hidden=args.hidden,
     )

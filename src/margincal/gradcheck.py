@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LOSS_NAMES, ScoreBatch, loss_by_name
+from .losses import ScoreBatch, loss_by_name
 from .margins import compute_margins
 from .segdata import LabelStats, MaskBatch
 
@@ -82,7 +82,3 @@ def check_loss_gradient(
         worst = max(worst, float(relative_errors(analytic, numeric).max()))
         probes += scores.size
     return GradCheckResult(loss_name=loss_name, max_rel_err=worst, n_probes=probes)
-
-
-def check_all(seed: int, n_batches: int = 50) -> list[GradCheckResult]:
-    return [check_loss_gradient(name, seed, n_batches) for name in LOSS_NAMES]

@@ -7,8 +7,8 @@ piecewise-linear rho-margin loss min(1, max(0, 1 - lambda/rho)) with its
 smooth upper bound log2(1 + 2^(-sbar)), whose gradient never vanishes.
 
 All losses are pure functions of (scores, labels); reductions run in a fixed
-order so repeated evaluations are bitwise identical.  The margin objective
-and cross-entropy are sums of per-pixel terms: they run class-major, on
+order so repeated evaluations are bitwise identical.  Every sum of per-pixel
+terms (the margin objectives, cross-entropy and focal) runs class-major, on
 (K, BLOCK_PX) blocks whose temporaries stay in cache, with row-wise numpy
 operations only.
 """
@@ -24,8 +24,6 @@ from .margins import MarginOffsets
 from .segdata import MaskBatch
 
 _LN2 = float(np.log(2.0))
-#: |sbar| clamp before exponentiation; the tail it cuts is < 2^-500
-_EXP_CLAMP = 500.0
 #: pixels per class-major block: the block's (K, BLOCK_PX) float64
 #: temporaries and the model's (hidden, BLOCK_PX) activations fit in L2
 BLOCK_PX = 4096
@@ -64,19 +62,6 @@ class ScoreBatch:
     @property
     def k_classes(self) -> int:
         return self.scores.shape[1]
-
-
-@dataclass
-class CalibratedScores:
-    """Margins and margin-offset-shifted scores for a batch.
-
-    ``ignored`` marks pixels whose shifted scores were left equal to the raw
-    margins because their label is the ignore index.
-    """
-
-    margins: np.ndarray
-    calibrated: np.ndarray
-    ignored: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -127,13 +112,12 @@ def _best_other(sc: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_margins_lambda(s: ScoreBatch) -> CalibratedScores:
-    """Fill the margin array lambda_ik = s_ik - max_{j!=k} s_ij (margins only)."""
+def compute_margins_lambda(s: ScoreBatch) -> np.ndarray:
+    """The (n, K) margin array lambda_ik = s_ik - max_{j!=k} s_ij."""
     if s.k_classes < 2:
         raise ConfigError("margins need at least 2 classes")
     sc = s.scores.T
-    lam = (sc - _best_other(sc)).T
-    return CalibratedScores(margins=lam, calibrated=lam.copy())
+    return (sc - _best_other(sc)).T
 
 
 def rho_margin_loss(lam: float, rho: float) -> float:
@@ -143,66 +127,54 @@ def rho_margin_loss(lam: float, rho: float) -> float:
     return min(1.0, max(0.0, 1.0 - lam / rho))
 
 
-def _phi(lam: np.ndarray, rho) -> np.ndarray:
-    return np.clip(1.0 - lam / rho, 0.0, 1.0)
-
-
-def calibrated_log_loss_scalar(sbar) -> np.ndarray:
-    """Stable log2(1 + 2^(-sbar)) via max(x,0) + log2(1 + 2^-|x|) with x = -sbar."""
-    x = np.clip(np.asarray(-sbar, dtype=np.float64), -_EXP_CLAMP, _EXP_CLAMP)
+def rho_calibrated_log_loss(lam, rho) -> np.ndarray:
+    """Smooth upper bound of the rho-margin loss: log2(1 + 2^(rho - lam)),
+    taken as max(x, 0) + log2(1 + 2^-|x|) with x = rho - lam."""
+    if np.any(np.asarray(rho) <= 0):
+        raise ConfigError("rho must be positive")
+    x = rho - np.asarray(lam, dtype=np.float64)
     return np.maximum(x, 0.0) + np.log1p(np.exp2(-np.abs(x))) / _LN2
 
 
-def rho_calibrated_log_loss(lam, rho) -> np.ndarray:
-    """Smooth upper bound of the rho-margin loss: log2(1 + 2^(rho - lam))."""
-    if np.any(np.asarray(rho) <= 0):
-        raise ConfigError("rho must be positive")
-    return calibrated_log_loss_scalar(np.asarray(lam, dtype=np.float64) - rho)
+def _blocks(s: ScoreBatch, y: MaskBatch, valid: np.ndarray):
+    """The batch in class-major blocks of at most BLOCK_PX pixels, in pixel order.
+
+    Yields (cols, sc, onehot, valid): the block's pixel slice, its (K, b)
+    scores, its float one-hot labels (all zero on ignored pixels) and its
+    float valid row, or None when no pixel of the block is ignored.
+    """
+    sc = s.scores.T
+    classes = np.arange(s.k_classes, dtype=y.labels.dtype)[:, None]
+    for start in range(0, s.n_pixels, BLOCK_PX):
+        cols = slice(start, start + BLOCK_PX)
+        onehot = (y.labels[cols] == classes).astype(np.float64)
+        block_valid = valid[cols]
+        block_valid = None if block_valid.all() else block_valid.astype(np.float64)
+        yield cols, np.ascontiguousarray(sc[:, cols]), onehot, block_valid
 
 
-def calibrate(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> CalibratedScores:
-    """Shift margins by the per-class offsets: -rho_k0 on the labelled class,
-    +rho_0k everywhere else.  Ignore-index pixels keep their raw margins."""
-    valid = _check_pair(s, y)
-    if m.k_classes != s.k_classes:
-        raise ShapeError("margin-offsets and scores disagree on the class count")
-    cal = compute_margins_lambda(s)
-    lam = cal.margins
-    sbar = lam + m.rho_0k[None, :]
-    rows = np.flatnonzero(valid)
-    labels = y.labels[rows].astype(np.int64)
-    sbar[rows, labels] = lam[rows, labels] - m.rho_k0[labels]
-    sbar[~valid] = lam[~valid]
-    return CalibratedScores(margins=lam, calibrated=sbar, ignored=~valid)
+def _count_valid(valid: np.ndarray) -> int:
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid == 0:
+        raise ShapeError("no valid pixels in batch")
+    return n_valid
 
 
 def _pixelwise(
     block_loss, s: ScoreBatch, y: MaskBatch, valid: np.ndarray, *args
 ) -> LossResult:
-    """Mean of per-pixel loss terms over non-ignored pixels, in class-major blocks.
+    """Mean of per-pixel loss terms over non-ignored pixels, block by block.
 
-    ``block_loss(sc, onehot, valid, grad, fg, bg, *args)`` takes a (K, b)
-    block of scores, its float one-hot labels (all zero on ignored pixels)
-    and its float valid row, or None when no pixel of the block is ignored.
-    It writes d(sum of terms)/d(scores) into ``grad`` and adds the per-class
-    term sums to ``fg`` (label class) and ``bg`` (the others).  Blocks run in
-    pixel order; the normalization comes last.
+    ``block_loss(sc, onehot, valid, grad, fg, bg, *args)`` takes one block
+    from ``_blocks``, writes d(sum of terms)/d(scores) into ``grad`` and adds
+    the per-class term sums to ``fg`` (label class) and ``bg`` (the others).
+    The normalization comes last.
     """
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid == 0:
-        raise ShapeError("no valid pixels in batch")
-    sc = s.scores.T
-    k_cls, n = sc.shape
-    classes = np.arange(k_cls, dtype=y.labels.dtype)[:, None]
-    grad = np.empty((k_cls, n))
-    fg, bg = np.zeros(k_cls), np.zeros(k_cls)
-    for start in range(0, n, BLOCK_PX):
-        stop = min(start + BLOCK_PX, n)
-        onehot = (y.labels[start:stop] == classes).astype(np.float64)
-        block_valid = valid[start:stop]
-        block_valid = None if block_valid.all() else block_valid.astype(np.float64)
-        block_loss(np.ascontiguousarray(sc[:, start:stop]), onehot, block_valid,
-                   grad[:, start:stop], fg, bg, *args)
+    n_valid = _count_valid(valid)
+    grad = np.empty((s.k_classes, s.n_pixels))
+    fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
+    for cols, sc, onehot, block_valid in _blocks(s, y, valid):
+        block_loss(sc, onehot, block_valid, grad[:, cols], fg, bg, *args)
     scale = 1.0 / n_valid
     grad *= scale
     fg *= scale
@@ -261,44 +233,51 @@ def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_k0) -> None:
     _route_to_competitors(sc, best, g, grad)
 
 
-def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
-    """Smoothed margin objective with its full analytic gradient.
-
-    Value: (1/N_s) * sum_k [ sum_{i in class k} log2(1 + 2^(-sbar_ik))
-    + sum_{i not in class k} log2(1 + 2^(sbar_ik)) ] over non-ignored pixels.
-    The gradient chains through the margin's max term, routed to the single
-    lowest-indexed best competitor of each (pixel, class) entry.
-    """
+def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> np.ndarray:
     valid = _check_pair(s, y)
     if s.k_classes < 2:
         raise ConfigError("margins need at least 2 classes")
     if m.k_classes != s.k_classes:
         raise ShapeError("margin-offsets and scores disagree on the class count")
+    return valid
+
+
+def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
+    """Smoothed margin objective with its full analytic gradient.
+
+    Value: (1/N_s) * sum_k [ sum_{i in class k} log2(1 + 2^(-sbar_ik))
+    + sum_{i not in class k} log2(1 + 2^(sbar_ik)) ] over non-ignored pixels,
+    where sbar_ik is lambda_ik - rho_k0 on the label and lambda_ik + rho_0k
+    elsewhere.  The gradient chains through the margin's max term, routed to
+    the single lowest-indexed best competitor of each (pixel, class) entry.
+    """
+    valid = _check_margin_pair(s, y, m)
     return _pixelwise(_margin_block, s, y, valid, m.rho_0k[:, None], m.rho_k0[:, None])
 
 
 def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
     """Piecewise-linear margin objective (value only; its gradient is reported
-    nowhere because it explodes for small offsets and vanishes elsewhere)."""
-    valid = _check_pair(s, y)
-    n_valid = int(valid.sum())
-    k_cls = s.k_classes
-    if n_valid == 0:
-        raise ShapeError("no valid pixels in batch")
-    lam = compute_margins_lambda(s).margins
-    rows = np.flatnonzero(valid)
-    labels = y.labels[rows].astype(np.int64)
+    nowhere because it explodes for small offsets and vanishes elsewhere).
 
-    phi_fg = _phi(lam[rows, labels], m.rho_k0[labels])
-    phi_bg = _phi(-lam, m.rho_0k[None, :])
-    is_fg = np.zeros_like(lam, dtype=bool)
-    is_fg[rows, labels] = True
-    phi_bg = np.where(valid[:, None] & ~is_fg, phi_bg, 0.0)
-
-    per_class_fg = np.bincount(labels, weights=phi_fg, minlength=k_cls) / n_valid
-    per_class_bg = phi_bg.sum(axis=0) / n_valid
-    value = float(per_class_fg.sum() + per_class_bg.sum())
-    return LossResult(value, None, per_class_fg, per_class_bg)
+    ``per_class_fg[k]`` sums phi(lambda_ik / rho_k0) over pixels labelled k
+    and ``per_class_bg[k]`` sums phi(-lambda_ik / rho_0k) over the other
+    valid pixels, phi(t) = min(1, max(0, 1 - t)), each divided by the valid
+    pixel count: the l_k0 and l_0k of the IoU lower bound.
+    """
+    valid = _check_margin_pair(s, y, m)
+    n_valid = _count_valid(valid)
+    rho_k0, rho_0k = m.rho_k0[:, None], m.rho_0k[:, None]
+    fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
+    for _, sc, onehot, block_valid in _blocks(s, y, valid):
+        lam = sc - _best_other(sc)
+        off_label = 1.0 - onehot
+        if block_valid is not None:
+            off_label *= block_valid
+        fg += _row_dots(np.clip(1.0 - lam / rho_k0, 0.0, 1.0), onehot)
+        bg += _row_dots(np.clip(1.0 + lam / rho_0k, 0.0, 1.0), off_label)
+    fg /= n_valid
+    bg /= n_valid
+    return LossResult(float(fg.sum() + bg.sum()), None, fg, bg)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +303,6 @@ def _nll_parts(s: ScoreBatch, y: MaskBatch):
     return valid, n_valid, rows, labels, probs
 
 
-def _per_class_from_rows(
-    rows_loss: np.ndarray, labels: np.ndarray, k_cls: int, n_valid: int
-):
-    fg = np.bincount(labels, weights=rows_loss, minlength=k_cls) / n_valid
-    return fg, np.zeros(k_cls)
-
-
 def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
     """Softmax negative log-likelihood terms of one class-major block."""
     z = np.subtract(sc, sc.max(axis=0))
@@ -350,36 +322,37 @@ def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
     return _pixelwise(_cross_entropy_block, s, y, _check_pair(s, y))
 
 
+def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
+    """Focal terms -(1 - q)^gamma log q of one class-major block, q = p_label."""
+    p = np.exp(sc - sc.max(axis=0), out=grad)
+    p /= p.sum(axis=0)
+    q = (p * onehot).sum(axis=0)
+    if valid is not None:
+        q += 1.0 - valid  # an ignored pixel gets q = 1: a zero term and slope
+    log_q = np.log(np.maximum(q, 1e-300))
+    one_minus = np.maximum(1.0 - q, 0.0)
+    fg += onehot @ (-(one_minus ** gamma) * log_q)
+    if gamma > 0:
+        # dL/dq, 0 where 1 - q underflows (the limit of both terms is 0 there)
+        safe = one_minus > 1e-12
+        one_minus = np.where(safe, one_minus, 1.0)
+        dl_dq = gamma * one_minus ** (gamma - 1.0) * log_q - one_minus ** gamma / q
+        dl_dq *= safe
+    else:
+        dl_dq = -1.0 / q
+    # chain rule through softmax: dq/ds_j = q * (1[j = label] - p_j)
+    slope = dl_dq * q
+    p *= -slope
+    p += onehot * slope
+    if valid is not None:
+        p *= valid
+
+
 def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> LossResult:
     """Focal loss: NLL scaled by (1 - p_true)^gamma to emphasize hard pixels."""
     if gamma < 0:
         raise ConfigError("gamma must be non-negative")
-    valid, n_valid, rows, labels, probs = _nll_parts(s, y)
-    q = probs[rows, labels]
-    log_q = np.log(np.maximum(q, 1e-300))
-    w = (1.0 - q) ** gamma
-    loss_rows = -w * log_q
-
-    # dL/dq, guarded where 1-q underflows (the limit of both terms is 0 there)
-    one_minus = np.maximum(1.0 - q, 0.0)
-    safe = one_minus > 1e-12
-    dl_dq = np.zeros_like(q)
-    if gamma > 0:
-        dl_dq[safe] = (
-            gamma * one_minus[safe] ** (gamma - 1.0) * log_q[safe]
-            - one_minus[safe] ** gamma / q[safe]
-        )
-        dl_dq[~safe] = 0.0
-    else:
-        dl_dq = -1.0 / q
-    # chain rule through softmax: dq/ds_ij = q * (1[j = label] - p_ij)
-    grad = np.zeros_like(s.scores)
-    coef = dl_dq * q / n_valid
-    grad[rows] = -coef[:, None] * probs[rows]
-    grad[rows, labels] += coef
-    grad[~valid] = 0.0
-    fg, bg = _per_class_from_rows(loss_rows, labels, s.k_classes, n_valid)
-    return LossResult(float(fg.sum()), grad, fg, bg)
+    return _pixelwise(_focal_block, s, y, _check_pair(s, y), gamma)
 
 
 def _softmax_vjp(probs: np.ndarray, dp: np.ndarray) -> np.ndarray:

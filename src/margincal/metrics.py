@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, DegenerateError, NumericError, ShapeError
-from .losses import ScoreBatch, _phi, compute_margins_lambda
+from .losses import ScoreBatch, rho_margin_objective
 from .margins import MarginOffsets
 from .segdata import LabelStats, MaskBatch
 
@@ -161,35 +161,23 @@ def lower_bound_report(
 ) -> MetricsReport:
     """Full report plus the margin-loss lower bounds on IoU.
 
+    l_k0 and l_0k are the per-class sums of ``rho_margin_objective``, which
+    runs in pixel blocks, so the bound holds no per-pixel array of margins.
     The normalizing pixel count is always the evaluated batch's own valid
     count; ``bound_scope`` is "dataset" when that matches ``stats.n_total``
     (full-dataset evaluation) and "batch" otherwise.  The sandwich
     P_k0 <= l_k0, P_0k <= l_0k, IoU_lower_k <= IoU_k is verified before
     returning.
     """
-    pred = predict_labels(s, y)
-    report = iou_report(confusion(pred, y, s.k_classes))
-
-    valid = y.valid_mask()
-    n = int(valid.sum())
-    lam = compute_margins_lambda(s).margins
-    rows = np.flatnonzero(valid)
-    labels = y.labels[rows].astype(np.int64)
-    k_cls = s.k_classes
-
-    phi_fg = _phi(lam[rows, labels], m.rho_k0[labels])
-    ell_k0 = np.bincount(labels, weights=phi_fg, minlength=k_cls) / n
-
-    phi_bg = _phi(-lam, m.rho_0k[None, :])
-    is_fg = np.zeros_like(lam, dtype=bool)
-    is_fg[rows, labels] = True
-    phi_bg = np.where(valid[:, None] & ~is_fg, phi_bg, 0.0)
-    ell_0k = phi_bg.sum(axis=0) / n
+    counts = confusion(predict_labels(s, y), y, s.k_classes)
+    report = iou_report(counts)
+    objective = rho_margin_objective(s, y, m)
+    ell_k0, ell_0k = objective.per_class_fg, objective.per_class_bg
 
     denom = report.p_k + ell_0k
     if np.any(denom[report.present] == 0):
         raise DegenerateError("P_k + l_0k vanished for a present class")
-    iou_lower = np.full(k_cls, np.nan)
+    iou_lower = np.full(s.k_classes, np.nan)
     iou_lower[report.present] = (
         report.p_k[report.present] - ell_k0[report.present]
     ) / denom[report.present]
@@ -206,9 +194,8 @@ def lower_bound_report(
     report.miou_lower = float(np.mean(iou_lower[pr]))
     report.ell_k0 = ell_k0
     report.ell_0k = ell_0k
-    report.bound_scope = (
-        "dataset" if stats is not None and stats.n_total == n else "batch"
-    )
+    full = stats is not None and stats.n_total == counts.total
+    report.bound_scope = "dataset" if full else "batch"
     return report
 
 

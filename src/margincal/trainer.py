@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TrainError
+from .errors import ConfigError, NumericError, ShapeError, TrainError
 from .losses import BLOCK_PX, LOSS_NAMES, PIXELWISE_LOSSES, ScoreBatch, loss_by_name
 from .margins import MarginOffsets
 from .metrics import MetricsReport, confusion, iou_report, predict_labels
@@ -32,17 +32,13 @@ class PixelMLP:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    init_scale: float = 1.0
 
     @classmethod
-    def init(
-        cls, d: int, hidden: int, k_classes: int, seed: int, init_scale: float = 1.0
-    ) -> "PixelMLP":
+    def init(cls, d: int, hidden: int, k_classes: int, seed: int) -> "PixelMLP":
         rng = np.random.default_rng(seed)
-        w1 = rng.normal(0.0, init_scale * np.sqrt(2.0 / d), size=(d, hidden))
-        w2 = rng.normal(0.0, init_scale * np.sqrt(2.0 / hidden), size=(hidden, k_classes))
-        return cls(w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(k_classes),
-                   init_scale=init_scale)
+        w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
+        w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, k_classes))
+        return cls(w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(k_classes))
 
     @property
     def d(self) -> int:
@@ -185,8 +181,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     momentum: float = 0.9
     seed: int = 0
-    tau: float = 10.0
-    upsilon: float = 1.0
     eval_every: int = 25
     hidden: int = 16
 
@@ -240,7 +234,8 @@ def train(
 
     Batches are whole images; their order reshuffles every epoch from the
     seeded generator.  For the margin-calibration loss the offsets must be
-    precomputed from training-split statistics and passed in.
+    precomputed from training-split statistics and passed in.  A non-finite
+    score or loss raises TrainError naming the epoch, batch and loss.
     """
     if cfg.loss_name == "margin_calibration" and margins is None:
         raise ConfigError("margin_calibration training needs precomputed margin-offsets")
@@ -255,15 +250,16 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n_images, cfg.batch_images):
-            value, grads = batch_gradients(
-                model, train_features, train_masks,
-                order[start : start + cfg.batch_images], cfg.loss_name, margins,
-            )
-            if not np.isfinite(value):
-                raise TrainError(
-                    f"NaN loss at epoch {epoch}, batch {n_batches} "
-                    f"({cfg.loss_name})"
+            where = f"at epoch {epoch}, batch {n_batches} ({cfg.loss_name})"
+            try:
+                value, grads = batch_gradients(
+                    model, train_features, train_masks,
+                    order[start : start + cfg.batch_images], cfg.loss_name, margins,
                 )
+            except NumericError as exc:
+                raise TrainError(f"{exc} {where}") from exc
+            if not np.isfinite(value):
+                raise TrainError(f"NaN loss {where}")
             for p, v, g in zip(model.params(), velocity, grads):
                 v *= cfg.momentum
                 v += g

@@ -1,4 +1,4 @@
-"""Tests for margins, calibration, the smoothed objective and baseline losses."""
+"""Tests for margins, the offset shift, the margin objectives and baseline losses."""
 import math
 
 import numpy as np
@@ -7,10 +7,10 @@ import pytest
 from margincal.errors import ConfigError, NumericError, ShapeError
 from margincal.gradcheck import check_loss_gradient
 from margincal.losses import (
+    BLOCK_PX,
     LOSS_NAMES,
     LossResult,
     ScoreBatch,
-    calibrate,
     calibrated_log_loss,
     compute_margins_lambda,
     cross_entropy,
@@ -23,6 +23,7 @@ from margincal.losses import (
     tversky,
 )
 from margincal.margins import MarginOffsets, compute_margins
+from margincal.metrics import lower_bound_report
 from margincal.segdata import LabelStats, MaskBatch
 
 
@@ -79,23 +80,22 @@ def cross_entropy_oracle(scores, labels, ignore_index=255):
 
 class TestComputeMarginsLambda:
     def test_three_class_pixel(self):
-        cal = compute_margins_lambda(ScoreBatch(scores=[[2.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(cal.margins, [[1.0, -1.0, -2.0]])
+        lam = compute_margins_lambda(ScoreBatch(scores=[[2.0, 1.0, 0.0]]))
+        np.testing.assert_allclose(lam, [[1.0, -1.0, -2.0]])
 
     def test_all_equal_scores(self):
-        cal = compute_margins_lambda(ScoreBatch(scores=[[3.5] * 4]))
-        np.testing.assert_array_equal(cal.margins, [[0.0] * 4])
+        lam = compute_margins_lambda(ScoreBatch(scores=[[3.5] * 4]))
+        np.testing.assert_array_equal(lam, [[0.0] * 4])
 
     def test_matches_double_loop(self):
         """Vectorized margins agree with the O(N*K^2) brute-force loop."""
         rng = np.random.default_rng(17)
         scores = rng.normal(size=(5, 4))
-        cal = compute_margins_lambda(ScoreBatch(scores=scores))
+        lam = compute_margins_lambda(ScoreBatch(scores=scores))
         for i in range(5):
             for k in range(4):
                 best = max(scores[i, j] for j in range(4) if j != k)
-                assert cal.margins[i, k] == pytest.approx(scores[i, k] - best,
-                                                          abs=1e-15)
+                assert lam[i, k] == pytest.approx(scores[i, k] - best, abs=1e-15)
 
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError, match="2 classes"):
@@ -104,10 +104,10 @@ class TestComputeMarginsLambda:
     def test_at_most_one_positive_margin_per_pixel(self):
         rng = np.random.default_rng(23)
         scores = rng.normal(size=(300, 6))
-        cal = compute_margins_lambda(ScoreBatch(scores=scores))
-        assert np.all((cal.margins > 0).sum(axis=1) <= 1)
+        lam = compute_margins_lambda(ScoreBatch(scores=scores))
+        assert np.all((lam > 0).sum(axis=1) <= 1)
         best = np.argmax(scores, axis=1)
-        assert np.all(cal.margins[np.arange(300), best] >= 0)
+        assert np.all(lam[np.arange(300), best] >= 0)
 
 
 class TestRhoMarginLoss:
@@ -128,44 +128,36 @@ class TestRhoMarginLoss:
 
 
 class TestCalibrate:
+    """The margin-offset shift, seen through the calibrated log-loss terms."""
+
     def test_true_class_branch(self):
-        """On the labelled class the offset is subtracted."""
+        """On the labelled class the offset is subtracted from the margin
+        (shifted score -rho_k0), elsewhere rho_0k is added."""
         m = MarginOffsets(
             rho_0k=np.array([2.0, 2.0]), rho_k0=np.array([0.5, 0.5]),
             mu_k=np.array([0.25, 0.25]), tau=1.0, upsilon=1.0,
         )
-        cal = calibrate(ScoreBatch(scores=[[1.0, 1.0]]), make_mask([0]), m)
-        assert cal.margins[0, 0] == 0.0
-        assert cal.calibrated[0, 0] == -0.5
-        assert cal.calibrated[0, 1] == 2.0  # other class gets +rho_0k
-
-    def test_matches_scalar_reimplementation(self):
-        """Vectorized calibration agrees with a per-pixel scalar loop."""
-        rng = np.random.default_rng(5)
-        scores = rng.normal(size=(40, 3))
-        labels = rng.integers(0, 3, size=40)
-        m = simple_margins()
-        cal = calibrate(ScoreBatch(scores=scores), make_mask(labels), m)
-        for i in range(40):
-            for k in range(3):
-                lam = scores[i, k] - max(scores[i, j] for j in range(3) if j != k)
-                if labels[i] == k:
-                    expected = lam - m.rho_k0[k]
-                else:
-                    expected = lam + m.rho_0k[k]
-                assert cal.calibrated[i, k] == pytest.approx(expected, abs=1e-14)
+        res = calibrated_log_loss(ScoreBatch(scores=[[1.0, 1.0]]), make_mask([0]), m)
+        # both margins are 0; a term is log2(1 + 2^-(shifted score))
+        np.testing.assert_allclose(res.per_class_fg, [math.log2(1 + 2**0.5), 0.0], rtol=1e-15)
+        np.testing.assert_allclose(res.per_class_bg, [0.0, math.log2(1 + 2**2.0)], rtol=1e-15)
 
     def test_ignored_pixels_keep_raw_margins(self):
+        """An ignored pixel is never shifted: whatever its scores, it gets a
+        zero gradient and adds nothing to any term."""
         m = simple_margins(2)
         scores = np.array([[1.0, 0.0], [0.5, 2.0]])
-        cal = calibrate(ScoreBatch(scores=scores), make_mask([255, 1]), m)
-        np.testing.assert_array_equal(cal.calibrated[0], cal.margins[0])
-        assert cal.ignored is not None and cal.ignored[0] and not cal.ignored[1]
+        res = calibrated_log_loss(ScoreBatch(scores=scores), make_mask([255, 1]), m)
+        alone = calibrated_log_loss(ScoreBatch(scores=scores[1:]), make_mask([1]), m)
+        np.testing.assert_array_equal(res.grad[0], [0.0, 0.0])
+        np.testing.assert_allclose(res.per_class_fg, alone.per_class_fg, rtol=1e-15)
+        np.testing.assert_allclose(res.per_class_bg, alone.per_class_bg, rtol=1e-15)
+        assert res.value == pytest.approx(alone.value, rel=1e-15)
 
     def test_shape_mismatch(self):
         m = simple_margins(2)
         with pytest.raises(ShapeError):
-            calibrate(ScoreBatch(scores=np.zeros((3, 2))), make_mask([0, 1]), m)
+            calibrated_log_loss(ScoreBatch(scores=np.zeros((3, 2))), make_mask([0, 1]), m)
 
 
 class TestCalibratedLogLoss:
@@ -183,6 +175,12 @@ class TestCalibratedLogLoss:
         assert rho_calibrated_log_loss(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
         for rho in (0.1, 0.5, 2.0, 10.0):
             assert rho_calibrated_log_loss(rho, rho) == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_shifted_score_is_not_capped(self):
+        """log2(1 + 2^(rho - lam)) keeps growing like rho - lam past 500."""
+        assert rho_calibrated_log_loss(-1000.0, 1.0) == pytest.approx(1001.0, rel=1e-15)
+        tail = 2.0**-999 / math.log(2.0)
+        assert rho_calibrated_log_loss(1000.0, 1.0) == pytest.approx(tail, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         res = check_loss_gradient("margin_calibration", seed=3, n_batches=10)
@@ -294,6 +292,44 @@ class TestRhoMarginObjective:
                                          make_mask(labels), m)
             assert smooth.value > sharp.value
 
+    def test_blocked_sum_matches_scalar_loop(self):
+        """The blocked per-class sums, and the lower bound's l_k0 / l_0k taken
+        from them, equal a per-pixel loop over rho_margin_loss: three full
+        blocks and a partial one, ignored pixels, one wholly ignored block,
+        a four-way tie and a tie for second place."""
+        rng = np.random.default_rng(41)
+        n, k_cls = 3 * BLOCK_PX + 17, 4
+        scores = rng.normal(size=(n, k_cls))
+        scores[5] = 0.25  # four-way tie
+        scores[6] = [2.0, 0.5, 0.5, -1.0]  # tie for second place
+        labels = rng.integers(0, k_cls, size=n).astype(np.uint8)
+        labels[::7] = 255
+        labels[BLOCK_PX : 2 * BLOCK_PX] = 255
+        labels[5:7] = [1, 0]
+        m = simple_margins(k_cls)
+
+        fg, bg = np.zeros(k_cls), np.zeros(k_cls)
+        rows = [i for i in range(n) if labels[i] != 255]
+        for i in rows:
+            s = [float(v) for v in scores[i]]
+            for k in range(k_cls):
+                lam = s[k] - max(s[j] for j in range(k_cls) if j != k)
+                if labels[i] == k:
+                    fg[k] += rho_margin_loss(lam, m.rho_k0[k])
+                else:
+                    bg[k] += rho_margin_loss(-lam, m.rho_0k[k])
+        fg /= len(rows)
+        bg /= len(rows)
+
+        batch, mask = ScoreBatch(scores=scores), make_mask(labels)
+        res = rho_margin_objective(batch, mask, m)
+        np.testing.assert_allclose(res.per_class_fg, fg, rtol=1e-13)
+        np.testing.assert_allclose(res.per_class_bg, bg, rtol=1e-13)
+        assert res.value == pytest.approx(fg.sum() + bg.sum(), rel=1e-13)
+        report = lower_bound_report(batch, mask, m)
+        np.testing.assert_allclose(report.ell_k0, fg, rtol=1e-13)
+        np.testing.assert_allclose(report.ell_0k, bg, rtol=1e-13)
+
 
 class TestBoundChain:
     def test_pointwise_chain_random_pairs(self):
@@ -319,9 +355,9 @@ class TestBoundChain:
         rng = np.random.default_rng(7)
         scores = rng.normal(size=(500, 4))
         labels = rng.integers(0, 4, size=500)
-        cal = compute_margins_lambda(ScoreBatch(scores=scores))
+        lam = compute_margins_lambda(ScoreBatch(scores=scores))
         preds = np.argmax(scores, axis=1)
-        lam_true = cal.margins[np.arange(500), labels]
+        lam_true = lam[np.arange(500), labels]
         for rho in (0.01, 0.5, 3.0):
             phi = np.clip(1.0 - lam_true / rho, 0.0, 1.0)
             wrong = (preds != labels).astype(float)
@@ -343,6 +379,21 @@ class TestBaselineLosses:
             fo = focal(ScoreBatch(scores=scores), make_mask(labels), gamma=0.0)
             assert fo.value == pytest.approx(ce.value, rel=1e-10)
             np.testing.assert_allclose(fo.grad, ce.grad, atol=1e-12)
+
+    def test_focal_skips_ignored_pixels(self):
+        """Ignored rows get a zero gradient and leave the value as if absent."""
+        rng = np.random.default_rng(22)
+        scores = rng.normal(size=(40, 3)) * 3
+        labels = rng.integers(0, 3, size=40).astype(np.uint8)
+        labels[::4] = 255
+        kept = labels != 255
+        for gamma in (0.0, 0.4, 2.0):
+            res = focal(ScoreBatch(scores=scores), make_mask(labels), gamma=gamma)
+            alone = focal(ScoreBatch(scores=scores[kept]), make_mask(labels[kept]),
+                          gamma=gamma)
+            assert np.all(res.grad[~kept] == 0.0)
+            np.testing.assert_allclose(res.grad[kept], alone.grad, rtol=1e-13, atol=1e-17)
+            np.testing.assert_allclose(res.per_class_fg, alone.per_class_fg, rtol=1e-13)
 
     def test_cross_entropy_fast_and_reference_agree(self):
         """The class-major blocked route agrees with a per-pixel scalar loop."""
@@ -384,25 +435,28 @@ class TestBaselineLosses:
 
 class TestLinearTimeScaling:
     def test_wall_time_grows_linearly_in_batch_size(self):
-        """Least-squares fit of time vs pixel count has R^2 >= 0.98."""
+        """Least-squares fit of time vs pixel count has R^2 >= 0.98.
+
+        Every round times each size once, and each size takes its median
+        over the rounds, so a slow phase of the host lands on all sizes alike.
+        """
         import time as _time
 
         rng = np.random.default_rng(0)
         m = simple_margins(8, tau=2.0)
         sizes = [2**p for p in range(12, 19)]
-        medians = []
+        cases = []
         for n in sizes:
-            scores = rng.normal(size=(n, 8))
             labels = rng.integers(0, 8, size=n).astype(np.uint8)
-            mask = make_mask(labels)
-            batch = ScoreBatch(scores=scores)
-            calibrated_log_loss(batch, mask, m)  # warm caches
-            reps = []
-            for _ in range(3):
+            cases.append((ScoreBatch(scores=rng.normal(size=(n, 8))), make_mask(labels)))
+            calibrated_log_loss(*cases[-1], m)  # warm caches
+        times = [[] for _ in sizes]
+        for _ in range(5):
+            for (batch, mask), reps in zip(cases, times):
                 t0 = _time.perf_counter()
                 calibrated_log_loss(batch, mask, m)
                 reps.append(_time.perf_counter() - t0)
-            medians.append(np.median(reps))
+        medians = [float(np.median(reps)) for reps in times]
         x = np.asarray(sizes, dtype=float)
         t = np.asarray(medians)
         slope, intercept = np.polyfit(x, t, 1)

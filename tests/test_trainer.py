@@ -157,10 +157,12 @@ class TestTrain:
     def test_nan_loss_aborts_with_location(self):
         feats, masks = tiny_dataset()
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
-        model.w1[:] = 1e200  # forces overflow in the first forward pass
+        # batch 0 scores about 1e200, still finite; its update makes the
+        # second forward pass overflow
+        model.w1[:] = 1e200
         cfg = TrainConfig(loss_name="cross_entropy", epochs=2, batch_images=4,
                           learning_rate=0.1, seed=0)
-        with pytest.raises((TrainError, Exception)):
+        with pytest.raises(TrainError, match=r"epoch 1, batch 1 \(cross_entropy\)"):
             train(model, feats, masks, cfg)
 
     def test_unknown_loss_rejected(self):
@@ -181,7 +183,7 @@ class TestTrain:
         model = PixelMLP.init(FEATURE_DIM, 16, 2, seed=1)
         cfg = TrainConfig(loss_name="margin_calibration", epochs=200,
                           batch_images=16, learning_rate=0.5, momentum=0.9,
-                          seed=0, eval_every=0, tau=1.0)
+                          seed=0, eval_every=0)
         model, _ = train(model, feats, masks, cfg, margins=margins)
         scores = forward(model, feats)
         objective = rho_margin_objective(scores, masks, margins)
