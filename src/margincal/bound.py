@@ -246,16 +246,11 @@ def brute_force_allocation(
 
     weights = _simplex_grid(k, grid_resolution)
     rho_grid = weights * target_sum  # (n_points, K)
-    n = float(stats.n_total)
-    n_k = stats.n_per_class.astype(np.float64)
-    rest = np.sqrt(n - n_k)
-    numer = rest + np.sqrt(n_k) / closed.mu_k  # allocation-independent
-    denom = n_k[None, :] * rho_grid / (4.0 * k * f_cal) - rest[None, :]
-    point_valid = np.all(denom > 0, axis=1)
+    eps_grid, valid_grid = allocation_epsilon(stats, rho_grid, closed.mu_k, f_cal)
+    point_valid = valid_grid.all(axis=1)
     if not point_valid.any():
         raise VacuousBoundError("every grid point is vacuous; search impossible")
-    with np.errstate(divide="ignore"):
-        eps_points = (numer[None, :] / denom).sum(axis=1) / k
+    eps_points = eps_grid.sum(axis=1) / k
     eps_points[~point_valid] = np.inf
     best = int(np.argmin(eps_points))
     grid_eps = float(eps_points[best])

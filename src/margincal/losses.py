@@ -7,10 +7,12 @@ piecewise-linear rho-margin loss min(1, max(0, 1 - lambda/rho)) with its
 smooth upper bound log2(1 + 2^(-sbar)), whose gradient never vanishes.
 
 All losses are pure functions of (scores, labels); reductions run in a fixed
-order so repeated evaluations are bitwise identical.  Every sum of per-pixel
-terms (the margin objectives, cross-entropy and focal) runs class-major, on
-(K, BLOCK_PX) blocks whose temporaries stay in cache, with row-wise numpy
-operations only.
+order so repeated evaluations are bitwise identical.  Every loss reads the
+batch class-major, in (K, BLOCK_PX) blocks whose temporaries stay in cache,
+with row-wise numpy operations only: the margin objectives, cross-entropy and
+focal sum per-pixel terms block by block, and soft Dice (Tversky at
+alpha = beta = 1/2) and Tversky walk the blocks twice, once for their
+per-class sums and once for the gradient.
 """
 from __future__ import annotations
 
@@ -285,30 +287,22 @@ def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossR
 # ---------------------------------------------------------------------------
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
+def _softmax_block(sc: np.ndarray, out: np.ndarray):
+    """Softmax of a class-major (K, b) block, written into ``out``.
 
-
-def _nll_parts(s: ScoreBatch, y: MaskBatch):
-    valid = _check_pair(s, y)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ShapeError("no valid pixels in batch")
-    rows = np.flatnonzero(valid)
-    labels = y.labels[rows].astype(np.int64)
-    probs = _softmax(s.scores)
-    return valid, n_valid, rows, labels, probs
+    Returns the shifted scores z = sc - max and their exp-sum ``total``, so
+    that log p = z - log(total) holds even where p underflows.
+    """
+    z = np.subtract(sc, sc.max(axis=0))
+    np.exp(z, out=out)
+    total = out.sum(axis=0)
+    out /= total
+    return z, total
 
 
 def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
     """Softmax negative log-likelihood terms of one class-major block."""
-    z = np.subtract(sc, sc.max(axis=0))
-    np.exp(z, out=grad)
-    total = grad.sum(axis=0)
-    grad /= total
+    z, total = _softmax_block(sc, grad)
     grad -= onehot
     if valid is not None:
         grad *= valid
@@ -324,28 +318,28 @@ def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
 
 def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
     """Focal terms -(1 - q)^gamma log q of one class-major block, q = p_label."""
-    p = np.exp(sc - sc.max(axis=0), out=grad)
-    p /= p.sum(axis=0)
-    q = (p * onehot).sum(axis=0)
+    z, total = _softmax_block(sc, grad)
+    log_q = (z * onehot).sum(axis=0)
+    log_q -= np.log(total)
     if valid is not None:
-        q += 1.0 - valid  # an ignored pixel gets q = 1: a zero term and slope
-    log_q = np.log(np.maximum(q, 1e-300))
-    one_minus = np.maximum(1.0 - q, 0.0)
+        log_q *= valid  # an ignored pixel gets q = 1: a zero term and slope
+    q = np.exp(log_q)  # at most 1, as log_q <= 0
+    one_minus = 1.0 - q
     fg += onehot @ (-(one_minus ** gamma) * log_q)
+    # slope = q dL/dq = gamma q (1 - q)^(gamma - 1) log q - (1 - q)^gamma
     if gamma > 0:
-        # dL/dq, 0 where 1 - q underflows (the limit of both terms is 0 there)
+        # 0 where 1 - q underflows (the limit of both terms is 0 there)
         safe = one_minus > 1e-12
         one_minus = np.where(safe, one_minus, 1.0)
-        dl_dq = gamma * one_minus ** (gamma - 1.0) * log_q - one_minus ** gamma / q
-        dl_dq *= safe
+        slope = gamma * q * one_minus ** (gamma - 1.0) * log_q - one_minus ** gamma
+        slope *= safe
     else:
-        dl_dq = -1.0 / q
+        slope = -1.0
     # chain rule through softmax: dq/ds_j = q * (1[j = label] - p_j)
-    slope = dl_dq * q
-    p *= -slope
-    p += onehot * slope
+    grad *= -slope
+    grad += onehot * slope
     if valid is not None:
-        p *= valid
+        grad *= valid
 
 
 def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> LossResult:
@@ -355,35 +349,49 @@ def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> L
     return _pixelwise(_focal_block, s, y, _check_pair(s, y), gamma)
 
 
-def _softmax_vjp(probs: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    inner = (dp * probs).sum(axis=1, keepdims=True)
-    return probs * (dp - inner)
+def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
+             eps: float) -> LossResult:
+    """Tversky loss 1 - mean_k (I_k + eps)/(I_k + alpha FP_k + beta FN_k + eps)
+    in two passes over the blocks.
+
+    The first writes the softmax p of the valid pixels into the gradient
+    buffer and sums I_k = sum_i p_ik t_ik, A_k = sum_i p_ik and B_k = sum_i
+    t_ik (FP = A - I, FN = B - I); the second turns p into the gradient in
+    place through the softmax VJP.  Ignored pixels have p = 0 throughout.
+    """
+    valid = _check_pair(s, y)
+    _count_valid(valid)
+    k_cls = s.k_classes
+    grad = np.empty((k_cls, s.n_pixels))
+    inter, a, b = np.zeros(k_cls), np.zeros(k_cls), np.zeros(k_cls)
+    for cols, sc, onehot, block_valid in _blocks(s, y, valid):
+        p = grad[:, cols]
+        _softmax_block(sc, p)
+        if block_valid is not None:
+            p *= block_valid
+        inter += _row_dots(p, onehot)
+        a += p.sum(axis=1)
+        b += onehot.sum(axis=1)
+    denom = inter + alpha * (a - inter) + beta * (b - inter) + eps
+    index = (inter + eps) / denom
+    per_class = (1.0 - index) / k_cls
+    # dL/dp_ik = u_k + v_k t_ik, from dI/dp = t, dFP/dp = 1 - t, dFN/dp = -t
+    u = (alpha * index / denom / k_cls)[:, None]
+    v = ((index * (1.0 - alpha - beta) - 1.0) / denom / k_cls)[:, None]
+    for cols, _, onehot, _ in _blocks(s, y, valid):
+        p = grad[:, cols]
+        dp = onehot * v
+        dp += u
+        dp -= (dp * p).sum(axis=0)  # softmax VJP: p_j (dp_j - sum_k dp_k p_k)
+        p *= dp
+    return LossResult(float(per_class.sum()), grad.T, per_class, np.zeros(k_cls))
 
 
 def soft_dice(s: ScoreBatch, y: MaskBatch, eps: float = BASELINE_DICE_EPS) -> LossResult:
-    """Soft Dice loss 1 - mean_k (2*I_k + eps)/(A_k + B_k + eps) on softmax scores."""
-    valid, n_valid, rows, labels, probs = _nll_parts(s, y)
-    k_cls = s.k_classes
-    onehot = np.zeros((n_valid, k_cls))
-    onehot[np.arange(n_valid), labels] = 1.0
-    p = probs[rows]
-    inter = (p * onehot).sum(axis=0)
-    a = p.sum(axis=0)
-    b = onehot.sum(axis=0)
-    denom = a + b + eps
-    dice = (2.0 * inter + eps) / denom
-    per_class = (1.0 - dice) / k_cls
-    value = float(per_class.sum())
-
-    # d dice_k / d p_ik = (2*t_ik*denom - (2*I_k + eps)) / denom^2
-    ddice_dp = (2.0 * onehot * denom[None, :] - (2.0 * inter + eps)[None, :]) / (
-        denom[None, :] ** 2
-    )
-    dp = -ddice_dp / k_cls
-    grad = np.zeros_like(s.scores)
-    grad[rows] = _softmax_vjp(p, dp)
-    grad[~valid] = 0.0
-    return LossResult(value, grad, per_class, np.zeros(k_cls))
+    """Soft Dice loss 1 - mean_k (2 I_k + eps)/(A_k + B_k + eps) on softmax scores:
+    Tversky at alpha = beta = 1/2 with eps/2, since (2I + eps)/(A + B + eps)
+    = (I + eps/2)/(I + FP/2 + FN/2 + eps/2)."""
+    return _tversky(s, y, 0.5, 0.5, 0.5 * eps)
 
 
 def tversky(
@@ -394,29 +402,7 @@ def tversky(
     eps: float = BASELINE_DICE_EPS,
 ) -> LossResult:
     """Tversky loss: soft Dice with separate false-positive/negative weights."""
-    valid, n_valid, rows, labels, probs = _nll_parts(s, y)
-    k_cls = s.k_classes
-    onehot = np.zeros((n_valid, k_cls))
-    onehot[np.arange(n_valid), labels] = 1.0
-    p = probs[rows]
-    inter = (p * onehot).sum(axis=0)
-    fp = (p * (1.0 - onehot)).sum(axis=0)
-    fn = ((1.0 - p) * onehot).sum(axis=0)
-    denom = inter + alpha * fp + beta * fn + eps
-    index = (inter + eps) / denom
-    per_class = (1.0 - index) / k_cls
-    value = float(per_class.sum())
-
-    # dI/dp = t, dFP/dp = 1-t, dFN/dp = -t
-    ddenom_dp = onehot + alpha * (1.0 - onehot) - beta * onehot
-    dindex_dp = (onehot * denom[None, :] - (inter + eps)[None, :] * ddenom_dp) / (
-        denom[None, :] ** 2
-    )
-    dp = -dindex_dp / k_cls
-    grad = np.zeros_like(s.scores)
-    grad[rows] = _softmax_vjp(p, dp)
-    grad[~valid] = 0.0
-    return LossResult(value, grad, per_class, np.zeros(k_cls))
+    return _tversky(s, y, alpha, beta, eps)
 
 
 def loss_by_name(name: str):

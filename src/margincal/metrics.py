@@ -85,11 +85,14 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
     ):
         raise ShapeError("prediction and truth masks have different shapes")
     valid = truth.valid_mask()
-    t = truth.labels[valid].astype(np.int64)
-    p = pred.labels[valid].astype(np.int64)
+    t = truth.labels[valid]
+    p = pred.labels[valid]
     if t.size and (int(t.max()) >= k_classes or int(p.max()) >= k_classes):
         raise DataError(f"labels exceed k_classes={k_classes}")
-    matrix = np.bincount(t * k_classes + p, minlength=k_classes * k_classes)
+    code = t.astype(np.intp)  # the one pixel-length integer array: t*K + p
+    code *= k_classes
+    code += p
+    matrix = np.bincount(code, minlength=k_classes * k_classes)
     matrix = matrix.reshape(k_classes, k_classes)
     tp = np.diag(matrix).copy()
     fn = matrix.sum(axis=1) - tp

@@ -281,6 +281,7 @@ class TestAcceptance:
         started = time.perf_counter()
         successes = 0
         trials = 20
+        eps = []
         for trial in range(trials):
             train_cfg = SynthConfig(seed=1000 + trial, width=16, height=16,
                                     n_images=1000, k_classes=2,
@@ -292,6 +293,7 @@ class TestAcceptance:
                               eta=0.05, c_theta=0.05)
             result = evaluate_epsilon(cfg)
             assert result.all_valid, f"trial {trial}: gap must be non-vacuous"
+            eps.append(result.eps)
 
             tc = TrainConfig(loss_name="margin_calibration", epochs=5,
                              batch_images=250, learning_rate=0.1, seed=trial,
@@ -314,5 +316,6 @@ class TestAcceptance:
             10,
             "held-out mean IoU respects the train bound minus the gap",
             successes >= int(np.ceil(0.95 * trials)),
-            f"({successes}/{trials} trials, {elapsed:.0f}s)",
+            f"({successes}/{trials} trials, eps {min(eps):.4g}..{max(eps):.4g}, "
+            f"{elapsed:.0f}s)",
         )

@@ -1,5 +1,6 @@
 """Tests for margins, the offset shift, the margin objectives and baseline losses."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,48 @@ def cross_entropy_oracle(scores, labels, ignore_index=255):
         for j in range(k_cls):
             grad[i, j] = (math.exp(s[j] - log_total) - (j == labels[i])) / len(rows)
     return LossResult(float(fg.sum()), grad, fg, np.zeros(k_cls))
+
+
+def _row_major_softmax(scores, labels, ignore_index=255):
+    rows = np.flatnonzero(labels != ignore_index)
+    shifted = scores[rows] - scores[rows].max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    p /= p.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(rows.size), labels[rows]] = 1.0
+    return rows, p, onehot
+
+
+def _region_result(scores, rows, p, per_class, dp):
+    """LossResult whose gradient chains dp = dL/dp through the softmax."""
+    grad = np.zeros_like(scores)
+    grad[rows] = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+    return LossResult(float(per_class.sum()), grad, per_class, np.zeros(p.shape[1]))
+
+
+def tversky_oracle(scores, labels, alpha, beta, eps):
+    """Tversky loss from whole-batch row-major sums of I, FP and FN."""
+    rows, p, onehot = _row_major_softmax(scores, labels)
+    k_cls = p.shape[1]
+    inter = (p * onehot).sum(axis=0)
+    fp = (p * (1.0 - onehot)).sum(axis=0)
+    fn = ((1.0 - p) * onehot).sum(axis=0)
+    denom = inter + alpha * fp + beta * fn + eps
+    per_class = (1.0 - (inter + eps) / denom) / k_cls
+    ddenom_dp = onehot + alpha * (1.0 - onehot) - beta * onehot
+    dindex_dp = (onehot * denom - (inter + eps) * ddenom_dp) / denom**2
+    return _region_result(scores, rows, p, per_class, -dindex_dp / k_cls)
+
+
+def dice_oracle(scores, labels, eps):
+    """Soft Dice loss 1 - mean_k (2I_k + eps)/(A_k + B_k + eps), row-major."""
+    rows, p, onehot = _row_major_softmax(scores, labels)
+    k_cls = p.shape[1]
+    inter = (p * onehot).sum(axis=0)
+    denom = p.sum(axis=0) + onehot.sum(axis=0) + eps
+    per_class = (1.0 - (2.0 * inter + eps) / denom) / k_cls
+    ddice_dp = (2.0 * onehot * denom - (2.0 * inter + eps)) / denom**2
+    return _region_result(scores, rows, p, per_class, -ddice_dp / k_cls)
 
 
 class TestComputeMarginsLambda:
@@ -417,16 +460,47 @@ class TestBaselineLosses:
         res = soft_dice(ScoreBatch(scores=scores), make_mask([0, 1, 0]))
         assert res.value < 1e-5
 
-    def test_tversky_reduces_to_dice_at_half_weights(self):
-        """alpha = beta = 0.5 makes the two region losses identical up to the
-        smoothing constant (2I/(A+B) == I/(I + 0.5 FP + 0.5 FN))."""
-        rng = np.random.default_rng(2)
-        scores = rng.normal(size=(30, 3))
-        labels = rng.integers(0, 3, size=30)
-        d = soft_dice(ScoreBatch(scores=scores), make_mask(labels), eps=1e-12)
-        t = tversky(ScoreBatch(scores=scores), make_mask(labels),
-                    alpha=0.5, beta=0.5, eps=1e-12)
-        assert t.value == pytest.approx(d.value, rel=1e-9)
+    @pytest.mark.parametrize("region_loss", ["tversky", "tversky_weights", "soft_dice"])
+    def test_region_losses_match_row_major_oracles(self, region_loss):
+        """The two-pass blocked route agrees with whole-batch row-major
+        formulas: three full blocks and a partial one, every 7th pixel and the
+        whole second block ignored; ignored rows get exactly zero gradient."""
+        rng = np.random.default_rng(43)
+        n, k_cls = 3 * BLOCK_PX + 17, 4
+        scores = rng.normal(size=(n, k_cls)) * 2
+        labels = rng.integers(0, k_cls, size=n).astype(np.uint8)
+        labels[::7] = 255
+        labels[BLOCK_PX : 2 * BLOCK_PX] = 255
+        batch, mask = ScoreBatch(scores=scores), make_mask(labels)
+        if region_loss == "soft_dice":
+            res, ref = soft_dice(batch, mask, eps=0.3), dice_oracle(scores, labels, 0.3)
+        elif region_loss == "tversky_weights":
+            res = tversky(batch, mask, alpha=0.8, beta=0.1, eps=1e-3)
+            ref = tversky_oracle(scores, labels, 0.8, 0.1, 1e-3)
+        else:
+            res = tversky(batch, mask)
+            ref = tversky_oracle(scores, labels, 0.3, 0.7, 1e-6)
+        assert res.value == pytest.approx(ref.value, rel=1e-13)
+        np.testing.assert_allclose(res.per_class_fg, ref.per_class_fg, rtol=1e-13)
+        np.testing.assert_array_equal(res.per_class_bg, 0.0)
+        np.testing.assert_allclose(res.grad, ref.grad, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref.grad).max())
+        assert np.all(res.grad[labels == 255] == 0.0)
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_saturated_scores_give_finite_results(self, name):
+        """A mislabelled pixel whose label probability underflows (a score gap
+        of 800) gives a finite value and gradient, without warnings."""
+        scores, mask = ScoreBatch(scores=[[800.0, 0.0, 0.0]]), make_mask([1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = loss_by_name(name)(scores, mask, simple_margins(3))
+        assert np.isfinite(res.value)
+        assert np.all(np.isfinite(res.grad))
+        if name in ("cross_entropy", "focal"):
+            # -log q = 800 with (1 - q)^gamma = 1, and the slope is -1 at q = 0
+            assert res.value == 800.0
+            np.testing.assert_array_equal(res.grad, [[1.0, -1.0, 0.0]])
 
     def test_loss_by_name_rejects_unknown(self):
         with pytest.raises(ConfigError, match="unknown loss"):
