@@ -14,7 +14,8 @@ from pathlib import Path
 from . import bound as bound_mod
 from . import gradcheck as gradcheck_mod
 from .errors import MarginCalError
-from .margins import compute_margins, read_margins_csv, write_margins_csv
+from .margins import DEFAULT_TAU, DEFAULT_UPSILON, compute_margins
+from .margins import read_margins_csv, write_margins_csv
 from .metrics import lower_bound_report, write_metrics_csv
 from .segdata import (
     FEATURE_DIM,
@@ -41,12 +42,25 @@ from .trainer import (
 from .losses import LOSS_NAMES
 
 
+def _float_list(text: str) -> tuple:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _sweep_eval_every(text: str) -> int:
+    if text.isdecimal() and int(text) > 0:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be positive (each row is a val mIoU), got {text!r}")
+
+
 def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--width", type=int, default=64)
     parser.add_argument("--height", type=int, default=64)
     parser.add_argument("--k-classes", type=int, default=3)
     parser.add_argument(
-        "--ratios", type=str, default="0.90,0.07,0.03",
+        "--ratios", type=_float_list, default="0.90,0.07,0.03",
         help="comma-separated per-class pixel fractions (class 0 = background)",
     )
     parser.add_argument("--noise-sigma", type=float, default=0.1)
@@ -59,33 +73,23 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--val-images", type=int, default=50)
 
 
-def _parse_ratios(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(","))
-
-
 def _synth_config(args, seed: int, n_images: int) -> SynthConfig:
     return SynthConfig(
-        seed=seed,
-        width=args.width,
-        height=args.height,
-        n_images=n_images,
-        k_classes=args.k_classes,
-        target_ratios=_parse_ratios(args.ratios),
-        noise_sigma=args.noise_sigma,
+        seed=seed, width=args.width, height=args.height, n_images=n_images,
+        k_classes=args.k_classes, target_ratios=args.ratios, noise_sigma=args.noise_sigma,
     )
 
 
-def _make_splits(args):
-    train_cfg = _synth_config(args, args.data_seed, args.train_images)
-    val_cfg = _synth_config(args, args.data_seed + 1, args.val_images)
-    return generate_synthetic(train_cfg), generate_synthetic(val_cfg)
+def _split(args, name: str):
+    """(features, masks) of the "train" split (seed --data-seed) or "val" (+1)."""
+    seed = args.data_seed + (name == "val")
+    return generate_synthetic(_synth_config(args, seed, getattr(args, f"{name}_images")))
 
 
 def _cmd_gen(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = _synth_config(args, args.seed, args.n_images)
-    features, masks = generate_synthetic(cfg)
+    features, masks = generate_synthetic(_synth_config(args, args.seed, args.n_images))
     ppi = masks.pixels_per_image
     for i in range(masks.n_images):
         single = MaskBatch(
@@ -129,39 +133,39 @@ def _cmd_margins(args) -> int:
     return 0
 
 
-def _trained_model(args, margins_needed: bool):
-    (train_feats, train_masks), (val_feats, val_masks) = _make_splits(args)
-    stats = accumulate_stats(train_masks, args.k_classes)
-    margins = None
-    if margins_needed:
-        margins = compute_margins(stats, tau=args.tau, upsilon=args.upsilon)
+def _training_runs(args, loss_name: str):
+    """Build what all runs of one command share (config, both splits, the train
+    split's label counts) and return `train_once(tau, upsilon) -> (model, log)`."""
     cfg = TrainConfig(
-        loss_name=args.loss,
-        epochs=args.epochs,
-        batch_images=args.batch_images,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        seed=args.seed,
-        eval_every=args.eval_every,
-        hidden=args.hidden,
+        loss_name=loss_name, epochs=args.epochs, batch_images=args.batch_images,
+        learning_rate=args.lr, momentum=args.momentum, seed=args.seed,
+        eval_every=args.eval_every, hidden=args.hidden,
     )
-    if args.init_from:
-        model = load_model(args.init_from)
-    else:
-        model = PixelMLP.init(FEATURE_DIM, cfg.hidden, args.k_classes, seed=cfg.seed)
-    model, log = train(
-        model, train_feats, train_masks, cfg,
-        margins=margins, val_features=val_feats, val_masks=val_masks,
-    )
-    return model, log, (val_feats, val_masks)
+    train_feats, train_masks = _split(args, "train")
+    val_feats, val_masks = _split(args, "val")
+    stats = accumulate_stats(train_masks, args.k_classes)
+
+    def train_once(tau: float, upsilon: float):
+        margins = (compute_margins(stats, tau=tau, upsilon=upsilon)
+                   if loss_name == "margin_calibration" else None)
+        # `train` updates parameters in place, so every run starts its own model
+        model = (load_model(args.init_from) if args.init_from
+                 else PixelMLP.init(FEATURE_DIM, cfg.hidden, args.k_classes, seed=cfg.seed))
+        return train(model, train_feats, train_masks, cfg, margins=margins,
+                     val_features=val_feats, val_masks=val_masks)
+
+    return train_once
 
 
 def _cmd_train(args) -> int:
-    model, log, _ = _trained_model(args, args.loss == "margin_calibration")
+    model, log = _training_runs(args, args.loss)(args.tau, args.upsilon)
     if args.out_model:
         save_model(model, args.out_model)
     if args.log_csv:
         write_train_log_csv(log, args.log_csv)
+    if not log.records:
+        print(f"trained {args.epochs} epochs; no evaluation ran (--eval-every 0)")
+        return 0
     final = log.records[-1]
     print(
         f"epoch {final.epoch}: train_loss={final.train_loss:.6g} "
@@ -172,10 +176,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    (train_feats, train_masks), (val_feats, val_masks) = _make_splits(args)
-    feats, masks = (train_feats, train_masks) if args.split == "train" else (
-        val_feats, val_masks,
-    )
+    feats, masks = _split(args, args.split)
     if args.margins:
         margins = read_margins_csv(args.margins)
         report = lower_bound_report(forward(model, feats), masks, margins)
@@ -222,16 +223,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    taus = [float(t) for t in args.tau_grid.split(",")]
-    upsilons = [float(u) for u in args.upsilon_grid.split(",")]
+    """One margin-calibration run per (tau, upsilon) cell, all on one dataset;
+    a cell whose offsets or training fail records `nan`."""
+    train_cell = _training_runs(args, "margin_calibration")
     rows = []
-    for tau in taus:
-        for upsilon in upsilons:
-            cell = argparse.Namespace(**vars(args))
-            cell.tau, cell.upsilon = tau, upsilon
-            cell.loss = "margin_calibration"
+    for tau in args.tau_grid:
+        for upsilon in args.upsilon_grid:
             try:
-                _, log, _ = _trained_model(cell, margins_needed=True)
+                _, log = train_cell(tau, upsilon)
                 val_miou = f"{log.records[-1].val_miou:.12g}"
             except MarginCalError as exc:
                 print(f"cell tau={tau} upsilon={upsilon} failed: {exc}", file=sys.stderr)
@@ -245,16 +244,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=100)
-    parser.add_argument("--batch-images", type=int, default=25)
-    parser.add_argument("--lr", type=float, default=0.1)
-    parser.add_argument("--momentum", type=float, default=0.9)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tau", type=float, default=10.0)
-    parser.add_argument("--upsilon", type=float, default=1.0)
-    parser.add_argument("--eval-every", type=int, default=25)
-    parser.add_argument("--hidden", type=int, default=16)
+def _add_train_flags(parser: argparse.ArgumentParser, eval_every=int) -> None:
+    # a dataclass field's default is also its class attribute
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--batch-images", type=int, default=TrainConfig.batch_images)
+    parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    parser.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    parser.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
+    parser.add_argument("--eval-every", type=eval_every, default=TrainConfig.eval_every)
+    parser.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     parser.add_argument("--init-from", type=str, default="")
     _add_dataset_flags(parser)
 
@@ -281,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("margins", help="compute margin-offsets from a stats CSV")
     p.add_argument("--stats", required=True)
-    p.add_argument("--tau", type=float, default=10.0)
-    p.add_argument("--upsilon", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_margins)
 
     p = sub.add_parser("train", help="train the per-pixel model on synthetic data")
-    p.add_argument("--loss", choices=LOSS_NAMES, default="margin_calibration")
+    p.add_argument("--loss", choices=LOSS_NAMES, default=TrainConfig.loss_name)
     p.add_argument("--out-model", type=str, default="")
     p.add_argument("--log-csv", type=str, default="")
     _add_train_flags(p)
@@ -318,23 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="tau x upsilon grid of train+eval runs")
-    p.add_argument("--tau-grid", required=True)
-    p.add_argument("--upsilon-grid", required=True)
+    p.add_argument("--tau-grid", type=_float_list, required=True)
+    p.add_argument("--upsilon-grid", type=_float_list, required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, eval_every=_sweep_eval_every)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (MarginCalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -300,6 +300,8 @@ def load_model(path) -> PixelMLP:
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ConfigError(f"not a model file: magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise ConfigError(f"model file has {len(raw)} bytes, shorter than its 16-byte header")
     d, hidden, k = struct.unpack("<III", raw[4:16])
     expected = (d * hidden + hidden + hidden * k + k) * 8
     body = raw[16:]

@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from margincal import cli
 from margincal.cli import run
 from margincal.margins import read_margins_csv
 from margincal.segdata import read_stats_csv
@@ -11,6 +12,20 @@ from margincal.segdata import read_stats_csv
 
 def run_ok(argv):
     assert run(argv) == 0, f"expected success for {argv}"
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Count the CLI's calls to the synthetic-data generator."""
+    calls = []
+    real = cli.generate_synthetic
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "generate_synthetic", counting)
+    return calls
 
 
 SMALL_DATASET = [
@@ -22,6 +37,14 @@ SMALL_DATASET = [
 SMALL_TRAIN = SMALL_DATASET + [
     "--epochs", "3", "--batch-images", "4", "--lr", "0.05", "--seed", "1",
     "--eval-every", "3", "--hidden", "8",
+]
+
+# Small enough to train in a blink, yet the model learns the foreground, so a
+# cell's val mIoU depends on its tau and on the model it started from.
+TAU_SENSITIVE_TRAIN = [
+    "--width", "16", "--height", "16", "--k-classes", "2", "--ratios", "0.9,0.1",
+    "--data-seed", "3", "--train-images", "40", "--val-images", "10",
+    "--epochs", "10", "--batch-images", "10", "--seed", "1", "--eval-every", "10",
 ]
 
 
@@ -51,6 +74,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "vacuous" in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--ratios", "0.9,x"], "--ratios"),
+        (["sweep", "--tau-grid", "1,x", "--upsilon-grid", "1", "--out", "s.csv"],
+         "--tau-grid"),
+    ])
+    def test_malformed_number_list_is_usage_error(self, argv, flag, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected comma-separated numbers" in captured.err
+        assert "usage:" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -131,6 +165,31 @@ class TestTrainEvalFlow:
             logs.append(rows)
         assert logs[0] == logs[1]
 
+    def test_eval_every_zero_trains_without_evaluation(self, tmp_path, capsys):
+        model_path = tmp_path / "model.bin"
+        log_path = tmp_path / "log.csv"
+        argv = ["train", "--out-model", str(model_path), "--log-csv", str(log_path)]
+        run_ok(argv + SMALL_TRAIN + ["--eval-every", "0"])
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines()[-1] == (
+            "trained 3 epochs; no evaluation ran (--eval-every 0)"
+        )
+        assert model_path.exists()
+        assert log_path.read_text().splitlines() == [
+            "epoch,train_loss,train_miou,val_miou,seconds"
+        ]
+
+    def test_eval_generates_only_its_split(self, tmp_path, capsys, generate_calls):
+        model_path = tmp_path / "model.bin"
+        run_ok(["train", "--out-model", str(model_path)] + SMALL_TRAIN)
+        generate_calls.clear()
+        for split, seed, n_images in (("train", 3, 8), ("val", 4, 4)):
+            run_ok(["eval", "--model", str(model_path), "--split", split,
+                    "--out", str(tmp_path / f"{split}.csv")] + SMALL_DATASET)
+            assert [(c.seed, c.n_images) for c in generate_calls] == [(seed, n_images)]
+            generate_calls.clear()
+        capsys.readouterr()
+
     def test_warm_start_from_saved_model(self, tmp_path, capsys):
         first = tmp_path / "first.bin"
         run_ok(["train", "--loss", "cross_entropy", "--out-model", str(first)]
@@ -188,22 +247,51 @@ class TestBoundCommand:
 
 class TestSweepCommand:
     def test_single_cell_equals_train_run(self, tmp_path, capsys):
+        """Each cell of a two-cell grid equals its own `train` run, so no cell
+        reuses another's trained model or margin-offsets."""
         sweep_csv = tmp_path / "sweep.csv"
-        run_ok(["sweep", "--tau-grid", "10", "--upsilon-grid", "1",
-                "--out", str(sweep_csv)] + SMALL_TRAIN)
-        log_path = tmp_path / "log.csv"
-        run_ok(["train", "--loss", "margin_calibration", "--tau", "10",
-                "--upsilon", "1", "--log-csv", str(log_path)] + SMALL_TRAIN)
-        capsys.readouterr()
+        run_ok(["sweep", "--tau-grid", "5,10", "--upsilon-grid", "1",
+                "--out", str(sweep_csv)] + TAU_SENSITIVE_TRAIN)
         with open(sweep_csv) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["tau", "upsilon", "val_miou"]
-        assert len(rows) == 2
-        assert rows[1][:2] == ["10", "1"]
-        assert np.isfinite(float(rows[1][2]))
-        with open(log_path) as fh:
-            final_val = list(csv.reader(fh))[-1][3]
-        assert float(rows[1][2]) == pytest.approx(float(final_val), rel=1e-12)
+        assert [r[:2] for r in rows[1:]] == [["5", "1"], ["10", "1"]]
+        assert rows[1][2] != rows[2][2], "the grid must be sensitive to tau"
+        for row in rows[1:]:
+            log_path = tmp_path / f"log_tau{row[0]}.csv"
+            run_ok(["train", "--loss", "margin_calibration", "--tau", row[0],
+                    "--upsilon", "1", "--log-csv", str(log_path)] + TAU_SENSITIVE_TRAIN)
+            assert np.isfinite(float(row[2]))
+            with open(log_path) as fh:
+                final_val = list(csv.reader(fh))[-1][3]
+            assert float(row[2]) == pytest.approx(float(final_val), rel=1e-12)
+        capsys.readouterr()
+
+    def test_grid_generates_the_dataset_once(self, tmp_path, capsys, generate_calls):
+        run_ok(["sweep", "--tau-grid", "5,10", "--upsilon-grid", "0.5,1",
+                "--out", str(tmp_path / "sweep.csv")] + SMALL_TRAIN)
+        capsys.readouterr()
+        assert sorted((c.seed, c.n_images) for c in generate_calls) == [(3, 8), (4, 4)]
+
+    def test_eval_every_zero_is_usage_error(self, tmp_path, capsys, generate_calls):
+        path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--tau-grid", "10", "--upsilon-grid", "1",
+                    "--out", str(path)] + SMALL_TRAIN + ["--eval-every", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "argument --eval-every: must be positive" in captured.err
+        assert generate_calls == [] and not path.exists()
+
+    def test_bad_dataset_fails_once_without_csv(self, tmp_path, capsys):
+        """Ratios that do not sum to 1 are bad data for every cell: exit 1."""
+        path = tmp_path / "sweep.csv"
+        argv = SMALL_TRAIN + ["--k-classes", "2", "--ratios", "0.5,0.4"]
+        code = run(["sweep", "--tau-grid", "5,10", "--upsilon-grid", "1",
+                    "--out", str(path)] + argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == "error: target_ratios must sum to 1"
+        assert not path.exists()
 
     def test_sweep_deterministic(self, tmp_path, capsys):
         outputs = []

@@ -298,6 +298,12 @@ class TestModelPersistence:
         with pytest.raises(ConfigError, match="payload"):
             load_model(path)
 
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"PMC1\x01")
+        with pytest.raises(ConfigError, match="5 bytes, shorter than its 16-byte header"):
+            load_model(path)
+
 
 class TestTrainLog:
     def test_epochs_strictly_increase(self):
