@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bound as bound_mod
 from . import gradcheck as gradcheck_mod
-from .errors import MarginCalError
+from .errors import ConfigError, MarginCalError
 from .margins import DEFAULT_TAU, DEFAULT_UPSILON, compute_margins
 from .margins import read_margins_csv, write_margins_csv
 from .metrics import lower_bound_report, write_metrics_csv
@@ -134,13 +134,19 @@ def _cmd_margins(args) -> int:
 
 
 def _training_runs(args, loss_name: str):
-    """Build what all runs of one command share (config, both splits, the train
-    split's label counts) and return `train_once(tau, upsilon) -> (model, log)`."""
+    """Build what all runs of one command share (config, initial model, both
+    splits, the train split's label counts) and return
+    `train_once(tau, upsilon) -> (model, log)`."""
     cfg = TrainConfig(
         loss_name=loss_name, epochs=args.epochs, batch_images=args.batch_images,
         learning_rate=args.lr, momentum=args.momentum, seed=args.seed,
         eval_every=args.eval_every, hidden=args.hidden,
     )
+    init = (load_model(args.init_from) if args.init_from
+            else PixelMLP.init(FEATURE_DIM, cfg.hidden, args.k_classes, seed=cfg.seed))
+    if (init.d, init.k_classes) != (FEATURE_DIM, args.k_classes):
+        raise ConfigError(f"--init-from model maps {init.d} features to {init.k_classes} "
+                          f"classes; the data has {FEATURE_DIM} and {args.k_classes}")
     train_feats, train_masks = _split(args, "train")
     val_feats, val_masks = _split(args, "val")
     stats = accumulate_stats(train_masks, args.k_classes)
@@ -148,9 +154,8 @@ def _training_runs(args, loss_name: str):
     def train_once(tau: float, upsilon: float):
         margins = (compute_margins(stats, tau=tau, upsilon=upsilon)
                    if loss_name == "margin_calibration" else None)
-        # `train` updates parameters in place, so every run starts its own model
-        model = (load_model(args.init_from) if args.init_from
-                 else PixelMLP.init(FEATURE_DIM, cfg.hidden, args.k_classes, seed=cfg.seed))
+        # `train` updates parameters in place, so every run starts from a copy
+        model = PixelMLP(*(p.copy() for p in init.params()))
         return train(model, train_feats, train_masks, cfg, margins=margins,
                      val_features=val_feats, val_masks=val_masks)
 
@@ -244,6 +249,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _add_offset_flags(parser: argparse.ArgumentParser) -> None:
+    """The tau and upsilon of one set of margin-offsets (sweep takes grids)."""
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    parser.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
+
+
 def _add_train_flags(parser: argparse.ArgumentParser, eval_every=int) -> None:
     # a dataclass field's default is also its class attribute
     parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -251,8 +262,6 @@ def _add_train_flags(parser: argparse.ArgumentParser, eval_every=int) -> None:
     parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     parser.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     parser.add_argument("--seed", type=int, default=TrainConfig.seed)
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    parser.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
     parser.add_argument("--eval-every", type=eval_every, default=TrainConfig.eval_every)
     parser.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     parser.add_argument("--init-from", type=str, default="")
@@ -281,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("margins", help="compute margin-offsets from a stats CSV")
     p.add_argument("--stats", required=True)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
+    _add_offset_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_margins)
 
@@ -290,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSS_NAMES, default=TrainConfig.loss_name)
     p.add_argument("--out-model", type=str, default="")
     p.add_argument("--log-csv", type=str, default="")
+    _add_offset_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -317,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("sweep", help="tau x upsilon grid of train+eval runs")
+    # no abbreviations: `--tau` would otherwise be taken as `--tau-grid`
+    p = sub.add_parser("sweep", help="tau x upsilon grid of train+eval runs",
+                       allow_abbrev=False)
     p.add_argument("--tau-grid", type=_float_list, required=True)
     p.add_argument("--upsilon-grid", type=_float_list, required=True)
     p.add_argument("--out", required=True)

@@ -43,7 +43,11 @@ PIXELWISE_LOSSES = ("margin_calibration", "cross_entropy", "focal")
 
 @dataclass
 class ScoreBatch:
-    """Raw per-pixel class scores, one row per pixel."""
+    """Raw per-pixel class scores, one row per pixel.
+
+    ``scores`` may be the transposed view of a C-ordered (K, n) array, as
+    ``trainer.forward`` returns it; the losses and metrics read it class-major.
+    """
 
     scores: np.ndarray
 
@@ -87,7 +91,8 @@ def _check_pair(s: ScoreBatch, y: MaskBatch) -> np.ndarray:
             f"scores cover {s.n_pixels} pixels but mask has {y.n_pixels}"
         )
     valid = y.valid_mask()
-    bad = valid & (y.labels >= s.k_classes)
+    bad = y.labels >= s.k_classes
+    bad &= valid
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise ShapeError(
@@ -103,6 +108,8 @@ def _best_other(sc: np.ndarray) -> np.ndarray:
     maximum from the top class down, folded into each middle row.
     """
     k_cls = sc.shape[0]
+    if k_cls == 1:
+        return np.full_like(sc, -np.inf)  # the maximum of no scores
     out = np.empty_like(sc)
     out[1] = sc[0]
     for k in range(2, k_cls):
@@ -118,8 +125,28 @@ def compute_margins_lambda(s: ScoreBatch) -> np.ndarray:
     """The (n, K) margin array lambda_ik = s_ik - max_{j!=k} s_ij."""
     if s.k_classes < 2:
         raise ConfigError("margins need at least 2 classes")
-    sc = s.scores.T
-    return (sc - _best_other(sc)).T
+    return _lambda(s.scores.T).T
+
+
+def _lambda(sc: np.ndarray) -> np.ndarray:
+    """Class-major margins lambda[k] = sc[k] - max_{j != k} sc[j] of (K, n) scores."""
+    lam = _best_other(sc)
+    return np.subtract(sc, lam, out=lam)
+
+
+def _first_max(lam: np.ndarray) -> np.ndarray:
+    """Class-major one-hot of each pixel's predicted class, from its (K, n)
+    margins ``_lambda(sc)``.
+
+    lam[k] >= 0 exactly where sc[k] is a maximum; the prediction is the
+    lowest such k, the tie rule of np.argmax and of the loss subgradients.
+    """
+    top = lam >= 0.0
+    seen = top[0].copy()
+    for k in range(1, lam.shape[0]):
+        np.greater(top[k], seen, out=top[k])  # top[k] and not seen
+        seen |= top[k]
+    return top
 
 
 def rho_margin_loss(lam: float, rho: float) -> float:
@@ -138,21 +165,28 @@ def rho_calibrated_log_loss(lam, rho) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp2(-np.abs(x))) / _LN2
 
 
-def _blocks(s: ScoreBatch, y: MaskBatch, valid: np.ndarray):
+def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None,
+            valid: Optional[np.ndarray] = None, scores: bool = True):
     """The batch in class-major blocks of at most BLOCK_PX pixels, in pixel order.
 
     Yields (cols, sc, onehot, valid): the block's pixel slice, its (K, b)
-    scores, its float one-hot labels (all zero on ignored pixels) and its
-    float valid row, or None when no pixel of the block is ignored.
+    scores (None unless ``scores``), its float one-hot labels (all zero on
+    ignored pixels) and its float valid row, or None when no pixel of the
+    block is ignored; without ``y`` the last two are None.
     """
     sc = s.scores.T
-    classes = np.arange(s.k_classes, dtype=y.labels.dtype)[:, None]
+    if y is not None:
+        classes = np.arange(s.k_classes, dtype=y.labels.dtype)[:, None]
+    onehot = block_valid = block_sc = None
     for start in range(0, s.n_pixels, BLOCK_PX):
         cols = slice(start, start + BLOCK_PX)
-        onehot = (y.labels[cols] == classes).astype(np.float64)
-        block_valid = valid[cols]
-        block_valid = None if block_valid.all() else block_valid.astype(np.float64)
-        yield cols, np.ascontiguousarray(sc[:, cols]), onehot, block_valid
+        if y is not None:
+            onehot = (y.labels[cols] == classes).astype(np.float64)
+            block_valid = valid[cols]
+            block_valid = None if block_valid.all() else block_valid.astype(np.float64)
+        if scores:
+            block_sc = np.ascontiguousarray(sc[:, cols])
+        yield cols, block_sc, onehot, block_valid
 
 
 def _count_valid(valid: np.ndarray) -> int:
@@ -268,18 +302,26 @@ def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossR
     """
     valid = _check_margin_pair(s, y, m)
     n_valid = _count_valid(valid)
-    rho_k0, rho_0k = m.rho_k0[:, None], m.rho_0k[:, None]
     fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
     for _, sc, onehot, block_valid in _blocks(s, y, valid):
-        lam = sc - _best_other(sc)
-        off_label = 1.0 - onehot
-        if block_valid is not None:
-            off_label *= block_valid
-        fg += _row_dots(np.clip(1.0 - lam / rho_k0, 0.0, 1.0), onehot)
-        bg += _row_dots(np.clip(1.0 + lam / rho_0k, 0.0, 1.0), off_label)
+        _phi_sums(_lambda(sc), onehot, block_valid, m, fg, bg)
     fg /= n_valid
     bg /= n_valid
     return LossResult(float(fg.sum() + bg.sum()), None, fg, bg)
+
+
+def _phi_sums(lam, onehot, valid, m: MarginOffsets, fg, bg) -> None:
+    """Add one block's sums of phi(lam / rho_k0) over pixels labelled k to
+    fg[k] and of phi(-lam / rho_0k) over the other valid pixels to bg[k]."""
+    off_label = 1.0 - onehot
+    if valid is not None:
+        off_label *= valid
+    t = lam / m.rho_k0[:, None]
+    np.subtract(1.0, t, out=t)
+    fg += _row_dots(np.clip(t, 0.0, 1.0, out=t), onehot)
+    t = np.divide(lam, m.rho_0k[:, None], out=t)
+    t += 1.0
+    bg += _row_dots(np.clip(t, 0.0, 1.0, out=t), off_label)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +420,7 @@ def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
     # dL/dp_ik = u_k + v_k t_ik, from dI/dp = t, dFP/dp = 1 - t, dFN/dp = -t
     u = (alpha * index / denom / k_cls)[:, None]
     v = ((index * (1.0 - alpha - beta) - 1.0) / denom / k_cls)[:, None]
-    for cols, _, onehot, _ in _blocks(s, y, valid):
+    for cols, _, onehot, _ in _blocks(s, y, valid, scores=False):
         p = grad[:, cols]
         dp = onehot * v
         dp += u

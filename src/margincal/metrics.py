@@ -15,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, DegenerateError, NumericError, ShapeError
-from .losses import ScoreBatch, rho_margin_objective
+from .losses import (
+    ScoreBatch, _blocks, _check_margin_pair, _check_pair, _first_max, _lambda, _phi_sums,
+)
 from .margins import MarginOffsets
 from .segdata import LabelStats, MaskBatch
 
@@ -38,16 +40,16 @@ class ConfusionCounts:
         if int(self.tp.sum()) > self.total:
             raise DataError("sum of true positives exceeds the evaluated total")
 
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "ConfusionCounts":
+        """Counts from a (K, K) matrix of (truth, prediction) pixel counts."""
+        tp = np.diag(matrix).copy()
+        return cls(tp=tp, fp=matrix.sum(axis=0) - tp, fn=matrix.sum(axis=1) - tp,
+                   total=int(matrix.sum()))
+
     @property
     def k_classes(self) -> int:
         return self.tp.size
-
-    def merge(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        """Exact, order-independent accumulation of partial counts."""
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn,
-            self.total + other.total,
-        )
 
 
 @dataclass
@@ -93,11 +95,28 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
     code *= k_classes
     code += p
     matrix = np.bincount(code, minlength=k_classes * k_classes)
-    matrix = matrix.reshape(k_classes, k_classes)
-    tp = np.diag(matrix).copy()
-    fn = matrix.sum(axis=1) - tp
-    fp = matrix.sum(axis=0) - tp
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, total=int(t.size))
+    return ConfusionCounts.from_matrix(matrix.reshape(k_classes, k_classes))
+
+
+def score_counts(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets] = None):
+    """Confusion counts of the scores' predictions against ``y``, and with
+    margin-offsets ``m`` the unnormalized l_k0 and l_0k sums (else None).
+
+    One walk over class-major blocks: each block's margins lambda = sc -
+    max_{j != k} sc_j give the prediction (see ``predict_labels``), the block's
+    (truth, prediction) count matrix as one exact float64 product of one-hots,
+    and the phi-sums of ``rho_margin_objective``.
+    """
+    valid = _check_pair(s, y) if m is None else _check_margin_pair(s, y, m)
+    k_cls = s.k_classes
+    matrix = np.zeros((k_cls, k_cls), dtype=np.int64)
+    sums = None if m is None else (np.zeros(k_cls), np.zeros(k_cls))
+    for _, sc, onehot, block_valid in _blocks(s, y, valid):
+        lam = _lambda(sc)
+        matrix += (onehot @ _first_max(lam).T.astype(np.float64)).astype(np.int64)
+        if sums is not None:
+            _phi_sums(lam, onehot, block_valid, m, *sums)
+    return ConfusionCounts.from_matrix(matrix), sums
 
 
 def iou_report(counts: ConfusionCounts) -> MetricsReport:
@@ -143,10 +162,15 @@ def predict_labels(s: ScoreBatch, like: MaskBatch) -> MaskBatch:
     """Argmax-of-raw-scores predictions shaped like the reference mask.
 
     Ties break to the lowest class index, matching the loss subgradient rule.
+    The scores are read in class-major blocks.
     """
     if s.n_pixels != like.n_pixels:
         raise ShapeError("scores and mask cover different pixel counts")
-    labels = np.argmax(s.scores, axis=1).astype(np.uint8)
+    labels = np.zeros(s.n_pixels, dtype=np.uint8)
+    for cols, sc, _, _ in _blocks(s):
+        top = _first_max(_lambda(sc))
+        for k in range(1, s.k_classes):
+            np.copyto(labels[cols], k, where=top[k])
     return MaskBatch(
         labels=labels,
         width=like.width,
@@ -164,18 +188,19 @@ def lower_bound_report(
 ) -> MetricsReport:
     """Full report plus the margin-loss lower bounds on IoU.
 
-    l_k0 and l_0k are the per-class sums of ``rho_margin_objective``, which
-    runs in pixel blocks, so the bound holds no per-pixel array of margins.
+    l_k0 and l_0k are the per-class sums of ``rho_margin_objective``, taken
+    in the same walk over pixel blocks as the confusion counts
+    (``score_counts``), so the bound builds no per-pixel array but the valid mask.
     The normalizing pixel count is always the evaluated batch's own valid
     count; ``bound_scope`` is "dataset" when that matches ``stats.n_total``
     (full-dataset evaluation) and "batch" otherwise.  The sandwich
     P_k0 <= l_k0, P_0k <= l_0k, IoU_lower_k <= IoU_k is verified before
     returning.
     """
-    counts = confusion(predict_labels(s, y), y, s.k_classes)
+    counts, (ell_k0, ell_0k) = score_counts(s, y, m)
     report = iou_report(counts)
-    objective = rho_margin_objective(s, y, m)
-    ell_k0, ell_0k = objective.per_class_fg, objective.per_class_bg
+    ell_k0 /= counts.total
+    ell_0k /= counts.total
 
     denom = report.p_k + ell_0k
     if np.any(denom[report.present] == 0):

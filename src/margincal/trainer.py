@@ -18,7 +18,9 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError, TrainError
 from .losses import BLOCK_PX, LOSS_NAMES, PIXELWISE_LOSSES, ScoreBatch, loss_by_name
 from .margins import MarginOffsets
-from .metrics import MetricsReport, confusion, iou_report, predict_labels
+from .metrics import MetricsReport, iou_report, score_counts
+# not called here, but perfbench's tracer wraps these names in this module
+from .metrics import confusion, predict_labels  # noqa: F401
 from .segdata import FeatureBatch, MaskBatch
 
 MODEL_MAGIC = b"PMC1"
@@ -60,14 +62,15 @@ def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     """Deterministic forward pass producing one score row per pixel.
 
     Runs BLOCK_PX pixels at a time, so the hidden layer never exists for
-    more than one block.
+    more than one block.  The scores are stored class-major: the returned
+    (n, K) array is the transposed view of a C-ordered (K, n) array.
     """
     x = features.features
-    scores = np.empty((x.shape[0], model.k_classes))
+    scores = np.empty((model.k_classes, x.shape[0]))
     for start in range(0, x.shape[0], BLOCK_PX):
         block = slice(start, start + BLOCK_PX)
-        scores[block], _ = _forward_cache(model, x[block])
-    return ScoreBatch(scores=scores)
+        scores[:, block] = _forward_cache(model, x[block])[0].T
+    return ScoreBatch(scores=scores.T)
 
 
 def _forward_cache(model: PixelMLP, x: np.ndarray):
@@ -107,8 +110,10 @@ def backward(
 
 
 def _pixel_blocks(features: FeatureBatch, masks: MaskBatch, image_ids, block_px: int):
-    """(features, labels) of the given images, in order, in blocks of at most
-    ``block_px`` pixels: whole images grouped, or slices of one large image."""
+    """(features, labels, ids, first) of the given images, in order, in blocks
+    of at most ``block_px`` pixels: whole images grouped, or slices of one
+    large image.  ``ids`` are the block's images and ``first`` is the index of
+    its first pixel within image ids[0]."""
     ppi = masks.pixels_per_image
     x_img = features.features.reshape(masks.n_images, ppi, -1)
     y_img = masks.labels.reshape(masks.n_images, ppi)
@@ -117,13 +122,13 @@ def _pixel_blocks(features: FeatureBatch, masks: MaskBatch, image_ids, block_px:
         for start in range(0, len(image_ids), group):
             ids = image_ids[start : start + group]
             yield (np.concatenate([x_img[i] for i in ids]),
-                   np.concatenate([y_img[i] for i in ids]))
+                   np.concatenate([y_img[i] for i in ids]), ids, 0)
         return
     n_slices = -(-ppi // block_px)
     step = -(-ppi // n_slices)  # equal slices of at most block_px
     for i in image_ids:
         for start in range(0, ppi, step):
-            yield x_img[i, start : start + step], y_img[i, start : start + step]
+            yield x_img[i, start : start + step], y_img[i, start : start + step], (i,), start
 
 
 def batch_gradients(
@@ -140,7 +145,8 @@ def batch_gradients(
     so a block's activations are still in cache for its backward pass.  A
     pixel-wise loss is the mean over valid pixels, so each block's mean is
     weighted by its valid count; the sums run in block order.  Soft Dice and
-    Tversky couple every pixel of the batch and take it as one block.
+    Tversky couple every pixel of the batch and take it as one block.  A
+    non-finite score raises NumericError naming its image and pixel.
     """
     if features.n_pixels != masks.n_pixels:
         raise ShapeError(
@@ -153,14 +159,21 @@ def batch_gradients(
     value = 0.0
     grads = [np.zeros_like(p) for p in model.params()]
     n_valid = 0
-    for x, labels in _pixel_blocks(features, masks, image_ids, block_px):
+    for x, labels, ids, first in _pixel_blocks(features, masks, image_ids, block_px):
         n = int(np.count_nonzero(labels != masks.ignore_index))
         if n == 0:
             continue
         scores, act = _forward_cache(model, x)
+        try:
+            s = ScoreBatch(scores=scores)
+        except NumericError:
+            pixel, k = np.argwhere(~np.isfinite(scores))[0]
+            image, pixel = divmod(first + int(pixel), masks.pixels_per_image)
+            raise NumericError(f"non-finite score at image {ids[image]}, pixel {pixel}, "
+                               f"class {k}") from None
         y = MaskBatch(labels=labels, width=labels.size, height=1, n_images=1,
                       ignore_index=masks.ignore_index)
-        result = loss_fn(ScoreBatch(scores=scores), y, margins)
+        result = loss_fn(s, y, margins)
         value += n * result.value
         for total, g in zip(grads, backward(model, x, act, result.grad)):
             g *= n
@@ -216,9 +229,8 @@ def evaluate(
     model: PixelMLP, features: FeatureBatch, masks: MaskBatch
 ) -> MetricsReport:
     """Score all pixels, take the raw-score argmax, and report IoU metrics."""
-    scores = forward(model, features)
-    pred = predict_labels(scores, masks)
-    return iou_report(confusion(pred, masks, model.k_classes))
+    counts, _ = score_counts(forward(model, features), masks)
+    return iou_report(counts)
 
 
 def train(

@@ -7,7 +7,8 @@ import pytest
 from margincal import cli
 from margincal.cli import run
 from margincal.margins import read_margins_csv
-from margincal.segdata import read_stats_csv
+from margincal.segdata import FEATURE_DIM, read_stats_csv
+from margincal.trainer import PixelMLP, save_model
 
 
 def run_ok(argv):
@@ -291,6 +292,55 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.strip() == "error: target_ratios must sum to 1"
+        assert not path.exists()
+
+    def test_bad_init_model_fails_once_without_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"XXXX")
+        path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--tau-grid", "5,10", "--upsilon-grid", "1", "--out", str(path),
+                    "--init-from", str(bad)] + SMALL_TRAIN)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == "error: not a model file: magic b'XXXX'"
+        assert not path.exists()
+
+    def test_init_model_for_other_classes_fails_once_without_csv(self, tmp_path, capsys):
+        two_class = tmp_path / "k2.bin"
+        save_model(PixelMLP.init(FEATURE_DIM, 8, 2, seed=0), two_class)
+        path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--tau-grid", "5,10", "--upsilon-grid", "1", "--out", str(path),
+                    "--init-from", str(two_class)] + SMALL_TRAIN)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == (
+            f"error: --init-from model maps {FEATURE_DIM} features to 2 classes; "
+            f"the data has {FEATURE_DIM} and 3")
+        assert not path.exists()
+
+    def test_cells_start_from_the_same_init_model(self, tmp_path, capsys):
+        """Two equal cells give equal results, so the second does not start
+        from the first cell's trained parameters."""
+        init = tmp_path / "init.bin"
+        run_ok(["train", "--loss", "cross_entropy", "--out-model", str(init)]
+               + TAU_SENSITIVE_TRAIN)
+        path = tmp_path / "sweep.csv"
+        run_ok(["sweep", "--tau-grid", "5,5", "--upsilon-grid", "1", "--out", str(path),
+                "--init-from", str(init)] + TAU_SENSITIVE_TRAIN)
+        capsys.readouterr()
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == rows[2]
+
+    @pytest.mark.parametrize("flag", ["--tau", "--upsilon"])
+    def test_single_offset_flags_are_usage_errors(self, tmp_path, flag, capsys):
+        """A sweep takes tau and upsilon only from its grids."""
+        path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--tau-grid", "5", "--upsilon-grid", "1", "--out", str(path),
+                    flag, "999"] + SMALL_TRAIN)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 999" in captured.err
         assert not path.exists()
 
     def test_sweep_deterministic(self, tmp_path, capsys):

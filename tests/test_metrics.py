@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from margincal.errors import ShapeError
-from margincal.losses import ScoreBatch
+from margincal.losses import BLOCK_PX, ScoreBatch, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import (
     ConfusionCounts,
@@ -19,6 +19,37 @@ from margincal.segdata import LabelStats, MaskBatch, accumulate_stats
 def make_mask(labels):
     labels = np.asarray(labels, dtype=np.uint8)
     return MaskBatch(labels=labels, width=labels.size, height=1, n_images=1)
+
+
+def tied_case(k, seed=0):
+    """Scores and labels over two full pixel blocks and a 17-pixel third one.
+
+    Small-integer scores tie often; each block also plants exact two-way ties
+    between the first, middle and last class and all-equal rows, and the
+    second block holds the only ignored pixels.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * BLOCK_PX + 17
+    scores = rng.integers(0, 3, size=(n, k)).astype(np.float64)
+    mid, last = k // 2, k - 1
+    for start in (0, BLOCK_PX, 2 * BLOCK_PX):
+        for i, pair in enumerate([(0, mid), (mid, last), (0, last), range(k)]):
+            row = scores[start + 2 * i + 1]
+            row[:] = 0.0
+            row[list(pair)] = 4.0
+    labels = rng.integers(0, k, size=n).astype(np.uint8)
+    labels[BLOCK_PX + 100 : BLOCK_PX + 400] = 255
+    return scores, make_mask(labels)
+
+
+def recount(scores, labels, k):
+    """(tp, fp, fn, n) of the first-max prediction by np.argmax and np.bincount."""
+    valid = labels != 255
+    pred = np.argmax(scores, axis=1)[valid]
+    truth = labels[valid].astype(np.int64)
+    matrix = np.bincount(truth * k + pred, minlength=k * k).reshape(k, k)
+    tp = np.diag(matrix)
+    return tp, matrix.sum(axis=0) - tp, matrix.sum(axis=1) - tp, int(valid.sum())
 
 
 class TestConfusion:
@@ -58,13 +89,6 @@ class TestConfusion:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             confusion(make_mask([0, 1]), make_mask([0, 1, 0]), 2)
-
-    def test_merge_is_exact_addition(self):
-        a = ConfusionCounts(tp=[3, 1], fp=[0, 2], fn=[2, 0], total=8)
-        b = ConfusionCounts(tp=[1, 1], fp=[1, 0], fn=[0, 1], total=5)
-        c = a.merge(b)
-        np.testing.assert_array_equal(c.tp, [4, 2])
-        assert c.total == 13
 
 
 class TestIouReport:
@@ -147,6 +171,15 @@ class TestPredictLabels:
         pred = predict_labels(ScoreBatch(scores=scores), make_mask([0, 0]))
         np.testing.assert_array_equal(pred.labels, [0, 1])
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_blocked_ties_match_argmax(self, k):
+        """Row-major and class-major score layouts both predict np.argmax."""
+        scores, mask = tied_case(k)
+        class_major = np.ascontiguousarray(scores.T).T
+        for layout in (scores, class_major):
+            pred = predict_labels(ScoreBatch(scores=layout), mask)
+            np.testing.assert_array_equal(pred.labels, np.argmax(scores, axis=1))
+
 
 class TestLowerBoundReport:
     def _random_case(self, seed, n=1000, k=3, tau=2.0):
@@ -196,6 +229,23 @@ class TestLowerBoundReport:
                 report.iou_lower_per_class[pr] <= report.iou_per_class[pr] + 1e-15
             )
             assert report.miou_lower <= report.miou + 1e-15
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_blocked_walk_matches_recount(self, k):
+        """Counts agree exactly with an argmax/bincount recount, and the phi-sums
+        bitwise with rho_margin_objective, across ties, blocks and ignored pixels."""
+        scores, mask = tied_case(k)
+        sb = ScoreBatch(scores=np.ascontiguousarray(scores.T).T)
+        margins = compute_margins(accumulate_stats(mask, k), tau=2.0, upsilon=1.0)
+        report = lower_bound_report(sb, mask, margins)
+        tp, fp, fn, n = recount(scores, mask.labels, k)
+        np.testing.assert_array_equal(report.p_k0, fn / n)
+        np.testing.assert_array_equal(report.p_0k, fp / n)
+        np.testing.assert_array_equal(report.p_k, (tp + fn) / n)
+        assert report.pixel_accuracy == tp.sum() / n
+        objective = rho_margin_objective(sb, mask, margins)
+        np.testing.assert_array_equal(report.ell_k0, objective.per_class_fg)
+        np.testing.assert_array_equal(report.ell_0k, objective.per_class_bg)
 
     def test_scope_labels(self):
         sb, mask, margins, stats = self._random_case(1)

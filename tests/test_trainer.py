@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from margincal.errors import ConfigError, TrainError
-from margincal.losses import ScoreBatch, cross_entropy, loss_by_name
+from margincal.losses import BLOCK_PX, ScoreBatch, cross_entropy, loss_by_name
 from margincal.margins import compute_margins
 from margincal.segdata import (
     FEATURE_DIM,
@@ -28,6 +28,7 @@ from margincal.trainer import (
     write_train_log_csv,
     _forward_cache,
 )
+from test_metrics import recount, tied_case
 
 
 def tiny_dataset(seed=0, n_images=8, size=16, noise=0.05):
@@ -89,6 +90,18 @@ class TestForward:
             )
             rel = np.abs(analytic[p_idx] - numeric) / scale
             assert rel.max() <= 1e-4, f"param {p_idx}: {rel.max()}"
+
+    def test_class_major_scores_match_blocked_reference(self):
+        """Bitwise the row-major concatenation of `_forward_cache`'s blocks,
+        stored as the transposed view of a C-ordered (K, n) array."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2 * BLOCK_PX + 17, FEATURE_DIM))
+        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=5)
+        scores = forward(model, FeatureBatch(features=x)).scores
+        reference = np.concatenate([_forward_cache(model, x[i : i + BLOCK_PX])[0]
+                                    for i in range(0, x.shape[0], BLOCK_PX)])
+        np.testing.assert_array_equal(scores, reference)
+        assert scores.T.flags.c_contiguous
 
     def test_feature_dim_mismatch(self):
         model = PixelMLP.init(FEATURE_DIM, 4, 3, seed=0)
@@ -163,6 +176,21 @@ class TestTrain:
         cfg = TrainConfig(loss_name="cross_entropy", epochs=2, batch_images=4,
                           learning_rate=0.1, seed=0)
         with pytest.raises(TrainError, match=r"epoch 1, batch 1 \(cross_entropy\)"):
+            train(model, feats, masks, cfg)
+
+    @pytest.mark.parametrize("ppi", [64, 2 * BLOCK_PX])
+    def test_non_finite_score_names_image_and_pixel(self, ppi):
+        """Images grouped into one block, and one image sliced into several."""
+        n_images, image, pixel = 3, 1, ppi - 5
+        features = np.random.default_rng(2).normal(size=(n_images * ppi, FEATURE_DIM))
+        feats = FeatureBatch(features=features)
+        feats.features[image * ppi + pixel, 0] = np.nan  # past FeatureBatch's check
+        masks = MaskBatch(labels=np.zeros(n_images * ppi, dtype=np.uint8),
+                          width=ppi, height=1, n_images=n_images)
+        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=n_images)
+        with pytest.raises(TrainError, match=rf"at image {image}, pixel {pixel}, class 0 "
+                                             r"at epoch 1, batch 0 \(cross_entropy\)"):
             train(model, feats, masks, cfg)
 
     def test_unknown_loss_rejected(self):
@@ -256,6 +284,22 @@ class TestEvaluate:
         stats = accumulate_stats(masks, 3)
         assert report.iou_per_class[0] == pytest.approx(stats.p_per_class[0])
         np.testing.assert_array_equal(report.iou_per_class[1:], 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_tied_scores_match_recount(self, k):
+        """A model whose scores are its first k features (small non-negative
+        integers, so relu and the identity layers keep them exactly)."""
+        scores, mask = tied_case(k)
+        features = np.zeros((scores.shape[0], FEATURE_DIM))
+        features[:, :k] = scores
+        feats = FeatureBatch(features=features)
+        model = PixelMLP(w1=np.eye(FEATURE_DIM, k), b1=np.zeros(k),
+                         w2=np.eye(k), b2=np.zeros(k))
+        np.testing.assert_array_equal(forward(model, feats).scores, scores)
+        tp, fp, fn, _ = recount(scores, mask.labels, k)
+        union = tp + fp + fn
+        present = union > 0
+        assert evaluate(model, feats, mask).miou == np.mean(tp[present] / union[present])
 
     def test_memorizing_model_reaches_perfect_miou(self):
         """A hand-built lookup on 4 distinguishable pixels has mIoU 1."""
