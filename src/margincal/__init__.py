@@ -26,7 +26,6 @@ from .losses import (
     LossResult,
     ScoreBatch,
     calibrated_log_loss,
-    compute_margins_lambda,
     cross_entropy,
     focal,
     rho_margin_loss,
@@ -61,6 +60,8 @@ from .segdata import (
     write_mask_pgm,
     write_stats_csv,
 )
-from .trainer import PixelMLP, TrainConfig, TrainLog, evaluate, forward, load_model, save_model, train
+from .trainer import (
+    PixelMLP, TrainConfig, TrainLog, evaluate, forward, load_model, save_model, train,
+)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, VacuousBoundError
 from .margins import MarginOffsets, compute_margins
-from .segdata import LabelStats
+from .segdata import LabelStats, write_csv
 
 
 @dataclass
@@ -213,7 +213,6 @@ def brute_force_allocation(
     c_theta: float,
     tau: float,
     upsilon: float,
-    sum_constraint: Optional[float] = None,
     grid_resolution: int = 1000,
 ) -> AllocationSearchResult:
     """Grid-search the offset simplex and compare with the closed-form optimum.
@@ -221,20 +220,15 @@ def brute_force_allocation(
     mu_k follows the optimal-ratio formula (a function of stats and upsilon
     only) for every candidate, and the complexity total F is computed once
     from the closed-form allocation and held fixed, since the bound treats
-    it as a constant of the minimization.  Vacuous grid points are skipped.
+    it as a constant of the minimization.  Grid allocations share the closed
+    form's offset total sum_k rho_0k.  Vacuous grid points are skipped.
     """
     k = stats.k_classes
     if k not in (2, 3):
         raise ConfigError("allocation search supports K in {2, 3} only")
     closed = compute_margins(stats, tau=tau, upsilon=upsilon)
-    total = float(closed.rho_0k.sum())
-    target_sum = total if sum_constraint is None else float(sum_constraint)
-    if target_sum <= 0:
-        raise ConfigError("sum constraint must be positive")
-    closed_rho = closed.rho_0k * (target_sum / total)
-
-    rho_max = float(max(closed_rho.max(), (closed.mu_k * closed_rho).max()))
-    f_cal = c_theta + confidence_term(rho_max, k, m_pixels, eta)
+    closed_rho = closed.rho_0k
+    f_cal = c_theta + confidence_term(closed.rho_max, k, m_pixels, eta)
 
     eps_closed_k, valid_closed = allocation_epsilon(stats, closed_rho, closed.mu_k, f_cal)
     if not valid_closed.all():
@@ -245,7 +239,7 @@ def brute_force_allocation(
     closed_eps = float(eps_closed_k.sum() / k)
 
     weights = _simplex_grid(k, grid_resolution)
-    rho_grid = weights * target_sum  # (n_points, K)
+    rho_grid = weights * float(closed_rho.sum())  # (n_points, K)
     eps_grid, valid_grid = allocation_epsilon(stats, rho_grid, closed.mu_k, f_cal)
     point_valid = valid_grid.all(axis=1)
     if not point_valid.any():
@@ -295,20 +289,8 @@ BOUND_CSV_HEADER = ["class_index", "eps_k", "valid"]
 
 def write_bound_csv(result: BoundResult, path) -> None:
     """Per-class rows plus eps / sigma / f_cal / rho_max summary rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUND_CSV_HEADER)
-        for k in range(result.eps_per_class.size):
-            writer.writerow(
-                [
-                    k,
-                    f"{result.eps_per_class[k]:.12g}",
-                    int(result.valid_per_class[k]),
-                ]
-            )
-        writer.writerow(["eps", f"{result.eps:.12g}", ""])
-        writer.writerow(["sigma", f"{result.sigma:.12g}", ""])
-        writer.writerow(["f_cal", f"{result.f_cal:.12g}", ""])
-        writer.writerow(["rho_max", f"{result.rho_max:.12g}", ""])
+    write_csv(path, BOUND_CSV_HEADER, [
+        *([k, result.eps_per_class[k], int(result.valid_per_class[k])]
+          for k in range(result.eps_per_class.size)),
+        *([name, getattr(result, name), ""] for name in ("eps", "sigma", "f_cal", "rho_max")),
+    ])

@@ -25,6 +25,7 @@ from .segdata import (
     generate_synthetic,
     read_mask_pgm,
     read_stats_csv,
+    write_csv,
     write_image_pgm,
     write_mask_pgm,
     write_stats_csv,
@@ -147,6 +148,9 @@ def _training_runs(args, loss_name: str):
     if (init.d, init.k_classes) != (FEATURE_DIM, args.k_classes):
         raise ConfigError(f"--init-from model maps {init.d} features to {init.k_classes} "
                           f"classes; the data has {FEATURE_DIM} and {args.k_classes}")
+    if init.hidden != cfg.hidden:
+        raise ConfigError(f"--init-from model has hidden width {init.hidden}; "
+                          f"--hidden is {cfg.hidden}")
     train_feats, train_masks = _split(args, "train")
     val_feats, val_masks = _split(args, "val")
     stats = accumulate_stats(train_masks, args.k_classes)
@@ -236,15 +240,12 @@ def _cmd_sweep(args) -> int:
         for upsilon in args.upsilon_grid:
             try:
                 _, log = train_cell(tau, upsilon)
-                val_miou = f"{log.records[-1].val_miou:.12g}"
+                val_miou = log.records[-1].val_miou
             except MarginCalError as exc:
                 print(f"cell tau={tau} upsilon={upsilon} failed: {exc}", file=sys.stderr)
-                val_miou = "nan"
-            rows.append([f"{tau:.12g}", f"{upsilon:.12g}", val_miou])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "upsilon", "val_miou"])
-        writer.writerows(rows)
+                val_miou = float("nan")
+            rows.append([tau, upsilon, val_miou])
+    write_csv(args.out, ["tau", "upsilon", "val_miou"], rows)
     print(f"wrote {len(rows)} sweep cells -> {args.out}")
     return 0
 

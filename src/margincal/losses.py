@@ -16,6 +16,7 @@ per-class sums and once for the gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,8 +56,11 @@ class ScoreBatch:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.ndim != 2:
             raise ShapeError("scores must be a (n_pixels, k_classes) array")
-        if not np.all(np.isfinite(self.scores)):
-            bad = np.argwhere(~np.isfinite(self.scores))[0]
+        # NaN propagates through min and max, so two reductions see every
+        # non-finite entry without an (n, K) mask; only a failure builds one
+        sc = self.scores
+        if sc.size and not (math.isfinite(sc.min()) and math.isfinite(sc.max())):
+            bad = np.argwhere(~np.isfinite(sc))[0]
             raise NumericError(
                 f"non-finite score at pixel {int(bad[0])}, class {int(bad[1])}"
             )
@@ -119,13 +123,6 @@ def _best_other(sc: np.ndarray) -> np.ndarray:
         np.maximum(out[k], out[0], out=out[k])
         np.maximum(out[0], sc[k], out=out[0])
     return out
-
-
-def compute_margins_lambda(s: ScoreBatch) -> np.ndarray:
-    """The (n, K) margin array lambda_ik = s_ik - max_{j!=k} s_ij."""
-    if s.k_classes < 2:
-        raise ConfigError("margins need at least 2 classes")
-    return _lambda(s.scores.T).T
 
 
 def _lambda(sc: np.ndarray) -> np.ndarray:

@@ -12,14 +12,13 @@ generalization-gap bound (see the bound module).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateError, FormatError, StatsError
-from .segdata import LabelStats
+from .segdata import LabelStats, read_class_csv, write_csv
 
 DEFAULT_TAU = 10.0
 DEFAULT_UPSILON = 1.0
@@ -139,20 +138,8 @@ MARGINS_CSV_HEADER = ["class_index", "n_pixels", "p_k", "mu_k", "rho_0k", "rho_k
 def write_margins_csv(m: MarginOffsets, stats: LabelStats, path) -> None:
     if m.k_classes != stats.k_classes:
         raise ConfigError("margins and stats disagree on the number of classes")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MARGINS_CSV_HEADER)
-        for k in range(m.k_classes):
-            writer.writerow(
-                [
-                    k,
-                    int(stats.n_per_class[k]),
-                    f"{stats.p_per_class[k]:.12g}",
-                    f"{m.mu_k[k]:.12g}",
-                    f"{m.rho_0k[k]:.12g}",
-                    f"{m.rho_k0[k]:.12g}",
-                ]
-            )
+    columns = (stats.n_per_class, stats.p_per_class, m.mu_k, m.rho_0k, m.rho_k0)
+    write_csv(path, MARGINS_CSV_HEADER, ([k, *row] for k, row in enumerate(zip(*columns))))
 
 
 def _recover_scalar(per_class: np.ndarray) -> float:
@@ -172,23 +159,8 @@ def read_margins_csv(path, with_stats: bool = False):
     hard errors.  A violated optimal-ratio condition only clears the
     ``corollary_ok`` flag so hand-edited allocations stay loadable.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != MARGINS_CSV_HEADER:
-        raise FormatError(f"margins CSV header mismatch: {rows[0] if rows else 'empty'}")
-    counts, mu, rho_0k, rho_k0 = [], [], [], []
-    for row in rows[1:]:
-        if len(row) != 6:
-            raise FormatError(f"margins CSV row has {len(row)} fields, expected 6")
-        if int(row[0]) != len(counts):
-            raise FormatError(f"margins CSV class indices out of order at {row[0]}")
-        counts.append(int(row[1]))
-        mu.append(float(row[3]))
-        rho_0k.append(float(row[4]))
-        rho_k0.append(float(row[5]))
-    mu = np.asarray(mu)
-    rho_0k = np.asarray(rho_0k)
-    rho_k0 = np.asarray(rho_k0)
+    counts, (_, mu, rho_0k, rho_k0) = read_class_csv(path, MARGINS_CSV_HEADER, "margins")
+    stats = LabelStats.from_counts(counts)
     for name, arr in (("mu_k", mu), ("rho_0k", rho_0k), ("rho_k0", rho_k0)):
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"margins CSV column {name} contains non-finite values")
@@ -203,7 +175,6 @@ def read_margins_csv(path, with_stats: bool = False):
             "margins CSV violates a structural invariant: mu_k != rho_k0/rho_0k"
         )
     mu = ratio
-    stats = LabelStats.from_counts(counts)
     n = float(stats.n_total)
     n_k = stats.n_per_class.astype(np.float64)
     rest = np.sqrt(n - n_k)

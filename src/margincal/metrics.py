@@ -8,7 +8,6 @@ of the true-class margins and l_0k that of the negated background margins.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +18,7 @@ from .losses import (
     ScoreBatch, _blocks, _check_margin_pair, _check_pair, _first_max, _lambda, _phi_sums,
 )
 from .margins import MarginOffsets
-from .segdata import LabelStats, MaskBatch
+from .segdata import LabelStats, MaskBatch, write_csv
 
 
 @dataclass
@@ -236,22 +235,11 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
     lower = report.iou_lower_per_class
     if lower is None:
         lower = np.full(k_cls, np.nan)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        for k in range(k_cls):
-            writer.writerow(
-                [
-                    k,
-                    f"{report.iou_per_class[k]:.12g}",
-                    f"{report.dsc_per_class[k]:.12g}",
-                    f"{report.p_k[k]:.12g}",
-                    f"{report.p_k0[k]:.12g}",
-                    f"{report.p_0k[k]:.12g}",
-                    f"{lower[k]:.12g}",
-                ]
-            )
-        writer.writerow(["miou", f"{report.miou:.12g}", "", "", "", "", ""])
-        miou_lower = "" if report.miou_lower is None else f"{report.miou_lower:.12g}"
-        writer.writerow(["miou_lower", miou_lower, "", "", "", "", ""])
-        writer.writerow(["pixel_acc", f"{report.pixel_accuracy:.12g}", "", "", "", "", ""])
+    blank = ["", "", "", "", ""]
+    write_csv(path, METRICS_CSV_HEADER, [
+        *([k, report.iou_per_class[k], report.dsc_per_class[k], report.p_k[k],
+           report.p_k0[k], report.p_0k[k], lower[k]] for k in range(k_cls)),
+        ["miou", report.miou, *blank],
+        ["miou_lower", "" if report.miou_lower is None else report.miou_lower, *blank],
+        ["pixel_acc", report.pixel_accuracy, *blank],
+    ])

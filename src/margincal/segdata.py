@@ -52,11 +52,6 @@ class MaskBatch:
     def n_pixels(self) -> int:
         return self.labels.size
 
-    def image(self, index: int) -> np.ndarray:
-        """Return image ``index`` as a (height, width) array."""
-        ppi = self.pixels_per_image
-        return self.labels[index * ppi : (index + 1) * ppi].reshape(self.height, self.width)
-
     def valid_mask(self) -> np.ndarray:
         return self.labels != self.ignore_index
 
@@ -324,32 +319,58 @@ def accumulate_stats(masks, k_classes: int) -> LabelStats:
 STATS_CSV_HEADER = ["class_index", "n_pixels", "p_k"]
 
 
-def write_stats_csv(stats: LabelStats, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then ``rows``: float cells as ``.12g``, the rest as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(STATS_CSV_HEADER)
-        for k in range(stats.k_classes):
-            writer.writerow(
-                [k, int(stats.n_per_class[k]), f"{stats.p_per_class[k]:.12g}"]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{c:.12g}" if isinstance(c, float) else c for c in row])
+
+
+def read_class_csv(path, header, kind) -> tuple[list, np.ndarray]:
+    """Read a per-class CSV: one row per class in class order, whose first two
+    columns (``class_index``, ``n_pixels``) are integers and the rest numbers.
+
+    Returns the counts and a C-ordered (len(header) - 2, K) array of the other
+    columns.  Any deviation raises FormatError naming ``kind``.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise FormatError(f"{kind} CSV header mismatch: {first or 'empty'}")
+        counts, values = [], []
+        for row in reader:
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{kind} CSV row has {len(row)} fields, expected {len(header)}"
+                )
+            cells = []
+            for i, (name, text) in enumerate(zip(header, row)):
+                try:
+                    cells.append(int(text) if i < 2 else float(text))
+                except ValueError:
+                    what = "an integer" if i < 2 else "a number"
+                    raise FormatError(f"{kind} CSV line {reader.line_num} field {name}: "
+                                      f"expected {what}, got {text!r}") from None
+            if cells[0] != len(counts):
+                raise FormatError(f"{kind} CSV class indices out of order at {row[0]}")
+            counts.append(cells[1])
+            values.append(cells[2:])
+    return counts, np.array(values, float).reshape(len(counts), len(header) - 2).T.copy()
+
+
+def write_stats_csv(stats: LabelStats, path) -> None:
+    write_csv(path, STATS_CSV_HEADER, (
+        [k, int(stats.n_per_class[k]), stats.p_per_class[k]] for k in range(stats.k_classes)
+    ))
 
 
 def read_stats_csv(path) -> LabelStats:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != STATS_CSV_HEADER:
-        raise FormatError(f"stats CSV header mismatch: {rows[0] if rows else 'empty'}")
-    counts = []
-    file_p = []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise FormatError(f"stats CSV row has {len(row)} fields, expected 3")
-        if int(row[0]) != len(counts):
-            raise FormatError(f"stats CSV class indices out of order at {row[0]}")
-        counts.append(int(row[1]))
-        file_p.append(float(row[2]))
+    counts, (file_p,) = read_class_csv(path, STATS_CSV_HEADER, "stats")
     stats = LabelStats.from_counts(counts)
     # frequencies are recomputed exactly from counts; the file copy must agree
-    if np.max(np.abs(np.asarray(file_p) - stats.p_per_class)) > 1e-9:
+    if not np.all(np.abs(file_p - stats.p_per_class) <= 1e-9):
         raise FormatError("stats CSV p_k column inconsistent with counts")
     return stats

@@ -21,7 +21,7 @@ from .margins import MarginOffsets
 from .metrics import MetricsReport, iou_report, score_counts
 # not called here, but perfbench's tracer wraps these names in this module
 from .metrics import confusion, predict_labels  # noqa: F401
-from .segdata import FeatureBatch, MaskBatch
+from .segdata import FeatureBatch, MaskBatch, write_csv
 
 MODEL_MAGIC = b"PMC1"
 
@@ -340,18 +340,5 @@ TRAIN_LOG_HEADER = ["epoch", "train_loss", "train_miou", "val_miou", "seconds"]
 
 
 def write_train_log_csv(log: TrainLog, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_LOG_HEADER)
-        for rec in log.records:
-            writer.writerow(
-                [
-                    rec.epoch,
-                    f"{rec.train_loss:.12g}",
-                    f"{rec.train_miou:.12g}",
-                    f"{rec.val_miou:.12g}",
-                    f"{rec.seconds:.12g}",
-                ]
-            )
+    write_csv(path, TRAIN_LOG_HEADER,
+              ([getattr(rec, name) for name in TRAIN_LOG_HEADER] for rec in log.records))

@@ -200,19 +200,22 @@ class TestAcceptance:
         counts = [800, 40, 30, 25, 35, 25, 20, 25]
         margins = compute_margins(LabelStats.from_counts(counts), tau=2.0)
         sizes = [2**p for p in range(12, 21)]
-        medians = []
+        cases = []
         for n in sizes:
             scores = rng.normal(size=(n, 8))
             labels = rng.integers(0, 8, size=n).astype(np.uint8)
             mask = MaskBatch(labels=labels, width=n, height=1, n_images=1)
-            batch = ScoreBatch(scores=scores)
-            calibrated_log_loss(batch, mask, margins)  # warm-up
-            reps = []
-            for _ in range(5):
+            cases.append((ScoreBatch(scores=scores), mask))
+            calibrated_log_loss(*cases[-1], margins)  # warm-up
+        # every round times each size once, and each size takes its median
+        # over the rounds, so a slow phase of the host lands on all sizes alike
+        times = [[] for _ in sizes]
+        for _ in range(5):
+            for (batch, mask), reps in zip(cases, times):
                 t0 = time.perf_counter()
                 calibrated_log_loss(batch, mask, margins)
                 reps.append(time.perf_counter() - t0)
-            medians.append(float(np.median(reps)))
+        medians = [float(np.median(reps)) for reps in times]
         x = np.asarray(sizes, dtype=float)
         t = np.asarray(medians)
         slope, intercept = np.polyfit(x, t, 1)

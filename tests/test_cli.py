@@ -99,6 +99,50 @@ class TestExitCodes:
         assert "error:" in captured.err
 
 
+def assert_clean_exit_one(code, captured, message):
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.err.strip() == f"error: {message}"
+
+
+class TestMalformedCsvNumbers:
+    """A field that does not parse as its column's number type is a clean
+    exit 1 naming the CSV kind, the line and the field."""
+
+    @pytest.mark.parametrize("row, field, what", [
+        ("0,abc,0.5", "n_pixels", "an integer"),
+        ("0,10.5,0.5", "n_pixels", "an integer"),
+        ("0,5,half", "p_k", "a number"),
+    ], ids=["word-count", "fractional-count", "word-frequency"])
+    def test_margins_rejects_malformed_stats(self, tmp_path, capsys, row, field, what):
+        stats_csv = tmp_path / "stats.csv"
+        stats_csv.write_text(f"class_index,n_pixels,p_k\n{row}\n1,5,0.5\n")
+        out = tmp_path / "margins.csv"
+        code = run(["margins", "--stats", str(stats_csv), "--out", str(out)])
+        bad = row.split(",")[1 if field == "n_pixels" else 2]
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              f"stats CSV line 2 field {field}: expected {what}, got {bad!r}")
+        assert not out.exists()
+
+    def test_bound_rejects_malformed_mu(self, tmp_path, capsys):
+        stats_csv = tmp_path / "stats.csv"
+        stats_csv.write_text("class_index,n_pixels,p_k\n0,90000000,0.9\n1,10000000,0.1\n")
+        margins_csv = tmp_path / "margins.csv"
+        run_ok(["margins", "--stats", str(stats_csv), "--out", str(margins_csv)])
+        lines = margins_csv.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "oops"
+        lines[2] = ",".join(fields)
+        margins_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bound.csv"
+        code = run(["bound", "--margins", str(margins_csv), "--m-pixels", "64",
+                    "--out", str(out)])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "margins CSV line 3 field mu_k: expected a number, got 'oops'")
+        assert not out.exists()
+
+
 class TestStatsMarginsFlow:
     def test_worked_example_margins_csv(self, tmp_path, capsys):
         """The 90/10 stats file produces the worked-example offsets."""
@@ -201,6 +245,17 @@ class TestTrainEvalFlow:
                + SMALL_TRAIN)
         capsys.readouterr()
         assert second.exists()
+
+    def test_warm_start_of_other_hidden_width_fails(self, tmp_path, capsys):
+        """--hidden is not silently dropped for the --init-from model's width."""
+        init = tmp_path / "h8.bin"
+        save_model(PixelMLP.init(FEATURE_DIM, 8, 3, seed=0), init)
+        model, log = tmp_path / "out.bin", tmp_path / "log.csv"
+        code = run(["train", "--init-from", str(init), "--out-model", str(model),
+                    "--log-csv", str(log)] + SMALL_TRAIN + ["--hidden", "32"])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "--init-from model has hidden width 8; --hidden is 32")
+        assert not model.exists() and not log.exists()
 
 
 class TestGradcheckCommand:
@@ -316,6 +371,16 @@ class TestSweepCommand:
         assert captured.err.strip() == (
             f"error: --init-from model maps {FEATURE_DIM} features to 2 classes; "
             f"the data has {FEATURE_DIM} and 3")
+        assert not path.exists()
+
+    def test_init_model_of_other_hidden_width_fails_once_without_csv(self, tmp_path, capsys):
+        init = tmp_path / "h8.bin"
+        save_model(PixelMLP.init(FEATURE_DIM, 8, 3, seed=0), init)
+        path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--tau-grid", "5,10", "--upsilon-grid", "1", "--out", str(path),
+                    "--init-from", str(init)] + SMALL_TRAIN + ["--hidden", "32"])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "--init-from model has hidden width 8; --hidden is 32")
         assert not path.exists()
 
     def test_cells_start_from_the_same_init_model(self, tmp_path, capsys):

@@ -12,8 +12,8 @@ from margincal.losses import (
     LOSS_NAMES,
     LossResult,
     ScoreBatch,
+    _lambda,
     calibrated_log_loss,
-    compute_margins_lambda,
     cross_entropy,
     focal,
     loss_by_name,
@@ -121,33 +121,42 @@ def dice_oracle(scores, labels, eps):
     return _region_result(scores, rows, p, per_class, -ddice_dp / k_cls)
 
 
+def margins_lambda(scores):
+    """The (n, K) margins lambda_ik = s_ik - max_{j!=k} s_ij, via the
+    class-major block primitive."""
+    return _lambda(ScoreBatch(scores=scores).scores.T).T
+
+
 class TestComputeMarginsLambda:
     def test_three_class_pixel(self):
-        lam = compute_margins_lambda(ScoreBatch(scores=[[2.0, 1.0, 0.0]]))
+        lam = margins_lambda([[2.0, 1.0, 0.0]])
         np.testing.assert_allclose(lam, [[1.0, -1.0, -2.0]])
 
     def test_all_equal_scores(self):
-        lam = compute_margins_lambda(ScoreBatch(scores=[[3.5] * 4]))
+        lam = margins_lambda([[3.5] * 4])
         np.testing.assert_array_equal(lam, [[0.0] * 4])
 
     def test_matches_double_loop(self):
         """Vectorized margins agree with the O(N*K^2) brute-force loop."""
         rng = np.random.default_rng(17)
         scores = rng.normal(size=(5, 4))
-        lam = compute_margins_lambda(ScoreBatch(scores=scores))
+        lam = margins_lambda(scores)
         for i in range(5):
             for k in range(4):
                 best = max(scores[i, j] for j in range(4) if j != k)
                 assert lam[i, k] == pytest.approx(scores[i, k] - best, abs=1e-15)
 
     def test_single_class_rejected(self):
-        with pytest.raises(ConfigError, match="2 classes"):
-            compute_margins_lambda(ScoreBatch(scores=[[1.0]]))
+        """Margins need a competitor class: the margin losses reject K = 1."""
+        one = MarginOffsets(rho_0k=[1.0], rho_k0=[1.0], mu_k=[1.0], tau=1.0, upsilon=1.0)
+        for loss in (calibrated_log_loss, rho_margin_objective):
+            with pytest.raises(ConfigError, match="2 classes"):
+                loss(ScoreBatch(scores=[[1.0]]), make_mask([0]), one)
 
     def test_at_most_one_positive_margin_per_pixel(self):
         rng = np.random.default_rng(23)
         scores = rng.normal(size=(300, 6))
-        lam = compute_margins_lambda(ScoreBatch(scores=scores))
+        lam = margins_lambda(scores)
         assert np.all((lam > 0).sum(axis=1) <= 1)
         best = np.argmax(scores, axis=1)
         assert np.all(lam[np.arange(300), best] >= 0)
@@ -281,9 +290,10 @@ class TestCalibratedLogLoss:
         assert a.value == pytest.approx(b.value, rel=1e-12)
         np.testing.assert_allclose(a.grad, b.grad, atol=1e-12)
 
-    def test_non_finite_scores_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(NumericError, match="pixel 1, class 0"):
-            ScoreBatch(scores=np.array([[0.0, 1.0], [np.inf, 0.0]]))
+            ScoreBatch(scores=np.array([[0.0, 1.0], [bad, 0.0]]))
 
     def test_gradient_rows_finite_for_large_scores(self):
         rng = np.random.default_rng(3)
@@ -398,7 +408,7 @@ class TestBoundChain:
         rng = np.random.default_rng(7)
         scores = rng.normal(size=(500, 4))
         labels = rng.integers(0, 4, size=500)
-        lam = compute_margins_lambda(ScoreBatch(scores=scores))
+        lam = margins_lambda(scores)
         preds = np.argmax(scores, axis=1)
         lam_true = lam[np.arange(500), labels]
         for rho in (0.01, 0.5, 3.0):

@@ -209,6 +209,12 @@ class TestMarginsCsv:
         with pytest.raises(FormatError, match="header"):
             read_margins_csv(path)
 
+    def test_header_only_is_empty_dataset(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("class_index,n_pixels,p_k,mu_k,rho_0k,rho_k0\n")
+        with pytest.raises(StatsError, match="empty"):
+            read_margins_csv(path)
+
     def test_non_finite_rejected(self, tmp_path):
         stats = LabelStats.from_counts([90, 10])
         m = compute_margins(stats)

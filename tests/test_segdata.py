@@ -249,3 +249,9 @@ class TestStatsCsv:
         path.write_text("class_index,n_pixels,p_k\n0,90,0.5\n1,10,0.5\n")
         with pytest.raises(FormatError, match="p_k"):
             read_stats_csv(path)
+
+    def test_nan_frequency_rejected(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        path.write_text("class_index,n_pixels,p_k\n0,90,nan\n1,10,0.1\n")
+        with pytest.raises(FormatError, match="p_k column inconsistent"):
+            read_stats_csv(path)
