@@ -9,6 +9,16 @@ complexity scalar C, the gap contribution of class k is
 with F = C + sigma and sigma = rho_max/(4K) * sqrt(2*M*ln(2K/eta)).  A class
 whose denominator is non-positive gets a vacuous (flagged) bound; the overall
 gap averages the valid terms over K.  The natural logarithm is used in sigma.
+
+With offsets from ``margins.compute_margins``, N_k*rho_0k = tau*sqrt(N-N_k)
+and sqrt(N_k)/mu_k = upsilon*(N-N_k)/P_k - sqrt(N-N_k) with P_k = N_k/N, so
+the term has the closed form
+
+    eps_k = upsilon*sqrt(N-N_k) / (P_k*(tau/(4*K*F) - 1)),
+
+and the bound is valid exactly when tau > 4*K*F, for every class and every
+N.  With the same offsets at counts (c*N, c*N_k), as in ``scaling_check``,
+tau becomes sqrt(c)*tau in that denominator.  The tests use both as oracles.
 """
 from __future__ import annotations
 

@@ -37,9 +37,6 @@ BASELINE_TVERSKY_ALPHA = 0.3
 BASELINE_TVERSKY_BETA = 0.7
 
 LOSS_NAMES = ("margin_calibration", "cross_entropy", "focal", "soft_dice", "tversky")
-#: losses whose value is the mean of per-pixel terms, so that a batch can be
-#: evaluated block by block; soft Dice and Tversky couple all of its pixels
-PIXELWISE_LOSSES = ("margin_calibration", "cross_entropy", "focal")
 
 
 @dataclass
@@ -56,14 +53,9 @@ class ScoreBatch:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.ndim != 2:
             raise ShapeError("scores must be a (n_pixels, k_classes) array")
-        # NaN propagates through min and max, so two reductions see every
-        # non-finite entry without an (n, K) mask; only a failure builds one
-        sc = self.scores
-        if sc.size and not (math.isfinite(sc.min()) and math.isfinite(sc.max())):
-            bad = np.argwhere(~np.isfinite(sc))[0]
-            raise NumericError(
-                f"non-finite score at pixel {int(bad[0])}, class {int(bad[1])}"
-            )
+        bad = _non_finite_at(self.scores)
+        if bad is not None:
+            raise NumericError(f"non-finite score at pixel {bad[0]}, class {bad[1]}")
 
     @property
     def n_pixels(self) -> int:
@@ -72,6 +64,18 @@ class ScoreBatch:
     @property
     def k_classes(self) -> int:
         return self.scores.shape[1]
+
+
+def _non_finite_at(scores: np.ndarray) -> Optional[tuple[int, int]]:
+    """(pixel, class) of the first non-finite entry of (n, K) ``scores``, or None.
+
+    NaN propagates through min and max, so two reductions see every
+    non-finite entry without an (n, K) mask; only a failure builds one.
+    """
+    if scores.size and not (math.isfinite(scores.min()) and math.isfinite(scores.max())):
+        pixel, k = np.argwhere(~np.isfinite(scores))[0]
+        return int(pixel), int(k)
+    return None
 
 
 @dataclass
@@ -162,25 +166,28 @@ def rho_calibrated_log_loss(lam, rho) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp2(-np.abs(x))) / _LN2
 
 
+def _block_rows(labels: np.ndarray, valid: np.ndarray, k_classes: int):
+    """A block's (K, b) float one-hot labels (all zero where the label is at
+    least K, as the default ignore label is) and its float valid row, or None
+    when no pixel of the block is ignored."""
+    onehot = labels == np.arange(k_classes, dtype=labels.dtype)[:, None]
+    return onehot.astype(np.float64), None if valid.all() else valid.astype(np.float64)
+
+
 def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None,
             valid: Optional[np.ndarray] = None, scores: bool = True):
     """The batch in class-major blocks of at most BLOCK_PX pixels, in pixel order.
 
     Yields (cols, sc, onehot, valid): the block's pixel slice, its (K, b)
-    scores (None unless ``scores``), its float one-hot labels (all zero on
-    ignored pixels) and its float valid row, or None when no pixel of the
-    block is ignored; without ``y`` the last two are None.
+    scores (None unless ``scores``) and its ``_block_rows``; without ``y``
+    the last two are None.
     """
     sc = s.scores.T
-    if y is not None:
-        classes = np.arange(s.k_classes, dtype=y.labels.dtype)[:, None]
     onehot = block_valid = block_sc = None
     for start in range(0, s.n_pixels, BLOCK_PX):
         cols = slice(start, start + BLOCK_PX)
         if y is not None:
-            onehot = (y.labels[cols] == classes).astype(np.float64)
-            block_valid = valid[cols]
-            block_valid = None if block_valid.all() else block_valid.astype(np.float64)
+            onehot, block_valid = _block_rows(y.labels[cols], valid[cols], s.k_classes)
         if scores:
             block_sc = np.ascontiguousarray(sc[:, cols])
         yield cols, block_sc, onehot, block_valid
@@ -193,26 +200,31 @@ def _count_valid(valid: np.ndarray) -> int:
     return n_valid
 
 
-def _pixelwise(
-    block_loss, s: ScoreBatch, y: MaskBatch, valid: np.ndarray, *args
-) -> LossResult:
-    """Mean of per-pixel loss terms over non-ignored pixels, block by block.
+def _pixel_mean(loss, blocks, grad: np.ndarray, n_valid: int) -> LossResult:
+    """Mean of a pixel-wise loss's terms over ``n_valid`` valid pixels.
 
-    ``block_loss(sc, onehot, valid, grad, fg, bg, *args)`` takes one block
-    from ``_blocks``, writes d(sum of terms)/d(scores) into ``grad`` and adds
-    the per-class term sums to ``fg`` (label class) and ``bg`` (the others).
-    The normalization comes last.
+    ``loss`` is a (kernel, args) pair from ``_pixel_kernel``.  ``blocks``
+    yields class-major blocks (cols, sc, onehot, valid) as ``_blocks`` does,
+    and ``kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)`` writes
+    d(sum of the block's terms)/d(scores) into its slice of the (K, n)
+    ``grad`` and adds the per-class term sums to ``fg`` (label class) and
+    ``bg`` (the others).  The normalization comes last.
     """
-    n_valid = _count_valid(valid)
-    grad = np.empty((s.k_classes, s.n_pixels))
-    fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
-    for cols, sc, onehot, block_valid in _blocks(s, y, valid):
-        block_loss(sc, onehot, block_valid, grad[:, cols], fg, bg, *args)
+    kernel, args = loss
+    fg, bg = np.zeros(grad.shape[0]), np.zeros(grad.shape[0])
+    for cols, sc, onehot, valid in blocks:
+        kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)
     scale = 1.0 / n_valid
     grad *= scale
     fg *= scale
     bg *= scale
     return LossResult(float(fg.sum() + bg.sum()), grad.T, fg, bg)
+
+
+def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, valid: np.ndarray) -> LossResult:
+    """``_pixel_mean`` of the whole batch, block by block."""
+    grad = np.empty((s.k_classes, s.n_pixels))
+    return _pixel_mean(loss, _blocks(s, y, valid), grad, _count_valid(valid))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,13 +278,21 @@ def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_k0) -> None:
     _route_to_competitors(sc, best, g, grad)
 
 
+def _check_margins(m: MarginOffsets, k_classes: int) -> None:
+    if k_classes < 2:
+        raise ConfigError("margins need at least 2 classes")
+    if m.k_classes != k_classes:
+        raise ShapeError("margin-offsets and scores disagree on the class count")
+
+
 def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> np.ndarray:
     valid = _check_pair(s, y)
-    if s.k_classes < 2:
-        raise ConfigError("margins need at least 2 classes")
-    if m.k_classes != s.k_classes:
-        raise ShapeError("margin-offsets and scores disagree on the class count")
+    _check_margins(m, s.k_classes)
     return valid
+
+
+def _margin_kernel(m: MarginOffsets):
+    return _margin_block, (m.rho_0k[:, None], m.rho_k0[:, None])
 
 
 def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -285,7 +305,7 @@ def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossRe
     the single lowest-indexed best competitor of each (pixel, class) entry.
     """
     valid = _check_margin_pair(s, y, m)
-    return _pixelwise(_margin_block, s, y, valid, m.rho_0k[:, None], m.rho_k0[:, None])
+    return _pixelwise(_margin_kernel(m), s, y, valid)
 
 
 def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -352,7 +372,7 @@ def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
 
 def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
     """Mean softmax negative log-likelihood over non-ignored pixels."""
-    return _pixelwise(_cross_entropy_block, s, y, _check_pair(s, y))
+    return _pixelwise((_cross_entropy_block, ()), s, y, _check_pair(s, y))
 
 
 def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
@@ -385,7 +405,7 @@ def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> L
     """Focal loss: NLL scaled by (1 - p_true)^gamma to emphasize hard pixels."""
     if gamma < 0:
         raise ConfigError("gamma must be non-negative")
-    return _pixelwise(_focal_block, s, y, _check_pair(s, y), gamma)
+    return _pixelwise((_focal_block, (gamma,)), s, y, _check_pair(s, y))
 
 
 def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
@@ -442,6 +462,21 @@ def tversky(
 ) -> LossResult:
     """Tversky loss: soft Dice with separate false-positive/negative weights."""
     return _tversky(s, y, alpha, beta, eps)
+
+
+def _pixel_kernel(name: str, margins: Optional[MarginOffsets], k_classes: int):
+    """The (block kernel, args) pair that ``_pixel_mean`` takes for the loss
+    ``name`` at its default settings, or None for soft Dice and Tversky,
+    which couple every pixel of a batch.  The margin-offsets are checked
+    against ``k_classes`` here, once."""
+    if name == "margin_calibration":
+        _check_margins(margins, k_classes)
+        return _margin_kernel(margins)
+    if name == "cross_entropy":
+        return _cross_entropy_block, ()
+    if name == "focal":
+        return _focal_block, (BASELINE_FOCAL_GAMMA,)
+    return None
 
 
 def loss_by_name(name: str):

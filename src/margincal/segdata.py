@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,21 @@ class MaskBatch:
     def valid_mask(self) -> np.ndarray:
         return self.labels != self.ignore_index
 
+    def first_bad_label(self, k_classes: int, image_ids=None) -> Optional[tuple[int, int, int]]:
+        """(label, image, pixel) of the first non-ignored label >= ``k_classes``
+        in the images ``image_ids`` (an index array; all images by default),
+        in that order, or None."""
+        labels = self.labels.reshape(self.n_images, -1)
+        if image_ids is not None:
+            labels = labels[image_ids]
+        bad = labels >= k_classes
+        bad &= labels != self.ignore_index
+        if not bad.any():
+            return None
+        i, pixel = np.argwhere(bad)[0]
+        image = i if image_ids is None else image_ids[i]
+        return int(labels[i, pixel]), int(image), int(pixel)
+
 
 @dataclass
 class FeatureBatch:
@@ -97,6 +112,10 @@ class LabelStats:
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "LabelStats":
         counts = np.asarray(counts, dtype=np.int64)
+        negative = np.flatnonzero(counts < 0)
+        if negative.size:
+            k = int(negative[0])
+            raise StatsError(f"class {k} has a negative pixel count {int(counts[k])}")
         total = int(counts.sum())
         if total <= 0:
             raise StatsError("empty effective dataset (no counted pixels)")
@@ -300,15 +319,12 @@ def accumulate_stats(masks, k_classes: int) -> LabelStats:
     counts = np.zeros(k_classes, dtype=np.int64)
     image_base = 0
     for batch in masks:
+        bad = batch.first_bad_label(k_classes)
+        if bad is not None:
+            label, image, pixel = bad
+            raise DataError(f"label {label} >= k_classes={k_classes} at "
+                            f"image {image_base + image}, pixel {pixel}")
         valid = batch.valid_mask()
-        bad = valid & (batch.labels >= k_classes)
-        if np.any(bad):
-            offset = int(np.flatnonzero(bad)[0])
-            ppi = batch.pixels_per_image
-            raise DataError(
-                f"label {int(batch.labels[offset])} >= k_classes={k_classes} at "
-                f"image {image_base + offset // ppi}, pixel {offset % ppi}"
-            )
         counts += np.bincount(batch.labels[valid].astype(np.int64), minlength=k_classes)
         image_base += batch.n_images
     if counts.sum() == 0:

@@ -208,6 +208,73 @@ class TestScalingCheck:
             scaling_check(reference_config(), 0.5)
 
 
+# (counts, tau, upsilon, M, eta, C) of criterion 10 (256,000 px at 0.9/0.1)
+# and of criterion 06
+CLOSED_FORM_CASES = {
+    "criterion10": ((230_400, 25_600), 10.0, 1.0, 256, 0.05, 0.05),
+    "criterion06": ((90_000_000, 10_000_000), 10.0, 1.0, 64, 0.05, 1.0),
+}
+
+
+def closed_form_eps(counts, tau, upsilon, f_cal, scale=1.0):
+    """eps_k = upsilon*sqrt(N-N_k) / (P_k*(sqrt(c)*tau/(4*K*F) - 1)): the gap
+    term at counts (c*N, c*N_k) with offsets computed at (N, N_k)."""
+    n, k = sum(counts), len(counts)
+    return [upsilon * math.sqrt(n - nk) * n / nk
+            / (math.sqrt(scale) * tau / (4 * k * f_cal) - 1.0) for nk in counts]
+
+
+class TestClosedForm:
+    """The gap term in closed form, an oracle that shares no arithmetic with
+    ``_epsilon_terms``; F = C + sigma comes from the scalar sigma formula."""
+
+    @staticmethod
+    def config(case, c_theta=None):
+        counts, tau, upsilon, m_pixels, eta, c = CLOSED_FORM_CASES[case]
+        stats = LabelStats.from_counts(list(counts))
+        margins = compute_margins(stats, tau=tau, upsilon=upsilon)
+        cfg = BoundConfig(stats=stats, margins=margins, m_pixels=m_pixels, eta=eta,
+                          c_theta=c if c_theta is None else c_theta)
+        k = len(counts)
+        sigma = margins.rho_max / (4 * k) * math.sqrt(2 * m_pixels * math.log(2 * k / eta))
+        return cfg, counts, tau, upsilon, cfg.c_theta + sigma
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_evaluate_epsilon(self, case):
+        cfg, counts, tau, upsilon, f_cal = self.config(case)
+        assert tau > 4 * len(counts) * f_cal
+        result = evaluate_epsilon(cfg)
+        want = closed_form_eps(counts, tau, upsilon, f_cal)
+        assert result.all_valid
+        np.testing.assert_allclose(result.eps_per_class, want, rtol=1e-12, atol=0)
+        assert result.eps == pytest.approx(sum(want) / len(counts), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_scaling_check(self, case):
+        cfg, counts, tau, upsilon, f_cal = self.config(case)
+        k = len(counts)
+        for c in (2.0, 4.0, 8.0, 10.0):
+            result = scaling_check(cfg, c)
+            assert result.compared and result.decreased
+            assert result.eps_before == pytest.approx(
+                sum(closed_form_eps(counts, tau, upsilon, f_cal)) / k, rel=1e-12, abs=0)
+            assert result.eps_after == pytest.approx(
+                sum(closed_form_eps(counts, tau, upsilon, f_cal, c)) / k, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_vacuous_exactly_when_tau_at_most_4kf(self, case):
+        """Raising C until tau <= 4KF makes every class vacuous at once."""
+        _, counts, tau, _, f_cal = self.config(case)
+        k = len(counts)
+        sigma = f_cal - CLOSED_FORM_CASES[case][5]
+        just_valid = tau / (4 * k) - sigma - 1e-6
+        cfg, *_ = self.config(case, c_theta=just_valid)
+        assert evaluate_epsilon(cfg).all_valid
+        cfg, *_ = self.config(case, c_theta=tau / (4 * k) - sigma + 1e-6)
+        with pytest.raises(VacuousBoundError):
+            evaluate_epsilon(cfg)
+
+
 class TestBruteForceAllocation:
     def test_two_class_grid_dominated_by_closed_form(self):
         stats = LabelStats.from_counts([90_000_000, 10_000_000])

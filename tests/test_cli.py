@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,26 @@ class TestBoundCommand:
                                                       rel=1e-9)
         assert float(summary["sigma"]) == pytest.approx(0.02808495672493192,
                                                         rel=1e-9)
+
+
+    def test_negative_stats_count_is_clean_error(self, tmp_path, capsys):
+        """A stats CSV with a negative count stops before any square root of it."""
+        stats_csv = tmp_path / "stats.csv"
+        stats_csv.write_text("class_index,n_pixels,p_k\n0,90,0.9\n1,10,0.1\n")
+        margins_csv = tmp_path / "margins.csv"
+        run_ok(["margins", "--stats", str(stats_csv), "--out", str(margins_csv)])
+        capsys.readouterr()
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("class_index,n_pixels,p_k\n0,-5,-1\n1,10,2\n")
+        out = tmp_path / "bound.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["bound", "--margins", str(margins_csv), "--stats", str(bad_csv),
+                        "--m-pixels", "64", "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "class 0 has a negative pixel count -5")
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -255,3 +255,13 @@ class TestStatsCsv:
         path.write_text("class_index,n_pixels,p_k\n0,90,nan\n1,10,0.1\n")
         with pytest.raises(FormatError, match="p_k column inconsistent"):
             read_stats_csv(path)
+
+    def test_negative_count_rejected(self, tmp_path):
+        """The counts sum to 5 and the file's p_k agree with them, so only a
+        sign check stops the negative class."""
+        path = tmp_path / "stats.csv"
+        path.write_text("class_index,n_pixels,p_k\n0,-5,-1\n1,10,2\n")
+        with pytest.raises(StatsError, match=r"^class 0 has a negative pixel count -5$"):
+            read_stats_csv(path)
+        with pytest.raises(StatsError, match=r"^class 2 has a negative pixel count -1$"):
+            LabelStats.from_counts([4, 3, -1])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from margincal.errors import ConfigError, TrainError
+from margincal.errors import ConfigError, ShapeError, TrainError
 from margincal.losses import BLOCK_PX, ScoreBatch, cross_entropy, loss_by_name
 from margincal.margins import compute_margins
 from margincal.segdata import (
@@ -222,7 +222,7 @@ class TestBlockedStep:
     """``batch_gradients`` walks a batch in pixel blocks; a block stitched in
     wrongly changes its value or gradients against the whole batch at once."""
 
-    @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy"])
+    @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
     @pytest.mark.parametrize(
         "size, n_images",
         [(16, 40), (64, 4), (128, 3)],
@@ -255,6 +255,21 @@ class TestBlockedStep:
         assert value == pytest.approx(whole.value, rel=1e-12)
         for got, want in zip(grads, backward(model, x, act, whole.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size", [16, 128], ids=["grouped", "sliced"])
+    def test_label_out_of_range_names_image_and_pixel(self, size):
+        """The batch's labels are checked against K once, before any block;
+        a bad label is reported where it sits in its image."""
+        n_images, image, pixel = 4, 2, size * size - 7
+        feats, masks = tiny_dataset(n_images=n_images, size=size)
+        labels = masks.labels.copy()
+        labels[image * size * size + pixel] = 3
+        masks = MaskBatch(labels=labels, width=size, height=size, n_images=n_images)
+        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=n_images)
+        with pytest.raises(ShapeError, match=rf"^label 3 at image {image}, pixel {pixel} "
+                                             r"exceeds k_classes=3$"):
+            train(model, feats, masks, cfg)
 
     def test_same_seed_identical_parameters(self):
         feats, masks = tiny_dataset()
