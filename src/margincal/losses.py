@@ -37,6 +37,8 @@ BASELINE_TVERSKY_ALPHA = 0.3
 BASELINE_TVERSKY_BETA = 0.7
 
 LOSS_NAMES = ("margin_calibration", "cross_entropy", "focal", "soft_dice", "tversky")
+#: the losses that are a mean of per-pixel terms (see ``_pixel_kernel``)
+PIXEL_WISE_LOSSES = LOSS_NAMES[:3]
 
 
 @dataclass
@@ -167,11 +169,14 @@ def rho_calibrated_log_loss(lam, rho) -> np.ndarray:
 
 
 def _block_rows(labels: np.ndarray, valid: np.ndarray, k_classes: int):
-    """A block's (K, b) float one-hot labels (all zero where the label is at
-    least K, as the default ignore label is) and its float valid row, or None
-    when no pixel of the block is ignored."""
-    onehot = labels == np.arange(k_classes, dtype=labels.dtype)[:, None]
-    return onehot.astype(np.float64), None if valid.all() else valid.astype(np.float64)
+    """A block's (K, b) float one-hot labels, all zero on ignored pixels, and
+    its float valid row, or None when no pixel of the block is ignored."""
+    onehot = (labels == np.arange(k_classes, dtype=labels.dtype)[:, None]).astype(np.float64)
+    if valid.all():
+        return onehot, None
+    valid = valid.astype(np.float64)
+    onehot *= valid  # an ignore label below K must not count as its class
+    return onehot, valid
 
 
 def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None,
@@ -278,7 +283,9 @@ def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_k0) -> None:
     _route_to_competitors(sc, best, g, grad)
 
 
-def _check_margins(m: MarginOffsets, k_classes: int) -> None:
+def _check_margins(m: Optional[MarginOffsets], k_classes: int) -> None:
+    if m is None:
+        raise ConfigError("the margin-calibration loss needs margin-offsets")
     if k_classes < 2:
         raise ConfigError("margins need at least 2 classes")
     if m.k_classes != k_classes:
@@ -468,7 +475,7 @@ def _pixel_kernel(name: str, margins: Optional[MarginOffsets], k_classes: int):
     """The (block kernel, args) pair that ``_pixel_mean`` takes for the loss
     ``name`` at its default settings, or None for soft Dice and Tversky,
     which couple every pixel of a batch.  The margin-offsets are checked
-    against ``k_classes`` here, once."""
+    against ``k_classes`` here, once; missing ones raise ConfigError."""
     if name == "margin_calibration":
         _check_margins(margins, k_classes)
         return _margin_kernel(margins)

@@ -7,9 +7,13 @@ are all driven by one seeded generator, so runs are bitwise repeatable.
 """
 from __future__ import annotations
 
+import math
+import mmap
+import os
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -17,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _non_finite_at, _pixel_kernel, _pixel_mean,
-    loss_by_name,
+    BLOCK_PX, LOSS_NAMES, PIXEL_WISE_LOSSES, ScoreBatch, _block_rows, _non_finite_at,
+    _pixel_kernel, _pixel_mean, loss_by_name,
 )
 from .margins import MarginOffsets
 from .metrics import MetricsReport, iou_report, score_counts
@@ -30,6 +34,11 @@ MODEL_MAGIC = b"PMC1"
 #: ``backward`` sums a block's rows as a product with ones, faster than a row sum
 _ONES = np.ones(BLOCK_PX)
 _ONES.flags.writeable = False
+#: processes that share each training step's blocks; None is one per usable core
+_PROCESSES: Optional[int] = None
+#: a step with more blocks runs in one process: its queue of 4-byte block
+#: indices must go into a pipe in one write, and PIPE_BUF is 4,096 bytes
+_QUEUE_BLOCKS = 1024
 
 
 @dataclass
@@ -116,25 +125,115 @@ def backward(
     return gw1, gb1, gw2, gb2
 
 
-def _pixel_blocks(features: FeatureBatch, masks: MaskBatch, image_ids, block_px: int):
-    """(features, labels, ids, first) of the images ``image_ids`` (an index
-    array), in order, in blocks of at most ``block_px`` pixels: whole images
-    grouped, or slices of one large image.  ``ids`` are the block's images
-    and ``first`` is the index of its first pixel within image ids[0]."""
+def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive stretches of ``flat`` with the given shapes."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    return views
+
+
+def _block_plan(masks: MaskBatch, image_ids: np.ndarray, block_px: int) -> list:
+    """(ids, start, stop) of each block of at most ``block_px`` pixels of the
+    images ``image_ids`` (an index array), in order: whole images grouped
+    (start, stop = 0, pixels per image), or equal slices [start, stop) of
+    one large image."""
     ppi = masks.pixels_per_image
-    x_img = features.features.reshape(masks.n_images, ppi, -1)
-    y_img = masks.labels.reshape(masks.n_images, ppi)
     group = block_px // ppi
     if group >= 2:
-        for start in range(0, len(image_ids), group):
-            ids = image_ids[start : start + group]
-            yield x_img[ids].reshape(-1, x_img.shape[2]), y_img[ids].reshape(-1), ids, 0
-        return
+        return [(image_ids[j : j + group], 0, ppi) for j in range(0, len(image_ids), group)]
     n_slices = -(-ppi // block_px)
     step = -(-ppi // n_slices)  # equal slices of at most block_px
-    for i in image_ids:
-        for start in range(0, ppi, step):
-            yield x_img[i, start : start + step], y_img[i, start : start + step], (i,), start
+    return [(image_ids[j : j + 1], start, min(start + step, ppi))
+            for j in range(len(image_ids)) for start in range(0, ppi, step)]
+
+
+class _Step:
+    """One batch's blocks and the per-block work on them.
+
+    ``run(model, i, row)`` gathers block i, runs forward, checks the scores,
+    takes the loss and runs backward, writing [n, n * value, n * gradients]
+    into ``row`` (n is the block's valid count; 0 skips the rest).  ``fold``
+    sums the rows in block order.
+    """
+
+    def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
+                 loss_name: str, kernel, margins: Optional[MarginOffsets]) -> None:
+        self.masks, self.loss_name, self.kernel, self.margins = masks, loss_name, kernel, margins
+        self.shapes = [p.shape for p in model.params()]
+        ppi = masks.pixels_per_image
+        self.x_img = features.features.reshape(masks.n_images, ppi, -1)
+        self.y_img = masks.labels.reshape(masks.n_images, ppi)
+        block_px = BLOCK_PX if kernel is not None else len(image_ids) * ppi
+        self.plan = _block_plan(masks, image_ids, block_px)
+        self.grad_buf = np.empty(model.k_classes * BLOCK_PX)
+
+    def run(self, model: PixelMLP, i: int, row: np.ndarray) -> None:
+        ids, start, stop = self.plan[i]
+        if len(ids) == 1:
+            x, labels = self.x_img[ids[0], start:stop], self.y_img[ids[0], start:stop]
+        else:
+            x, labels = self.x_img[ids].reshape(-1, self.x_img.shape[2]), self.y_img[ids].reshape(-1)
+        ignore = self.masks.ignore_index
+        valid = labels != ignore
+        n = row[0] = int(np.count_nonzero(valid))
+        if n == 0:
+            return
+        scores, act = _forward_cache(model, x)
+        bad = _non_finite_at(scores)
+        if bad is not None:
+            image, pixel = divmod(start + bad[0], self.masks.pixels_per_image)
+            raise NumericError(f"non-finite score at image {ids[image]}, pixel {pixel}, "
+                               f"class {bad[1]}")
+        k_cls = model.k_classes
+        if self.kernel is None:
+            y = MaskBatch(labels=labels, width=labels.size, height=1, n_images=1,
+                          ignore_index=ignore)
+            result = loss_by_name(self.loss_name)(ScoreBatch(scores=scores), y, self.margins)
+        else:
+            block = (slice(None), scores.T, *_block_rows(labels, valid, k_cls))
+            grad = self.grad_buf[: k_cls * labels.size].reshape(k_cls, -1)
+            result = _pixel_mean(self.kernel, (block,), grad, n)
+        row[1] = n * result.value
+        for out, g in zip(_unflatten(row[2:], self.shapes), backward(model, x, act, result.grad)):
+            np.multiply(g, n, out=out)
+
+    def claim_all(self, model: PixelMLP, rows, done, claim, stop=lambda: None) -> None:
+        """Run the blocks ``claim()`` hands out until it returns None, marking
+        each in ``done``.  A block that raises calls ``stop()`` and ends the
+        claims; ``fold`` recomputes it."""
+        while (i := claim()) is not None:
+            try:
+                self.run(model, i, rows[i])
+            except Exception:  # any error: fold re-raises it from the first failing block
+                stop()
+                return
+            done[i] = True
+
+    def fold(self, model: PixelMLP, rows, done) -> tuple[float, list[np.ndarray]]:
+        """The batch's mean loss and gradients from the block rows, summed in
+        block order.  A block not done is run here, so the first failing
+        block raises exactly as a run of every block in order would."""
+        value = 0.0
+        grads = [np.zeros(shape) for shape in self.shapes]
+        n_valid = 0
+        for i, row in enumerate(rows):
+            if not done[i]:
+                self.run(model, i, row)
+            n = int(row[0])
+            if n == 0:
+                continue
+            value += float(row[1])
+            for total, g in zip(grads, _unflatten(row[2:], self.shapes)):
+                total += g
+            n_valid += n
+        if n_valid == 0:
+            raise ShapeError("no valid pixels in batch")
+        for total in grads:
+            total /= n_valid
+        return value / n_valid, grads
 
 
 def batch_gradients(
@@ -144,6 +243,8 @@ def batch_gradients(
     image_ids,
     loss_name: str,
     margins: Optional[MarginOffsets] = None,
+    *,
+    team: Optional["_Team"] = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and parameter gradients of one batch of whole images.
 
@@ -152,12 +253,17 @@ def batch_gradients(
     backward then run per block of at most BLOCK_PX pixels, so a block's
     activations are still in cache for its backward pass.  A pixel-wise
     loss is the mean over valid pixels: each block's class-major scores go
-    straight to the loss's block kernel (``losses._pixel_mean``), which
-    writes the block's mean gradient into one buffer reused by every block,
-    and each block's mean is weighted by its valid count; the sums run in
-    block order.  Soft Dice and Tversky couple every pixel of the batch and
-    take it as one block through their public loss.  A non-finite score
-    raises NumericError naming its image and pixel.
+    straight to the loss's block kernel (``losses._pixel_mean``), and the
+    block's valid count n, n times its mean and n times its gradients land
+    in the block's result row.  Soft Dice and Tversky couple every pixel of
+    the batch and take it as one block through their public loss.  A
+    non-finite score raises NumericError naming its image and pixel.
+
+    Blocks are claimed in index order, by this process alone or, with the
+    ``team`` of helper processes that ``train`` forks, by whichever process
+    is free next.  The rows are then summed in block order, so the result is
+    bitwise the same whoever ran each block, and the first failing block
+    raises as it would with no team.
     """
     if features.n_pixels != masks.n_pixels:
         raise ShapeError(
@@ -170,44 +276,131 @@ def batch_gradients(
         label, image, pixel = bad
         raise ShapeError(f"label {label} at image {image}, pixel {pixel} exceeds k_classes={k_cls}")
     kernel = _pixel_kernel(loss_name, margins, k_cls)
-    ppi = masks.pixels_per_image
-    block_px = BLOCK_PX
-    if kernel is None:
-        loss_fn = loss_by_name(loss_name)
-        block_px = len(image_ids) * ppi
-    grad_buf = np.empty(k_cls * BLOCK_PX)
-    value = 0.0
-    grads = [np.zeros_like(p) for p in model.params()]
-    n_valid = 0
-    for x, labels, ids, first in _pixel_blocks(features, masks, image_ids, block_px):
-        valid = labels != masks.ignore_index
-        n = int(np.count_nonzero(valid))
-        if n == 0:
-            continue
-        scores, act = _forward_cache(model, x)
-        bad = _non_finite_at(scores)
-        if bad is not None:
-            image, pixel = divmod(first + bad[0], ppi)
-            raise NumericError(f"non-finite score at image {ids[image]}, pixel {pixel}, "
-                               f"class {bad[1]}")
-        if kernel is None:
-            y = MaskBatch(labels=labels, width=labels.size, height=1, n_images=1,
-                          ignore_index=masks.ignore_index)
-            result = loss_fn(ScoreBatch(scores=scores), y, margins)
-        else:
-            block = (slice(None), scores.T, *_block_rows(labels, valid, k_cls))
-            grad = grad_buf[: k_cls * labels.size].reshape(k_cls, -1)
-            result = _pixel_mean(kernel, (block,), grad, n)
-        value += n * result.value
-        for total, g in zip(grads, backward(model, x, act, result.grad)):
-            g *= n
-            total += g
-        n_valid += n
-    if n_valid == 0:
-        raise ShapeError("no valid pixels in batch")
-    for total in grads:
-        total /= n_valid
-    return value / n_valid, grads
+    step = _Step(model, features, masks, image_ids, loss_name, kernel, margins)
+    n_blocks = len(step.plan)
+    if team is None:
+        rows = np.empty((n_blocks, 2 + sum(p.size for p in model.params())))
+        done = np.zeros(n_blocks, dtype=bool)
+        step.claim_all(model, rows, done, partial(next, iter(range(n_blocks)), None))
+    else:
+        model, rows, done = team.start(model, image_ids, n_blocks)
+        step.claim_all(model, rows, done, team.claim, team.stop)
+        team.wait()
+    return step.fold(model, rows, done)
+
+
+class _Team:
+    """Helper processes that claim the blocks of each training step
+    alongside the parent; ``train`` forks them once, after the data exists,
+    so they read the features and masks through copy-on-write.
+
+    One anonymous shared mapping holds the step's parameters and image ids,
+    a stop flag, and each block's done flag and result row.  Each step the
+    parent copies the parameters and ids in, queues the block indices on a
+    pipe in one write, and sends each helper the batch size on its own pipe.
+    Every process then reads the next index off the queue until it is empty
+    or the stop flag is set, and each helper answers on its done pipe.  A
+    helper exits at the end of file of its pipe: when the parent closes it,
+    or dies.
+    """
+
+    def __init__(self, n_helpers: int, model: PixelMLP, features: FeatureBatch,
+                 masks: MaskBatch, loss_name: str, margins: Optional[MarginOffsets],
+                 max_ids: int, max_blocks: int) -> None:
+        width = 2 + sum(p.size for p in model.params())  # a result row
+        layout = [(np.float64, width - 2), (np.float64, max_blocks * width),
+                  (np.int64, max_ids), (np.bool_, max_blocks), (np.bool_, 1)]
+        nbytes = [-(-count * np.dtype(dtype).itemsize // 64) * 64 for dtype, count in layout]
+        mem = mmap.mmap(-1, sum(nbytes))  # kept alive by the arrays over it
+        shared, pos = [], 0
+        for (dtype, count), size in zip(layout, nbytes):  # each 64-byte aligned
+            shared.append(np.frombuffer(mem, dtype, count, pos))
+            pos += size
+        params, rows, self.ids, self.done, self.stopped = shared
+        self.model = PixelMLP(*_unflatten(params, [p.shape for p in model.params()]))
+        self.rows = rows.reshape(max_blocks, width)
+        self.queue_r, self.queue_w = os.pipe()
+        os.set_blocking(self.queue_r, False)
+        self.helpers: list[tuple[int, int, int]] = []  # (pid, go pipe, done pipe)
+        try:
+            for _ in range(n_helpers):
+                go_r, go_w = os.pipe()
+                done_r, done_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        for fd in (go_w, done_r, self.queue_w,
+                                   *(fd for _, *fds in self.helpers for fd in fds)):
+                            os.close(fd)
+                        self._serve(go_r, done_w, features, masks, loss_name, margins)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(go_r)
+                os.close(done_w)
+                self.helpers.append((pid, go_w, done_r))
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, go: int, done_pipe: int, features, masks, loss_name, margins) -> None:
+        """A helper's life: one claim loop per batch size read from ``go``."""
+        kernel = _pixel_kernel(loss_name, margins, self.model.k_classes)
+        while len(batch := os.read(go, 4)) == 4:
+            ids = self.ids[: int.from_bytes(batch, "little")]
+            step = _Step(self.model, features, masks, ids, loss_name, kernel, margins)
+            step.claim_all(self.model, self.rows, self.done, self.claim, self.stop)
+            os.write(done_pipe, b"\x01")
+
+    def start(self, model: PixelMLP, image_ids: np.ndarray, n_blocks: int):
+        """Share one step with the helpers; returns the shared model, rows and
+        done flags the parent computes and folds with."""
+        for shared, p in zip(self.model.params(), model.params()):
+            np.copyto(shared, p)
+        self.ids[: len(image_ids)] = image_ids
+        self.done[:n_blocks] = False
+        self.stopped[0] = False
+        os.write(self.queue_w, np.arange(n_blocks, dtype="<u4").tobytes())
+        batch = len(image_ids).to_bytes(4, "little")
+        for _, go, _ in self.helpers:
+            os.write(go, batch)
+        return self.model, self.rows[:n_blocks], self.done[:n_blocks]
+
+    def claim(self) -> Optional[int]:
+        """The next queued block index, or None once the queue is empty or stopped."""
+        if self.stopped[0]:
+            return None
+        try:
+            entry = os.read(self.queue_r, 4)
+        except BlockingIOError:
+            return None
+        return int.from_bytes(entry, "little") if len(entry) == 4 else None
+
+    def stop(self) -> None:
+        self.stopped[0] = True
+
+    def wait(self) -> None:
+        """Wait until every helper has finished the step; a helper that died
+        raises TrainError.  Unclaimed indices of a stopped step are dropped."""
+        for pid, _, done_pipe in self.helpers:
+            if os.read(done_pipe, 1) != b"\x01":
+                raise TrainError(f"block helper process {pid} exited during a training step")
+        try:
+            while os.read(self.queue_r, 1 << 16):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        """Stop any claims, close the helpers' pipes and reap them."""
+        self.stop()
+        for pid, go, done_pipe in self.helpers:
+            os.close(go)
+            os.waitpid(pid, 0)
+            os.close(done_pipe)
+        os.close(self.queue_r)
+        os.close(self.queue_w)
 
 
 @dataclass
@@ -257,6 +450,14 @@ def evaluate(
     return iou_report(counts)
 
 
+def _process_count() -> int:
+    if _PROCESSES is not None:
+        return _PROCESSES
+    if not hasattr(os, "sched_getaffinity"):  # no affinity to read: one process
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def train(
     model: PixelMLP,
     train_features: FeatureBatch,
@@ -272,6 +473,13 @@ def train(
     seeded generator.  For the margin-calibration loss the offsets must be
     precomputed from training-split statistics and passed in.  A non-finite
     score or loss raises TrainError naming the epoch, batch and loss.
+
+    A pixel-wise loss's steps run on every usable core: ``train`` forks one
+    helper process per extra core (see ``_Team``), and the helpers and this
+    process claim each step's blocks from a shared queue.  The step's rows
+    are folded in block order here, so the trained model and log are bitwise
+    those of a run in one process.  The helpers are reaped before ``train``
+    returns or raises.
     """
     if cfg.loss_name == "margin_calibration" and margins is None:
         raise ConfigError("margin_calibration training needs precomputed margin-offsets")
@@ -280,42 +488,54 @@ def train(
     velocity = [np.zeros_like(p) for p in model.params()]
     log = TrainLog()
     started = time.perf_counter()
-
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n_images)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n_images, cfg.batch_images):
-            where = f"at epoch {epoch}, batch {n_batches} ({cfg.loss_name})"
-            try:
-                value, grads = batch_gradients(
-                    model, train_features, train_masks,
-                    order[start : start + cfg.batch_images], cfg.loss_name, margins,
+    team = None
+    if cfg.loss_name in PIXEL_WISE_LOSSES:
+        max_ids = min(cfg.batch_images, n_images)
+        max_blocks = len(_block_plan(train_masks, np.arange(max_ids), BLOCK_PX))
+        helpers = min(_process_count(), max_blocks) - 1
+        if helpers > 0 and max_blocks <= _QUEUE_BLOCKS:
+            team = _Team(helpers, model, train_features, train_masks, cfg.loss_name, margins,
+                         max_ids, max_blocks)
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n_images)
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, n_images, cfg.batch_images):
+                where = f"at epoch {epoch}, batch {n_batches} ({cfg.loss_name})"
+                try:
+                    value, grads = batch_gradients(
+                        model, train_features, train_masks,
+                        order[start : start + cfg.batch_images], cfg.loss_name, margins,
+                        team=team,
+                    )
+                except NumericError as exc:
+                    raise TrainError(f"{exc} {where}") from exc
+                if not np.isfinite(value):
+                    raise TrainError(f"NaN loss {where}")
+                for p, v, g in zip(model.params(), velocity, grads):
+                    v *= cfg.momentum
+                    v += g
+                    p -= cfg.learning_rate * v
+                epoch_loss += value
+                n_batches += 1
+            if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+                train_report = evaluate(model, train_features, train_masks)
+                val_miou = float("nan")
+                if val_features is not None and val_masks is not None:
+                    val_miou = evaluate(model, val_features, val_masks).miou
+                log.append(
+                    TrainLogRecord(
+                        epoch=epoch,
+                        train_loss=epoch_loss / n_batches,
+                        train_miou=train_report.miou,
+                        val_miou=val_miou,
+                        seconds=time.perf_counter() - started,
+                    )
                 )
-            except NumericError as exc:
-                raise TrainError(f"{exc} {where}") from exc
-            if not np.isfinite(value):
-                raise TrainError(f"NaN loss {where}")
-            for p, v, g in zip(model.params(), velocity, grads):
-                v *= cfg.momentum
-                v += g
-                p -= cfg.learning_rate * v
-            epoch_loss += value
-            n_batches += 1
-        if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            train_report = evaluate(model, train_features, train_masks)
-            val_miou = float("nan")
-            if val_features is not None and val_masks is not None:
-                val_miou = evaluate(model, val_features, val_masks).miou
-            log.append(
-                TrainLogRecord(
-                    epoch=epoch,
-                    train_loss=epoch_loss / n_batches,
-                    train_miou=train_report.miou,
-                    val_miou=val_miou,
-                    seconds=time.perf_counter() - started,
-                )
-            )
+    finally:
+        if team is not None:
+            team.close()
     return model, log
 
 
@@ -345,19 +565,9 @@ def load_model(path) -> PixelMLP:
         raise ConfigError(
             f"model payload has {len(body)} bytes, expected {expected}"
         )
+    shapes = ((d, hidden), (hidden,), (hidden, k), (k,))
     flat = np.frombuffer(body, dtype="<f8")
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = flat[pos : pos + size].reshape(shape).astype(np.float64)
-        pos += size
-        return out
-
-    return PixelMLP(
-        w1=take((d, hidden)), b1=take((hidden,)), w2=take((hidden, k)), b2=take((k,))
-    )
+    return PixelMLP(*(p.astype(np.float64) for p in _unflatten(flat, shapes)))
 
 
 TRAIN_LOG_HEADER = ["epoch", "train_loss", "train_miou", "val_miou", "seconds"]

@@ -517,6 +517,33 @@ class TestBaselineLosses:
             loss_by_name("hinge")
 
 
+class TestIgnoreLabelBelowK:
+    """An ignore label inside [0, K) marks pixels to skip, not pixels of that class."""
+
+    SCORES = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_ignored_pixel_leaves_value_and_gradient_as_if_absent(self, name):
+        labels = np.array([0, 1, 1], dtype=np.uint8)
+        mask = MaskBatch(labels=labels, width=3, height=1, n_images=1, ignore_index=0)
+        loss = loss_by_name(name)
+        res = loss(ScoreBatch(scores=self.SCORES), mask, simple_margins(2))
+        alone = loss(ScoreBatch(scores=self.SCORES[1:]), make_mask(labels[1:]),
+                     simple_margins(2))
+        assert res.value == pytest.approx(alone.value, rel=1e-15)
+        np.testing.assert_array_equal(res.grad[0], 0.0)
+        np.testing.assert_allclose(res.grad[1:], alone.grad, rtol=1e-15)
+
+    def test_cross_entropy_worked_example(self):
+        """log(1 + e^-3) and log 2 over the two kept pixels: 0.3709, not the
+        0.4343 of counting the ignored pixel as class 0."""
+        mask = MaskBatch(labels=np.array([0, 1, 1], dtype=np.uint8), width=3, height=1,
+                         n_images=1, ignore_index=0)
+        value = cross_entropy(ScoreBatch(scores=self.SCORES), mask).value
+        assert value == pytest.approx((math.log1p(math.exp(-3.0)) + math.log(2.0)) / 2,
+                                      rel=1e-15)
+
+
 class TestLinearTimeScaling:
     def test_wall_time_grows_linearly_in_batch_size(self):
         """Least-squares fit of time vs pixel count has R^2 >= 0.98.

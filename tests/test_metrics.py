@@ -11,6 +11,7 @@ from margincal.metrics import (
     iou_report,
     lower_bound_report,
     predict_labels,
+    score_counts,
     write_metrics_csv,
 )
 from margincal.segdata import LabelStats, MaskBatch, accumulate_stats
@@ -89,6 +90,32 @@ class TestConfusion:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             confusion(make_mask([0, 1]), make_mask([0, 1, 0]), 2)
+
+
+class TestIgnoreLabelBelowK:
+    """With ignore_index = 0 the first pixel is skipped, not counted as class 0."""
+
+    SCORES = ScoreBatch(scores=np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]]))
+    MASK = MaskBatch(labels=np.array([0, 1, 1], dtype=np.uint8), width=3, height=1,
+                     n_images=1, ignore_index=0)
+
+    def test_score_counts_agree_with_confusion(self):
+        counts, _ = score_counts(self.SCORES, self.MASK)
+        assert counts.total == 2
+        np.testing.assert_array_equal(counts.tp, [0, 1])  # the tie goes to class 0
+        np.testing.assert_array_equal(counts.fp, [1, 0])
+        np.testing.assert_array_equal(counts.fn, [0, 1])
+        direct = confusion(predict_labels(self.SCORES, self.MASK), self.MASK, 2)
+        assert (direct.total, direct.tp.tolist()) == (2, [0, 1])
+
+    def test_lower_bound_as_if_the_pixel_were_absent(self):
+        margins = compute_margins(LabelStats.from_counts([3, 5]), tau=1.0, upsilon=1.0)
+        got = lower_bound_report(self.SCORES, self.MASK, margins)
+        want = lower_bound_report(ScoreBatch(scores=self.SCORES.scores[1:]),
+                                  make_mask([1, 1]), margins)
+        assert got.miou == want.miou
+        for field in ("ell_k0", "ell_0k", "iou_lower_per_class"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-15)
 
 
 class TestIouReport:

@@ -1,7 +1,12 @@
 """Tests for the per-pixel model, the training loop and model persistence."""
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
+import margincal.trainer as trainer_module
 from margincal.errors import ConfigError, ShapeError, TrainError
 from margincal.losses import BLOCK_PX, ScoreBatch, cross_entropy, loss_by_name
 from margincal.margins import compute_margins
@@ -380,3 +385,179 @@ class TestTrainLog:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_miou,val_miou,seconds"
         assert lines[1].startswith("1,0.5,0.1,0.15,")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on a helper for more than a minute instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no such child: waited for already
+            os.waitpid(pid, os.WNOHANG)
+
+
+def slowed(monkeypatch, where, seconds):
+    """Make ``_forward_cache`` sleep first in the test's own process
+    ("parent") or in every other process ("helper")."""
+    parent = os.getpid()
+
+    def slow_forward_cache(model, x):
+        if (os.getpid() == parent) == (where == "parent"):
+            time.sleep(seconds)
+        return _forward_cache(model, x)
+
+    monkeypatch.setattr(trainer_module, "_forward_cache", slow_forward_cache)
+
+
+def run_training(loss_name, size, n_images, batch_images, epochs=2):
+    feats, masks = tiny_dataset(seed=5, n_images=n_images, size=size, noise=0.1)
+    val = tiny_dataset(seed=6, n_images=2, size=size, noise=0.1)
+    margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
+    model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
+    cfg = TrainConfig(loss_name=loss_name, epochs=epochs, batch_images=batch_images,
+                      learning_rate=0.1, seed=3, eval_every=1)
+    model, log = train(model, feats, masks, cfg, margins, *val)
+    params = b"".join(p.tobytes() for p in model.params())
+    return params, [(r.epoch, r.train_loss, r.train_miou, r.val_miou) for r in log.records]
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSharedStep:
+    """``train`` forks helper processes that claim blocks of each step; the
+    parent folds the block rows in block order, so the result is bitwise the
+    one-process run's whoever computed which block."""
+
+    @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
+    @pytest.mark.parametrize(
+        "size, n_images, batch_images",
+        [(16, 40, 36), (64, 9, 6), (128, 5, 3)],
+        ids=["grouped-3-blocks", "1-image-blocks", "sliced-12-blocks"],
+    )
+    def test_bitwise_equal_for_1_2_and_3_processes(self, monkeypatch, forks, loss_name, size,
+                                                    n_images, batch_images):
+        runs = []
+        for processes in (1, 2, 3):
+            monkeypatch.setattr(trainer_module, "_PROCESSES", processes)
+            forks.clear()
+            runs.append(run_training(loss_name, size, n_images, batch_images))
+            assert len(forks) == processes - 1
+            assert_reaped(forks)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.parametrize("where", ["helper", "parent"])
+    def test_a_slow_process_changes_nothing(self, monkeypatch, forks, where):
+        """Slowed helpers leave most blocks to the parent, a slowed parent
+        leaves them to the helpers; the parameters stay the same."""
+        monkeypatch.setattr(trainer_module, "_PROCESSES", 1)
+        serial = run_training("margin_calibration", 64, 8, 8)
+        monkeypatch.setattr(trainer_module, "_PROCESSES", 3)
+        slowed(monkeypatch, where, 0.005)
+        assert run_training("margin_calibration", 64, 8, 8) == serial
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_first_bad_block_is_reported_whoever_fails_first(self, monkeypatch, forks):
+        """Two images of the first batch hold a NaN feature, one early and one
+        late.  Whichever process claims the early one is held up, and the
+        parent is slowed so that a helper claims it, so the late one fails
+        first, in the parent; training still names the early image and pixel."""
+        n_images, ppi = 8, 64 * 64
+        feats, masks = tiny_dataset(seed=5, n_images=n_images, size=64, noise=0.1)
+        order = np.random.default_rng(3).permutation(n_images)
+        early, late = order[1], order[6]
+        feats.features[early * ppi + 100, 0] = np.nan
+        feats.features[late * ppi + 7, 1] = np.nan
+        parent = os.getpid()
+
+        def hold_up_early(model, x):
+            if np.isnan(x[:, 0]).any():
+                time.sleep(0.5)
+            elif os.getpid() == parent:
+                time.sleep(0.02)
+            return _forward_cache(model, x)
+
+        monkeypatch.setattr(trainer_module, "_forward_cache", hold_up_early)
+        messages = []
+        for processes in (1, 2, 3):
+            monkeypatch.setattr(trainer_module, "_PROCESSES", processes)
+            model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
+            cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=8, seed=3)
+            with pytest.raises(TrainError) as caught:
+                train(model, feats, masks, cfg)
+            messages.append(str(caught.value))
+        assert messages[0] == (f"non-finite score at image {early}, pixel 100, class 0 "
+                               "at epoch 1, batch 0 (cross_entropy)")
+        assert messages[1] == messages[0] and messages[2] == messages[0]
+        assert len(forks) == 3
+        assert_reaped(forks)
+
+    def test_a_dead_helper_raises_instead_of_blocking(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def die_in_helper(model, x):
+            if os.getpid() != parent:
+                os._exit(3)
+            time.sleep(0.05)  # leave blocks for the helper to claim
+            return _forward_cache(model, x)
+
+        monkeypatch.setattr(trainer_module, "_PROCESSES", 2)
+        monkeypatch.setattr(trainer_module, "_forward_cache", die_in_helper)
+        with pytest.raises(TrainError, match=r"^block helper process \d+ exited during a "
+                                             r"training step$"):
+            run_training("cross_entropy", 64, 8, 8)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_one_helper_per_extra_usable_core(self, monkeypatch, forks, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        run_training("cross_entropy", 64, 4, 4, epochs=1)
+        assert len(forks) == cores - 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
+    def test_whole_batch_losses_fork_nothing(self, monkeypatch, forks, loss_name):
+        monkeypatch.setattr(trainer_module, "_PROCESSES", 2)
+        run_training(loss_name, 64, 4, 4, epochs=1)
+        assert forks == []
+
+    def test_a_step_too_long_to_queue_runs_in_one_process(self, monkeypatch, forks):
+        monkeypatch.setattr(trainer_module, "_QUEUE_BLOCKS", 5)
+        monkeypatch.setattr(trainer_module, "_PROCESSES", 1)
+        serial = run_training("focal", 64, 8, 6, epochs=1)
+        monkeypatch.setattr(trainer_module, "_PROCESSES", 2)
+        assert run_training("focal", 64, 8, 6, epochs=1) == serial
+        assert forks == []
+
+    def test_direct_call_needs_margins_for_the_margin_loss(self):
+        feats, masks = tiny_dataset()
+        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
+        with pytest.raises(ConfigError, match="needs margin-offsets"):
+            batch_gradients(model, feats, masks, np.arange(4), "margin_calibration")
