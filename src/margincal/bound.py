@@ -57,6 +57,11 @@ class BoundConfig:
     def k_classes(self) -> int:
         return self.stats.k_classes
 
+    def confidence(self) -> tuple[float, float]:
+        """sigma and the complexity total F = C + sigma."""
+        sigma = confidence_term(self.margins.rho_max, self.k_classes, self.m_pixels, self.eta)
+        return sigma, self.c_theta + sigma
+
 
 @dataclass
 class BoundResult:
@@ -83,23 +88,6 @@ def confidence_term(rho_max: float, k_classes: int, m_pixels: int, eta: float) -
     return rho_max / (4.0 * k_classes) * math.sqrt(2.0 * m_pixels * math.log(2.0 * k_classes / eta))
 
 
-def _epsilon_terms(
-    n: float,
-    n_k: np.ndarray,
-    mu_k: np.ndarray,
-    rho_0k: np.ndarray,
-    f_cal: float,
-    k_classes: int,
-):
-    rest = np.sqrt(n - n_k)
-    numer = rest + np.sqrt(n_k) / mu_k
-    denom = n_k * rho_0k / (4.0 * k_classes * f_cal) - rest
-    valid = denom > 0
-    with np.errstate(divide="ignore"):
-        eps_k = numer / denom
-    return eps_k, valid
-
-
 def _combine(eps_k: np.ndarray, valid: np.ndarray, k_classes: int) -> float:
     if not valid.any():
         return math.nan
@@ -108,18 +96,8 @@ def _combine(eps_k: np.ndarray, valid: np.ndarray, k_classes: int) -> float:
 
 def evaluate_epsilon(cfg: BoundConfig) -> BoundResult:
     """Evaluate the gap for every class; error out only if all are vacuous."""
-    k = cfg.k_classes
-    rho_max = cfg.margins.rho_max
-    sigma = confidence_term(rho_max, k, cfg.m_pixels, cfg.eta)
-    f_cal = cfg.c_theta + sigma
-    eps_k, valid = _epsilon_terms(
-        float(cfg.stats.n_total),
-        cfg.stats.n_per_class.astype(np.float64),
-        cfg.margins.mu_k,
-        cfg.margins.rho_0k,
-        f_cal,
-        k,
-    )
+    sigma, f_cal = cfg.confidence()
+    eps_k, valid = allocation_epsilon(cfg.stats, cfg.margins.rho_0k, cfg.margins.mu_k, f_cal)
     if not valid.any():
         raise VacuousBoundError(
             "vacuous bound: every class has a non-positive denominator; "
@@ -129,9 +107,9 @@ def evaluate_epsilon(cfg: BoundConfig) -> BoundResult:
     return BoundResult(
         sigma=sigma,
         f_cal=f_cal,
-        rho_max=rho_max,
+        rho_max=cfg.margins.rho_max,
         eps_per_class=eps_k,
-        eps=_combine(eps_k, valid, k),
+        eps=_combine(eps_k, valid, cfg.k_classes),
         valid_per_class=valid,
     )
 
@@ -156,16 +134,10 @@ def scaling_check(cfg: BoundConfig, c: float) -> ScalingResult:
     if c < 1:
         raise ConfigError("scale factor c must be >= 1")
     k = cfg.k_classes
-    sigma = confidence_term(cfg.margins.rho_max, k, cfg.m_pixels, cfg.eta)
-    f_cal = cfg.c_theta + sigma
-    n_k = cfg.stats.n_per_class.astype(np.float64)
-    eps_b, valid_b = _epsilon_terms(
-        float(cfg.stats.n_total), n_k, cfg.margins.mu_k, cfg.margins.rho_0k, f_cal, k
-    )
-    eps_a, valid_a = _epsilon_terms(
-        c * float(cfg.stats.n_total), c * n_k, cfg.margins.mu_k, cfg.margins.rho_0k,
-        f_cal, k,
-    )
+    _, f_cal = cfg.confidence()
+    offsets = (cfg.margins.rho_0k, cfg.margins.mu_k, f_cal)
+    eps_b, valid_b = allocation_epsilon(cfg.stats, *offsets)
+    eps_a, valid_a = allocation_epsilon(cfg.stats, *offsets, scale=c)
     before = _combine(eps_b, valid_b, k)
     after = _combine(eps_a, valid_a, k)
     if not (valid_b.all() and valid_a.all()):
@@ -178,16 +150,24 @@ def allocation_epsilon(
     rho_0k: np.ndarray,
     mu_k: np.ndarray,
     f_cal: float,
+    scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class gap terms and validity for one explicit offset allocation."""
-    return _epsilon_terms(
-        float(stats.n_total),
-        stats.n_per_class.astype(np.float64),
-        np.asarray(mu_k, dtype=np.float64),
-        np.asarray(rho_0k, dtype=np.float64),
-        f_cal,
-        stats.k_classes,
-    )
+    """Per-class gap terms eps_k and their validity (denominator > 0) for one
+    explicit offset allocation, at the counts (scale*N, scale*N_k).
+
+    ``rho_0k`` may be a (n_points, K) stack of allocations.  ``scale`` grows
+    the counts while the offsets stay fixed, as ``scaling_check`` needs.
+    """
+    n = scale * float(stats.n_total)
+    n_k = scale * stats.n_per_class.astype(np.float64)
+    rest = np.sqrt(n - n_k)
+    numer = rest + np.sqrt(n_k) / np.asarray(mu_k, dtype=np.float64)
+    rho_0k = np.asarray(rho_0k, dtype=np.float64)
+    denom = n_k * rho_0k / (4.0 * stats.k_classes * f_cal) - rest
+    valid = denom > 0
+    with np.errstate(divide="ignore"):
+        eps_k = numer / denom
+    return eps_k, valid
 
 
 @dataclass
@@ -238,7 +218,7 @@ def brute_force_allocation(
         raise ConfigError("allocation search supports K in {2, 3} only")
     closed = compute_margins(stats, tau=tau, upsilon=upsilon)
     closed_rho = closed.rho_0k
-    f_cal = c_theta + confidence_term(closed.rho_max, k, m_pixels, eta)
+    _, f_cal = BoundConfig(stats, closed, m_pixels, eta, c_theta).confidence()
 
     eps_closed_k, valid_closed = allocation_epsilon(stats, closed_rho, closed.mu_k, f_cal)
     if not valid_closed.all():

@@ -141,16 +141,16 @@ def _training_runs(args, loss_name: str):
     cfg = TrainConfig(
         loss_name=loss_name, epochs=args.epochs, batch_images=args.batch_images,
         learning_rate=args.lr, momentum=args.momentum, seed=args.seed,
-        eval_every=args.eval_every, hidden=args.hidden,
+        eval_every=args.eval_every,
     )
     init = (load_model(args.init_from) if args.init_from
-            else PixelMLP.init(FEATURE_DIM, cfg.hidden, args.k_classes, seed=cfg.seed))
+            else PixelMLP.init(FEATURE_DIM, args.hidden, args.k_classes, seed=cfg.seed))
     if (init.d, init.k_classes) != (FEATURE_DIM, args.k_classes):
         raise ConfigError(f"--init-from model maps {init.d} features to {init.k_classes} "
                           f"classes; the data has {FEATURE_DIM} and {args.k_classes}")
-    if init.hidden != cfg.hidden:
+    if init.hidden != args.hidden:
         raise ConfigError(f"--init-from model has hidden width {init.hidden}; "
-                          f"--hidden is {cfg.hidden}")
+                          f"--hidden is {args.hidden}")
     train_feats, train_masks = _split(args, "train")
     val_feats, val_masks = _split(args, "val")
     stats = accumulate_stats(train_masks, args.k_classes)
@@ -264,7 +264,7 @@ def _add_train_flags(parser: argparse.ArgumentParser, eval_every=int) -> None:
     parser.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--eval-every", type=eval_every, default=TrainConfig.eval_every)
-    parser.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    parser.add_argument("--hidden", type=int, default=16)
     parser.add_argument("--init-from", type=str, default="")
     _add_dataset_flags(parser)
 

@@ -37,8 +37,6 @@ BASELINE_TVERSKY_ALPHA = 0.3
 BASELINE_TVERSKY_BETA = 0.7
 
 LOSS_NAMES = ("margin_calibration", "cross_entropy", "focal", "soft_dice", "tversky")
-#: the losses that are a mean of per-pixel terms (see ``_pixel_kernel``)
-PIXEL_WISE_LOSSES = LOSS_NAMES[:3]
 
 
 @dataclass
@@ -95,20 +93,24 @@ class LossResult:
     per_class_bg: np.ndarray
 
 
+def _check_labels(y: MaskBatch, k_classes: int, image_ids=None) -> None:
+    """Raise ShapeError naming the first non-ignored label >= ``k_classes`` in
+    the images ``image_ids`` (all by default) by its image and pixel."""
+    bad = y.first_bad_label(k_classes, image_ids)
+    if bad is not None:
+        label, image, pixel = bad
+        raise ShapeError(
+            f"label {label} at image {image}, pixel {pixel} exceeds k_classes={k_classes}"
+        )
+
+
 def _check_pair(s: ScoreBatch, y: MaskBatch) -> np.ndarray:
     if s.n_pixels != y.n_pixels:
         raise ShapeError(
             f"scores cover {s.n_pixels} pixels but mask has {y.n_pixels}"
         )
-    valid = y.valid_mask()
-    bad = y.labels >= s.k_classes
-    bad &= valid
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise ShapeError(
-            f"label {int(y.labels[idx])} at pixel {idx} exceeds k_classes={s.k_classes}"
-        )
-    return valid
+    _check_labels(y, s.k_classes)
+    return y.valid_mask()
 
 
 def _best_other(sc: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, PIXEL_WISE_LOSSES, ScoreBatch, _block_rows, _non_finite_at,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_labels, _non_finite_at,
     _pixel_kernel, _pixel_mean, loss_by_name,
 )
 from .margins import MarginOffsets
@@ -34,8 +33,6 @@ MODEL_MAGIC = b"PMC1"
 #: ``backward`` sums a block's rows as a product with ones, faster than a row sum
 _ONES = np.ones(BLOCK_PX)
 _ONES.flags.writeable = False
-#: processes that share each training step's blocks; None is one per usable core
-_PROCESSES: Optional[int] = None
 #: a step with more blocks runs in one process: its queue of 4-byte block
 #: indices must go into a pipe in one write, and PIPE_BUF is 4,096 bytes
 _QUEUE_BLOCKS = 1024
@@ -92,16 +89,18 @@ def _forward_cache(model: PixelMLP, x: np.ndarray):
     """Scores of the rows of ``x`` and the hidden activations ``backward`` needs.
 
     Both are class-major: ``act`` is (hidden, n), and the (n, K) scores are a
-    view of a (K, n) array.
+    view of a (K, n) array.  Overflow is left silent: the caller's
+    finiteness check names the first non-finite score.
     """
     if x.shape[1] != model.d:
         raise ShapeError(f"feature dim {x.shape[1]} != model d={model.d}")
-    act = model.w1.T @ x.T
-    for row, bias in zip(act, model.b1):  # faster than a (hidden, 1) broadcast
-        row += bias
-    np.maximum(act, 0.0, out=act)
-    scores = model.w2.T @ act
-    scores += model.b2[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = model.w1.T @ x.T
+        for row, bias in zip(act, model.b1):  # faster than a (hidden, 1) broadcast
+            row += bias
+        np.maximum(act, 0.0, out=act)
+        scores = model.w2.T @ act
+        scores += model.b2[:, None]
     return scores.T, act
 
 
@@ -156,7 +155,7 @@ class _Step:
     ``run(model, i, row)`` gathers block i, runs forward, checks the scores,
     takes the loss and runs backward, writing [n, n * value, n * gradients]
     into ``row`` (n is the block's valid count; 0 skips the rest).  ``fold``
-    sums the rows in block order.
+    runs the blocks not yet done and sums the rows in block order.
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
@@ -200,22 +199,23 @@ class _Step:
         for out, g in zip(_unflatten(row[2:], self.shapes), backward(model, x, act, result.grad)):
             np.multiply(g, n, out=out)
 
-    def claim_all(self, model: PixelMLP, rows, done, claim, stop=lambda: None) -> None:
-        """Run the blocks ``claim()`` hands out until it returns None, marking
-        each in ``done``.  A block that raises calls ``stop()`` and ends the
-        claims; ``fold`` recomputes it."""
-        while (i := claim()) is not None:
+    def claim_all(self, model: PixelMLP, rows, done, team: "_Team") -> None:
+        """Run the blocks ``team.claim()`` hands out until it returns None,
+        marking each in ``done``.  A block that raises calls ``team.stop()``
+        and ends the claims; ``fold`` recomputes it."""
+        while (i := team.claim()) is not None:
             try:
                 self.run(model, i, rows[i])
             except Exception:  # any error: fold re-raises it from the first failing block
-                stop()
+                team.stop()
                 return
             done[i] = True
 
     def fold(self, model: PixelMLP, rows, done) -> tuple[float, list[np.ndarray]]:
         """The batch's mean loss and gradients from the block rows, summed in
-        block order.  A block not done is run here, so the first failing
-        block raises exactly as a run of every block in order would."""
+        block order.  A block not done is run here (with no team, every
+        block), so the first failing block raises exactly as a run of every
+        block in order would."""
         value = 0.0
         grads = [np.zeros(shape) for shape in self.shapes]
         n_valid = 0
@@ -259,32 +259,28 @@ def batch_gradients(
     the batch and take it as one block through their public loss.  A
     non-finite score raises NumericError naming its image and pixel.
 
-    Blocks are claimed in index order, by this process alone or, with the
-    ``team`` of helper processes that ``train`` forks, by whichever process
-    is free next.  The rows are then summed in block order, so the result is
-    bitwise the same whoever ran each block, and the first failing block
-    raises as it would with no team.
+    With the ``team`` of helper processes that ``train`` forks, every
+    process claims the next block as it comes free.  With no team nothing is
+    claimed, and ``_Step.fold`` runs every block itself, in order: it is the
+    one serial walk.  Either way the rows are summed in block order, so the
+    result is bitwise the same whoever ran each block, and the first failing
+    block raises as it would with no team.
     """
     if features.n_pixels != masks.n_pixels:
         raise ShapeError(
             f"features cover {features.n_pixels} pixels but masks have {masks.n_pixels}"
         )
-    k_cls = model.k_classes
     image_ids = np.asarray(image_ids)
-    bad = masks.first_bad_label(k_cls, image_ids)
-    if bad is not None:
-        label, image, pixel = bad
-        raise ShapeError(f"label {label} at image {image}, pixel {pixel} exceeds k_classes={k_cls}")
-    kernel = _pixel_kernel(loss_name, margins, k_cls)
+    _check_labels(masks, model.k_classes, image_ids)
+    kernel = _pixel_kernel(loss_name, margins, model.k_classes)
     step = _Step(model, features, masks, image_ids, loss_name, kernel, margins)
     n_blocks = len(step.plan)
     if team is None:
         rows = np.empty((n_blocks, 2 + sum(p.size for p in model.params())))
         done = np.zeros(n_blocks, dtype=bool)
-        step.claim_all(model, rows, done, partial(next, iter(range(n_blocks)), None))
     else:
         model, rows, done = team.start(model, image_ids, n_blocks)
-        step.claim_all(model, rows, done, team.claim, team.stop)
+        step.claim_all(model, rows, done, team)
         team.wait()
     return step.fold(model, rows, done)
 
@@ -305,7 +301,7 @@ class _Team:
     """
 
     def __init__(self, n_helpers: int, model: PixelMLP, features: FeatureBatch,
-                 masks: MaskBatch, loss_name: str, margins: Optional[MarginOffsets],
+                 masks: MaskBatch, loss_name: str, kernel, margins: Optional[MarginOffsets],
                  max_ids: int, max_blocks: int) -> None:
         width = 2 + sum(p.size for p in model.params())  # a result row
         layout = [(np.float64, width - 2), (np.float64, max_blocks * width),
@@ -333,7 +329,7 @@ class _Team:
                         for fd in (go_w, done_r, self.queue_w,
                                    *(fd for _, *fds in self.helpers for fd in fds)):
                             os.close(fd)
-                        self._serve(go_r, done_w, features, masks, loss_name, margins)
+                        self._serve(go_r, done_w, features, masks, loss_name, kernel, margins)
                         code = 0
                     finally:
                         os._exit(code)
@@ -344,13 +340,13 @@ class _Team:
             self.close()
             raise
 
-    def _serve(self, go: int, done_pipe: int, features, masks, loss_name, margins) -> None:
+    def _serve(self, go: int, done_pipe: int, features, masks, loss_name, kernel,
+               margins) -> None:
         """A helper's life: one claim loop per batch size read from ``go``."""
-        kernel = _pixel_kernel(loss_name, margins, self.model.k_classes)
         while len(batch := os.read(go, 4)) == 4:
             ids = self.ids[: int.from_bytes(batch, "little")]
             step = _Step(self.model, features, masks, ids, loss_name, kernel, margins)
-            step.claim_all(self.model, self.rows, self.done, self.claim, self.stop)
+            step.claim_all(self.model, self.rows, self.done, self)
             os.write(done_pipe, b"\x01")
 
     def start(self, model: PixelMLP, image_ids: np.ndarray, n_blocks: int):
@@ -412,7 +408,6 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
     eval_every: int = 25
-    hidden: int = 16
 
     def __post_init__(self) -> None:
         if self.loss_name not in LOSS_NAMES:
@@ -451,8 +446,6 @@ def evaluate(
 
 
 def _process_count() -> int:
-    if _PROCESSES is not None:
-        return _PROCESSES
     if not hasattr(os, "sched_getaffinity"):  # no affinity to read: one process
         return 1
     return len(os.sched_getaffinity(0))
@@ -471,8 +464,10 @@ def train(
 
     Batches are whole images; their order reshuffles every epoch from the
     seeded generator.  For the margin-calibration loss the offsets must be
-    precomputed from training-split statistics and passed in.  A non-finite
-    score or loss raises TrainError naming the epoch, batch and loss.
+    precomputed from training-split statistics and passed in; missing ones
+    raise ConfigError, and ones made for another K ShapeError, before any
+    helper is forked.  A non-finite score or loss raises TrainError naming
+    the epoch, batch and loss.
 
     A pixel-wise loss's steps run on every usable core: ``train`` forks one
     helper process per extra core (see ``_Team``), and the helpers and this
@@ -481,21 +476,20 @@ def train(
     those of a run in one process.  The helpers are reaped before ``train``
     returns or raises.
     """
-    if cfg.loss_name == "margin_calibration" and margins is None:
-        raise ConfigError("margin_calibration training needs precomputed margin-offsets")
+    kernel = _pixel_kernel(cfg.loss_name, margins, model.k_classes)
     rng = np.random.default_rng(cfg.seed)
     n_images = train_masks.n_images
     velocity = [np.zeros_like(p) for p in model.params()]
     log = TrainLog()
     started = time.perf_counter()
     team = None
-    if cfg.loss_name in PIXEL_WISE_LOSSES:
+    if kernel is not None:
         max_ids = min(cfg.batch_images, n_images)
         max_blocks = len(_block_plan(train_masks, np.arange(max_ids), BLOCK_PX))
         helpers = min(_process_count(), max_blocks) - 1
         if helpers > 0 and max_blocks <= _QUEUE_BLOCKS:
-            team = _Team(helpers, model, train_features, train_masks, cfg.loss_name, margins,
-                         max_ids, max_blocks)
+            team = _Team(helpers, model, train_features, train_masks, cfg.loss_name, kernel,
+                         margins, max_ids, max_blocks)
     try:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_images)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.  The heavyweight criteria (the toy ablation and the distribution
 check) train real models and take a few minutes combined.
 """
+import math
 import time
 
 import numpy as np
@@ -256,7 +257,7 @@ class TestAcceptance:
                 cfg = TrainConfig(loss_name=loss, epochs=100, batch_images=50,
                                   learning_rate=0.1, momentum=0.9, seed=seed,
                                   eval_every=0)
-                model = PixelMLP.init(FEATURE_DIM, cfg.hidden, 3, seed=seed)
+                model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=seed)
                 model, _ = train(model, feats, masks, cfg, margins=margins)
                 rep = evaluate(model, vfeats, vmasks)
                 mious.append(rep.miou)
@@ -280,8 +281,34 @@ class TestAcceptance:
     def test_10_distribution_level_sanity(self):
         """Treating the generator as the data distribution, the held-out mean
         IoU stays above the train lower bound minus the (valid) gap in at
-        least 95% of seeded trials."""
+        least 95% of seeded trials.
+
+        At this criterion's sizes eps exceeds 100, so that check holds for
+        any model.  A second check, at label counts only, can fail: with
+        N_k = 5e7 for both classes, tau = 1e6, upsilon = 0.05, M = 1,
+        eta = 0.05 and C = 0.05, rho_0k = tau*sqrt(N-N_k)/N_k = 141.42 is
+        rho_max (mu_k = 1.4e-3, so rho_k0 = 0.2), sigma = 141.42/8 *
+        sqrt(2*ln 80) = 52.33, F = C + sigma = 52.38 and tau/(4KF) = 2386.3.
+        The closed form eps_k = upsilon*sqrt(N-N_k) / (P_k*(tau/(4KF) - 1))
+        = 0.05*7071.07 / (0.5*2385.3) = 0.296 for both classes, so the gap
+        must be valid, below 1 and equal to the closed form to 1e-12.
+        """
         started = time.perf_counter()
+        counts, tau, upsilon, m_pixels, eta, c_theta = (
+            [50_000_000, 50_000_000], 1e6, 0.05, 1, 0.05, 0.05)
+        stats = LabelStats.from_counts(counts)
+        margins = compute_margins(stats, tau=tau, upsilon=upsilon)
+        large = evaluate_epsilon(BoundConfig(stats=stats, margins=margins, m_pixels=m_pixels,
+                                             eta=eta, c_theta=c_theta))
+        n, k = sum(counts), len(counts)
+        f_cal = c_theta + margins.rho_max / (4 * k) * math.sqrt(
+            2 * m_pixels * math.log(2 * k / eta))
+        closed = [upsilon * math.sqrt(n - nk) / (nk / n * (tau / (4 * k * f_cal) - 1.0))
+                  for nk in counts]
+        assert large.all_valid, "label-count gap must be non-vacuous"
+        assert large.eps < 1.0, f"label-count gap {large.eps} must be below 1"
+        np.testing.assert_allclose(large.eps_per_class, closed, rtol=1e-12, atol=0)
+
         successes = 0
         trials = 20
         eps = []
@@ -320,5 +347,5 @@ class TestAcceptance:
             "held-out mean IoU respects the train bound minus the gap",
             successes >= int(np.ceil(0.95 * trials)),
             f"({successes}/{trials} trials, eps {min(eps):.4g}..{max(eps):.4g}, "
-            f"{elapsed:.0f}s)",
+            f"label-count eps {large.eps:.3g}, {elapsed:.0f}s)",
         )

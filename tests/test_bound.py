@@ -226,7 +226,7 @@ def closed_form_eps(counts, tau, upsilon, f_cal, scale=1.0):
 
 class TestClosedForm:
     """The gap term in closed form, an oracle that shares no arithmetic with
-    ``_epsilon_terms``; F = C + sigma comes from the scalar sigma formula."""
+    ``allocation_epsilon``; F = C + sigma comes from the scalar sigma formula."""
 
     @staticmethod
     def config(case, c_theta=None):

@@ -8,11 +8,15 @@ import pytest
 
 import margincal.trainer as trainer_module
 from margincal.errors import ConfigError, ShapeError, TrainError
-from margincal.losses import BLOCK_PX, ScoreBatch, cross_entropy, loss_by_name
+from margincal.losses import (
+    BLOCK_PX, ScoreBatch, calibrated_log_loss, cross_entropy, loss_by_name,
+)
 from margincal.margins import compute_margins
+from margincal.metrics import lower_bound_report
 from margincal.segdata import (
     FEATURE_DIM,
     FeatureBatch,
+    LabelStats,
     MaskBatch,
     SynthConfig,
     accumulate_stats,
@@ -276,6 +280,29 @@ class TestBlockedStep:
                                              r"exceeds k_classes=3$"):
             train(model, feats, masks, cfg)
 
+    def test_every_label_check_names_image_and_pixel(self):
+        """The losses, evaluation and the lower bound report an out-of-range
+        label with the same image and pixel as the training step."""
+        feats, masks = tiny_dataset(n_images=2)
+        margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
+        labels = masks.labels.copy()
+        labels[16 * 16 + 37] = 3
+        masks = MaskBatch(labels=labels, width=16, height=16, n_images=2)
+        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
+        scores = forward(model, feats)
+        calls = {
+            "batch_gradients": lambda: batch_gradients(model, feats, masks, np.arange(2),
+                                                       "cross_entropy"),
+            "calibrated_log_loss": lambda: calibrated_log_loss(scores, masks, margins),
+            "cross_entropy": lambda: cross_entropy(scores, masks),
+            "evaluate": lambda: evaluate(model, feats, masks),
+            "lower_bound_report": lambda: lower_bound_report(scores, masks, margins),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ShapeError) as caught:
+                call()
+            assert str(caught.value) == "label 3 at image 1, pixel 37 exceeds k_classes=3", name
+
     def test_same_seed_identical_parameters(self):
         feats, masks = tiny_dataset()
         stats = accumulate_stats(masks, 3)
@@ -422,6 +449,11 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def use_cores(monkeypatch, cores):
+    """Make ``train`` see ``cores`` usable cores, so it forks cores - 1 helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
 def slowed(monkeypatch, where, seconds):
     """Make ``_forward_cache`` sleep first in the test's own process
     ("parent") or in every other process ("helper")."""
@@ -463,7 +495,7 @@ class TestSharedStep:
                                                     n_images, batch_images):
         runs = []
         for processes in (1, 2, 3):
-            monkeypatch.setattr(trainer_module, "_PROCESSES", processes)
+            use_cores(monkeypatch, processes)
             forks.clear()
             runs.append(run_training(loss_name, size, n_images, batch_images))
             assert len(forks) == processes - 1
@@ -475,9 +507,9 @@ class TestSharedStep:
     def test_a_slow_process_changes_nothing(self, monkeypatch, forks, where):
         """Slowed helpers leave most blocks to the parent, a slowed parent
         leaves them to the helpers; the parameters stay the same."""
-        monkeypatch.setattr(trainer_module, "_PROCESSES", 1)
+        use_cores(monkeypatch, 1)
         serial = run_training("margin_calibration", 64, 8, 8)
-        monkeypatch.setattr(trainer_module, "_PROCESSES", 3)
+        use_cores(monkeypatch, 3)
         slowed(monkeypatch, where, 0.005)
         assert run_training("margin_calibration", 64, 8, 8) == serial
         assert len(forks) == 2
@@ -506,7 +538,7 @@ class TestSharedStep:
         monkeypatch.setattr(trainer_module, "_forward_cache", hold_up_early)
         messages = []
         for processes in (1, 2, 3):
-            monkeypatch.setattr(trainer_module, "_PROCESSES", processes)
+            use_cores(monkeypatch, processes)
             model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
             cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=8, seed=3)
             with pytest.raises(TrainError) as caught:
@@ -527,7 +559,7 @@ class TestSharedStep:
             time.sleep(0.05)  # leave blocks for the helper to claim
             return _forward_cache(model, x)
 
-        monkeypatch.setattr(trainer_module, "_PROCESSES", 2)
+        use_cores(monkeypatch, 2)
         monkeypatch.setattr(trainer_module, "_forward_cache", die_in_helper)
         with pytest.raises(TrainError, match=r"^block helper process \d+ exited during a "
                                              r"training step$"):
@@ -537,23 +569,34 @@ class TestSharedStep:
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_one_helper_per_extra_usable_core(self, monkeypatch, forks, cores):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        use_cores(monkeypatch, cores)
         run_training("cross_entropy", 64, 4, 4, epochs=1)
         assert len(forks) == cores - 1
         assert_reaped(forks)
 
     @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
     def test_whole_batch_losses_fork_nothing(self, monkeypatch, forks, loss_name):
-        monkeypatch.setattr(trainer_module, "_PROCESSES", 2)
+        use_cores(monkeypatch, 2)
         run_training(loss_name, 64, 4, 4, epochs=1)
         assert forks == []
 
     def test_a_step_too_long_to_queue_runs_in_one_process(self, monkeypatch, forks):
         monkeypatch.setattr(trainer_module, "_QUEUE_BLOCKS", 5)
-        monkeypatch.setattr(trainer_module, "_PROCESSES", 1)
+        use_cores(monkeypatch, 1)
         serial = run_training("focal", 64, 8, 6, epochs=1)
-        monkeypatch.setattr(trainer_module, "_PROCESSES", 2)
+        use_cores(monkeypatch, 2)
         assert run_training("focal", 64, 8, 6, epochs=1) == serial
+        assert forks == []
+
+    def test_margins_for_another_k_raise_before_any_fork(self, monkeypatch, forks):
+        feats, masks = tiny_dataset(n_images=4, size=64)
+        two_class = compute_margins(LabelStats.from_counts([90, 10]), tau=10.0, upsilon=1.0)
+        use_cores(monkeypatch, 2)
+        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
+        cfg = TrainConfig(loss_name="margin_calibration", epochs=1, batch_images=4)
+        with pytest.raises(ShapeError, match="^margin-offsets and scores disagree on the "
+                                             "class count$"):
+            train(model, feats, masks, cfg, margins=two_class)
         assert forks == []
 
     def test_direct_call_needs_margins_for_the_margin_loss(self):
