@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .losses import ScoreBatch, loss_by_name
 from .margins import compute_margins
 from .segdata import LabelStats, MaskBatch
@@ -64,6 +65,8 @@ def check_loss_gradient(
     h: float = FD_STEP,
 ) -> GradCheckResult:
     """Max relative error between analytic and finite-difference gradients."""
+    if n_batches < 1:
+        raise ConfigError(f"need at least one batch to check; got {n_batches}")
     loss_fn = loss_by_name(loss_name)
     rng = np.random.default_rng(seed)
     stats = LabelStats.from_counts([90, 7, 3][:k_classes] + [5] * max(0, k_classes - 3))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .margins import MarginOffsets
-from .segdata import MaskBatch
+from .segdata import MaskBatch, check_labels
 
 _LN2 = float(np.log(2.0))
 #: pixels per class-major block: the block's (K, BLOCK_PX) float64
@@ -93,23 +93,12 @@ class LossResult:
     per_class_bg: np.ndarray
 
 
-def _check_labels(y: MaskBatch, k_classes: int, image_ids=None) -> None:
-    """Raise ShapeError naming the first non-ignored label >= ``k_classes`` in
-    the images ``image_ids`` (all by default) by its image and pixel."""
-    bad = y.first_bad_label(k_classes, image_ids)
-    if bad is not None:
-        label, image, pixel = bad
-        raise ShapeError(
-            f"label {label} at image {image}, pixel {pixel} exceeds k_classes={k_classes}"
-        )
-
-
 def _check_pair(s: ScoreBatch, y: MaskBatch) -> np.ndarray:
     if s.n_pixels != y.n_pixels:
         raise ShapeError(
             f"scores cover {s.n_pixels} pixels but mask has {y.n_pixels}"
         )
-    _check_labels(y, s.k_classes)
+    check_labels(y, s.k_classes)
     return y.valid_mask()
 
 

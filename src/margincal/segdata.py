@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, StatsError
+from .errors import ConfigError, DataError, FormatError, ShapeError, StatsError
 
 IGNORE_INDEX = 255
 FEATURE_DIM = 8
@@ -69,6 +69,17 @@ class MaskBatch:
         i, pixel = np.argwhere(bad)[0]
         image = i if image_ids is None else image_ids[i]
         return int(labels[i, pixel]), int(image), int(pixel)
+
+
+def check_labels(masks: MaskBatch, k_classes: int, image_ids=None, image_base: int = 0) -> None:
+    """Raise ShapeError naming the first non-ignored label >= ``k_classes`` in
+    the images ``image_ids`` (all by default) by its image, counted from
+    ``image_base``, and pixel."""
+    bad = masks.first_bad_label(k_classes, image_ids)
+    if bad is not None:
+        label, image, pixel = bad
+        raise ShapeError(f"label {label} at image {image_base + image}, pixel {pixel} "
+                         f"exceeds k_classes={k_classes}")
 
 
 @dataclass
@@ -319,11 +330,7 @@ def accumulate_stats(masks, k_classes: int) -> LabelStats:
     counts = np.zeros(k_classes, dtype=np.int64)
     image_base = 0
     for batch in masks:
-        bad = batch.first_bad_label(k_classes)
-        if bad is not None:
-            label, image, pixel = bad
-            raise DataError(f"label {label} >= k_classes={k_classes} at "
-                            f"image {image_base + image}, pixel {pixel}")
+        check_labels(batch, k_classes, image_base=image_base)
         valid = batch.valid_mask()
         counts += np.bincount(batch.labels[valid].astype(np.int64), minlength=k_classes)
         image_base += batch.n_images

@@ -20,22 +20,19 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_labels, _non_finite_at,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _non_finite_at,
     _pixel_kernel, _pixel_mean, loss_by_name,
 )
 from .margins import MarginOffsets
 from .metrics import MetricsReport, iou_report, score_counts
 # not called here, but perfbench's tracer wraps these names in this module
 from .metrics import confusion, predict_labels  # noqa: F401
-from .segdata import FeatureBatch, MaskBatch, write_csv
+from .segdata import FeatureBatch, MaskBatch, check_labels, write_csv
 
 MODEL_MAGIC = b"PMC1"
 #: ``backward`` sums a block's rows as a product with ones, faster than a row sum
 _ONES = np.ones(BLOCK_PX)
 _ONES.flags.writeable = False
-#: a step with more blocks runs in one process: its queue of 4-byte block
-#: indices must go into a pipe in one write, and PIPE_BUF is 4,096 bytes
-_QUEUE_BLOCKS = 1024
 
 
 @dataclass
@@ -49,6 +46,8 @@ class PixelMLP:
 
     @classmethod
     def init(cls, d: int, hidden: int, k_classes: int, seed: int) -> "PixelMLP":
+        if min(d, hidden, k_classes) < 1:
+            raise ConfigError(f"need d, hidden and k_classes >= 1; got {d}, {hidden}, {k_classes}")
         rng = np.random.default_rng(seed)
         w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
         w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, k_classes))
@@ -199,15 +198,14 @@ class _Step:
         for out, g in zip(_unflatten(row[2:], self.shapes), backward(model, x, act, result.grad)):
             np.multiply(g, n, out=out)
 
-    def claim_all(self, model: PixelMLP, rows, done, team: "_Team") -> None:
-        """Run the blocks ``team.claim()`` hands out until it returns None,
-        marking each in ``done``.  A block that raises calls ``team.stop()``
-        and ends the claims; ``fold`` recomputes it."""
-        while (i := team.claim()) is not None:
+    def run_share(self, model: PixelMLP, rows, done, first: int, stride: int) -> None:
+        """Run blocks ``first, first + stride, ...`` in order, marking each in
+        ``done``.  At a block that raises the share ends; ``fold`` recomputes
+        that block and the rest of the share."""
+        for i in range(first, len(self.plan), stride):
             try:
                 self.run(model, i, rows[i])
             except Exception:  # any error: fold re-raises it from the first failing block
-                team.stop()
                 return
             done[i] = True
 
@@ -259,9 +257,9 @@ def batch_gradients(
     the batch and take it as one block through their public loss.  A
     non-finite score raises NumericError naming its image and pixel.
 
-    With the ``team`` of helper processes that ``train`` forks, every
-    process claims the next block as it comes free.  With no team nothing is
-    claimed, and ``_Step.fold`` runs every block itself, in order: it is the
+    With the ``team`` of P - 1 helper processes that ``train`` forks, this
+    process runs blocks 0, P, 2P, ... and helper h blocks h, h + P, ...
+    With no team ``_Step.fold`` runs every block itself, in order: it is the
     one serial walk.  Either way the rows are summed in block order, so the
     result is bitwise the same whoever ran each block, and the first failing
     block raises as it would with no team.
@@ -271,7 +269,7 @@ def batch_gradients(
             f"features cover {features.n_pixels} pixels but masks have {masks.n_pixels}"
         )
     image_ids = np.asarray(image_ids)
-    _check_labels(masks, model.k_classes, image_ids)
+    check_labels(masks, model.k_classes, image_ids)
     kernel = _pixel_kernel(loss_name, margins, model.k_classes)
     step = _Step(model, features, masks, image_ids, loss_name, kernel, margins)
     n_blocks = len(step.plan)
@@ -280,24 +278,22 @@ def batch_gradients(
         done = np.zeros(n_blocks, dtype=bool)
     else:
         model, rows, done = team.start(model, image_ids, n_blocks)
-        step.claim_all(model, rows, done, team)
+        step.run_share(model, rows, done, 0, len(team.helpers) + 1)
         team.wait()
     return step.fold(model, rows, done)
 
 
 class _Team:
-    """Helper processes that claim the blocks of each training step
-    alongside the parent; ``train`` forks them once, after the data exists,
-    so they read the features and masks through copy-on-write.
+    """Helper processes that each run a fixed share of every training step's
+    blocks alongside the parent; ``train`` forks them once, after the data
+    exists, so they read the features and masks through copy-on-write.
 
     One anonymous shared mapping holds the step's parameters and image ids,
-    a stop flag, and each block's done flag and result row.  Each step the
-    parent copies the parameters and ids in, queues the block indices on a
-    pipe in one write, and sends each helper the batch size on its own pipe.
-    Every process then reads the next index off the queue until it is empty
-    or the stop flag is set, and each helper answers on its done pipe.  A
-    helper exits at the end of file of its pipe: when the parent closes it,
-    or dies.
+    and each block's done flag and result row.  Each step the parent copies
+    the parameters and ids in and sends each helper the batch size on its go
+    pipe.  Helper h, forked as share h of P processes, runs blocks h, h + P,
+    ... (``_Step.run_share``) and answers on its done pipe.  A helper exits
+    at the end of file of its go pipe: when the parent closes it, or dies.
     """
 
     def __init__(self, n_helpers: int, model: PixelMLP, features: FeatureBatch,
@@ -305,31 +301,29 @@ class _Team:
                  max_ids: int, max_blocks: int) -> None:
         width = 2 + sum(p.size for p in model.params())  # a result row
         layout = [(np.float64, width - 2), (np.float64, max_blocks * width),
-                  (np.int64, max_ids), (np.bool_, max_blocks), (np.bool_, 1)]
+                  (np.int64, max_ids), (np.bool_, max_blocks)]
         nbytes = [-(-count * np.dtype(dtype).itemsize // 64) * 64 for dtype, count in layout]
         mem = mmap.mmap(-1, sum(nbytes))  # kept alive by the arrays over it
         shared, pos = [], 0
         for (dtype, count), size in zip(layout, nbytes):  # each 64-byte aligned
             shared.append(np.frombuffer(mem, dtype, count, pos))
             pos += size
-        params, rows, self.ids, self.done, self.stopped = shared
+        params, rows, self.ids, self.done = shared
         self.model = PixelMLP(*_unflatten(params, [p.shape for p in model.params()]))
         self.rows = rows.reshape(max_blocks, width)
-        self.queue_r, self.queue_w = os.pipe()
-        os.set_blocking(self.queue_r, False)
         self.helpers: list[tuple[int, int, int]] = []  # (pid, go pipe, done pipe)
         try:
-            for _ in range(n_helpers):
+            for share in range(1, n_helpers + 1):
                 go_r, go_w = os.pipe()
                 done_r, done_w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
-                        for fd in (go_w, done_r, self.queue_w,
-                                   *(fd for _, *fds in self.helpers for fd in fds)):
+                        for fd in (go_w, done_r, *(fd for _, *fds in self.helpers for fd in fds)):
                             os.close(fd)
-                        self._serve(go_r, done_w, features, masks, loss_name, kernel, margins)
+                        self._serve(go_r, done_w, share, n_helpers + 1, features, masks,
+                                    loss_name, kernel, margins)
                         code = 0
                     finally:
                         os._exit(code)
@@ -340,13 +334,13 @@ class _Team:
             self.close()
             raise
 
-    def _serve(self, go: int, done_pipe: int, features, masks, loss_name, kernel,
-               margins) -> None:
-        """A helper's life: one claim loop per batch size read from ``go``."""
+    def _serve(self, go: int, done_pipe: int, share: int, stride: int, features, masks,
+               loss_name, kernel, margins) -> None:
+        """A helper's life: its share of one step per batch size read from ``go``."""
         while len(batch := os.read(go, 4)) == 4:
             ids = self.ids[: int.from_bytes(batch, "little")]
             step = _Step(self.model, features, masks, ids, loss_name, kernel, margins)
-            step.claim_all(self.model, self.rows, self.done, self)
+            step.run_share(self.model, self.rows, self.done, share, stride)
             os.write(done_pipe, b"\x01")
 
     def start(self, model: PixelMLP, image_ids: np.ndarray, n_blocks: int):
@@ -356,47 +350,24 @@ class _Team:
             np.copyto(shared, p)
         self.ids[: len(image_ids)] = image_ids
         self.done[:n_blocks] = False
-        self.stopped[0] = False
-        os.write(self.queue_w, np.arange(n_blocks, dtype="<u4").tobytes())
         batch = len(image_ids).to_bytes(4, "little")
         for _, go, _ in self.helpers:
             os.write(go, batch)
         return self.model, self.rows[:n_blocks], self.done[:n_blocks]
 
-    def claim(self) -> Optional[int]:
-        """The next queued block index, or None once the queue is empty or stopped."""
-        if self.stopped[0]:
-            return None
-        try:
-            entry = os.read(self.queue_r, 4)
-        except BlockingIOError:
-            return None
-        return int.from_bytes(entry, "little") if len(entry) == 4 else None
-
-    def stop(self) -> None:
-        self.stopped[0] = True
-
     def wait(self) -> None:
-        """Wait until every helper has finished the step; a helper that died
-        raises TrainError.  Unclaimed indices of a stopped step are dropped."""
+        """Wait until every helper has finished its share of the step; a
+        helper that died raises TrainError."""
         for pid, _, done_pipe in self.helpers:
             if os.read(done_pipe, 1) != b"\x01":
                 raise TrainError(f"block helper process {pid} exited during a training step")
-        try:
-            while os.read(self.queue_r, 1 << 16):
-                pass
-        except BlockingIOError:
-            pass
 
     def close(self) -> None:
-        """Stop any claims, close the helpers' pipes and reap them."""
-        self.stop()
+        """Close the helpers' pipes and reap them."""
         for pid, go, done_pipe in self.helpers:
             os.close(go)
             os.waitpid(pid, 0)
             os.close(done_pipe)
-        os.close(self.queue_r)
-        os.close(self.queue_w)
 
 
 @dataclass
@@ -470,11 +441,11 @@ def train(
     the epoch, batch and loss.
 
     A pixel-wise loss's steps run on every usable core: ``train`` forks one
-    helper process per extra core (see ``_Team``), and the helpers and this
-    process claim each step's blocks from a shared queue.  The step's rows
-    are folded in block order here, so the trained model and log are bitwise
-    those of a run in one process.  The helpers are reaped before ``train``
-    returns or raises.
+    helper process per extra core, up to one per block of the largest step
+    (see ``_Team``), and each process runs a fixed share of every step's
+    blocks.  The step's rows are folded in block order here, so the trained
+    model and log are bitwise those of a run in one process.  The helpers
+    are reaped before ``train`` returns or raises.
     """
     kernel = _pixel_kernel(cfg.loss_name, margins, model.k_classes)
     rng = np.random.default_rng(cfg.seed)
@@ -487,7 +458,7 @@ def train(
         max_ids = min(cfg.batch_images, n_images)
         max_blocks = len(_block_plan(train_masks, np.arange(max_ids), BLOCK_PX))
         helpers = min(_process_count(), max_blocks) - 1
-        if helpers > 0 and max_blocks <= _QUEUE_BLOCKS:
+        if helpers > 0:
             team = _Team(helpers, model, train_features, train_masks, cfg.loss_name, kernel,
                          margins, max_ids, max_blocks)
     try:

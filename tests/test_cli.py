@@ -258,6 +258,14 @@ class TestTrainEvalFlow:
                               "--init-from model has hidden width 8; --hidden is 32")
         assert not model.exists() and not log.exists()
 
+    @pytest.mark.parametrize("hidden", ["0", "-1"])
+    def test_hidden_width_below_one_is_exit_one(self, tmp_path, capsys, hidden):
+        model = tmp_path / "out.bin"
+        code = run(["train", "--out-model", str(model)] + SMALL_TRAIN + ["--hidden", hidden])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              f"need d, hidden and k_classes >= 1; got {FEATURE_DIM}, {hidden}, 3")
+        assert not model.exists()
+
 
 class TestGradcheckCommand:
     def test_margin_calibration_passes(self, capsys):
@@ -278,6 +286,13 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "failed" in captured.err
+
+    @pytest.mark.parametrize("batches", ["0", "-3"])
+    def test_no_batches_is_exit_one(self, capsys, batches):
+        """A check of no batches would pass having checked nothing."""
+        code = run(["gradcheck", "--loss", "cross_entropy", "--batches", batches])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              f"need at least one batch to check; got {batches}")
 
 
 class TestBoundCommand:

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from margincal.errors import ConfigError, DataError, FormatError, StatsError
+from margincal.errors import ConfigError, DataError, FormatError, ShapeError, StatsError
 from margincal.segdata import (
     FEATURE_DIM,
     LabelStats,
@@ -182,6 +182,10 @@ class TestAccumulateStats:
         mask = MaskBatch(labels=labels, width=4, height=4, n_images=2)
         with pytest.raises(DataError, match=r"image 1, pixel 4"):
             accumulate_stats(mask, 3)
+        clean = MaskBatch(labels=np.zeros(48, dtype=np.uint8), width=4, height=4, n_images=3)
+        with pytest.raises(ShapeError) as caught:  # images count on across batches
+            accumulate_stats([clean, mask], 3)
+        assert str(caught.value) == "label 7 at image 4, pixel 4 exceeds k_classes=3"
 
     def test_instrument_style_split_exact_frequencies(self):
         """A 91.2/4.9/1.4/1.6/0.8 percent split is recovered to 1e-12 from

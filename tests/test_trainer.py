@@ -414,10 +414,18 @@ class TestTrainLog:
         assert lines[1].startswith("1,0.5,0.1,0.15,")
 
 
+class Forks(list):
+    """The pids of the processes forked while a test runs, and the file
+    descriptors this process had open before it."""
+
+    def __init__(self):
+        super().__init__()
+        self.fds = set(os.listdir("/proc/self/fd"))
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the processes forked while the test runs."""
-    pids = []
+    pids = Forks()
     real_fork = os.fork
 
     def fork():
@@ -443,10 +451,12 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-def assert_reaped(pids):
-    for pid in pids:
+def assert_reaped(forks):
+    """Every forked process was waited for and no pipe was left open."""
+    for pid in forks:
         with pytest.raises(ChildProcessError):  # no such child: waited for already
             os.waitpid(pid, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) == forks.fds
 
 
 def use_cores(monkeypatch, cores):
@@ -481,9 +491,9 @@ def run_training(loss_name, size, n_images, batch_images, epochs=2):
 
 @pytest.mark.usefixtures("deadline")
 class TestSharedStep:
-    """``train`` forks helper processes that claim blocks of each step; the
-    parent folds the block rows in block order, so the result is bitwise the
-    one-process run's whoever computed which block."""
+    """``train`` forks helper processes that each run a fixed share of every
+    step's blocks; the parent folds the block rows in block order, so the
+    result is bitwise the one-process run's whoever computed which block."""
 
     @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
     @pytest.mark.parametrize(
@@ -505,8 +515,8 @@ class TestSharedStep:
 
     @pytest.mark.parametrize("where", ["helper", "parent"])
     def test_a_slow_process_changes_nothing(self, monkeypatch, forks, where):
-        """Slowed helpers leave most blocks to the parent, a slowed parent
-        leaves them to the helpers; the parameters stay the same."""
+        """Slowed helpers finish their shares after the parent, a slowed
+        parent after the helpers; the parameters stay the same."""
         use_cores(monkeypatch, 1)
         serial = run_training("margin_calibration", 64, 8, 8)
         use_cores(monkeypatch, 3)
@@ -516,23 +526,20 @@ class TestSharedStep:
         assert_reaped(forks)
 
     def test_first_bad_block_is_reported_whoever_fails_first(self, monkeypatch, forks):
-        """Two images of the first batch hold a NaN feature, one early and one
-        late.  Whichever process claims the early one is held up, and the
-        parent is slowed so that a helper claims it, so the late one fails
-        first, in the parent; training still names the early image and pixel."""
+        """Two images of the first batch hold a NaN feature: the early one is
+        block 1, in a helper's share, and the late one block 6, in the
+        parent's.  The early one is held up, so the late one fails first;
+        training still names the early image and pixel."""
         n_images, ppi = 8, 64 * 64
         feats, masks = tiny_dataset(seed=5, n_images=n_images, size=64, noise=0.1)
         order = np.random.default_rng(3).permutation(n_images)
         early, late = order[1], order[6]
         feats.features[early * ppi + 100, 0] = np.nan
         feats.features[late * ppi + 7, 1] = np.nan
-        parent = os.getpid()
 
         def hold_up_early(model, x):
             if np.isnan(x[:, 0]).any():
                 time.sleep(0.5)
-            elif os.getpid() == parent:
-                time.sleep(0.02)
             return _forward_cache(model, x)
 
         monkeypatch.setattr(trainer_module, "_forward_cache", hold_up_early)
@@ -556,7 +563,6 @@ class TestSharedStep:
         def die_in_helper(model, x):
             if os.getpid() != parent:
                 os._exit(3)
-            time.sleep(0.05)  # leave blocks for the helper to claim
             return _forward_cache(model, x)
 
         use_cores(monkeypatch, 2)
@@ -580,13 +586,24 @@ class TestSharedStep:
         run_training(loss_name, 64, 4, 4, epochs=1)
         assert forks == []
 
-    def test_a_step_too_long_to_queue_runs_in_one_process(self, monkeypatch, forks):
-        monkeypatch.setattr(trainer_module, "_QUEUE_BLOCKS", 5)
-        use_cores(monkeypatch, 1)
-        serial = run_training("focal", 64, 8, 6, epochs=1)
-        use_cores(monkeypatch, 2)
-        assert run_training("focal", 64, 8, 6, epochs=1) == serial
-        assert forks == []
+    def test_a_step_of_more_than_1024_blocks_is_shared(self, monkeypatch, forks):
+        """1,025 one-image blocks in one step; one feature per pixel keeps the
+        4.2 million pixels small."""
+        n_images, ppi = 1025, 64 * 64
+        rng = np.random.default_rng(4)
+        feats = FeatureBatch(features=rng.normal(size=(n_images * ppi, 1)), d=1)
+        masks = MaskBatch(labels=rng.integers(0, 3, size=n_images * ppi, dtype=np.uint8),
+                          width=64, height=64, n_images=n_images)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=n_images,
+                          seed=3, eval_every=0)
+        runs = []
+        for processes in (1, 2):
+            use_cores(monkeypatch, processes)
+            model, _ = train(PixelMLP.init(1, 4, 3, seed=1), feats, masks, cfg)
+            runs.append(b"".join(p.tobytes() for p in model.params()))
+        assert runs[1] == runs[0]
+        assert len(forks) == 1
+        assert_reaped(forks)
 
     def test_margins_for_another_k_raise_before_any_fork(self, monkeypatch, forks):
         feats, masks = tiny_dataset(n_images=4, size=64)
