@@ -13,12 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, DegenerateError, NumericError, ShapeError
+from .errors import DataError, DegenerateError, MarginCalError, NumericError, ShapeError
 from .losses import (
-    ScoreBatch, _blocks, _check_margin_pair, _check_pair, _first_max, _lambda, _phi_sums,
+    BLOCK_PX, ScoreBatch, _block, _blocks, _check_margin_pair, _check_pair, _first_max, _lambda,
+    _phi_sums,
 )
 from .margins import MarginOffsets
 from .segdata import LabelStats, MaskBatch, write_csv
+from .team import run_walk
 
 
 @dataclass
@@ -97,6 +99,32 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
     return ConfusionCounts.from_matrix(matrix.reshape(k_classes, k_classes))
 
 
+class _Counts:
+    """``score_counts``'s walk.  Block i's row is its (truth, prediction)
+    count matrix, K x K and exact in float64, then with margin-offsets its
+    K sums of phi(lam / rho_k0) and its K sums of phi(-lam / rho_0k)."""
+
+    what, error = "score_counts", MarginCalError
+
+    def __init__(self, s: ScoreBatch, y: MaskBatch, valid: np.ndarray,
+                 m: Optional[MarginOffsets]) -> None:
+        self.s, self.y, self.valid, self.m = s, y, valid, m
+        k_cls = s.k_classes
+        self.n_blocks = -(-s.n_pixels // BLOCK_PX)
+        self.width = k_cls * k_cls + (0 if m is None else 2 * k_cls)
+
+    def run(self, i: int, row: np.ndarray) -> None:
+        k_cls = self.s.k_classes
+        _, sc, onehot, valid = _block(self.s, self.y, self.valid, i * BLOCK_PX)
+        lam = _lambda(sc)
+        matrix = row[: k_cls * k_cls].reshape(k_cls, k_cls)
+        np.matmul(onehot, _first_max(lam).T.astype(np.float64), out=matrix)
+        if self.m is not None:
+            sums = row[k_cls * k_cls :]
+            sums[:] = 0.0
+            _phi_sums(lam, onehot, valid, self.m, sums[:k_cls], sums[k_cls:])
+
+
 def score_counts(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets] = None):
     """Confusion counts of the scores' predictions against ``y``, and with
     margin-offsets ``m`` the unnormalized l_k0 and l_0k sums (else None).
@@ -104,18 +132,18 @@ def score_counts(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets] = None)
     One walk over class-major blocks: each block's margins lambda = sc -
     max_{j != k} sc_j give the prediction (see ``predict_labels``), the block's
     (truth, prediction) count matrix as one exact float64 product of one-hots,
-    and the phi-sums of ``rho_margin_objective``.
+    and the phi-sums of ``rho_margin_objective``.  The blocks are a walk
+    (``team.run_walk``): from FORK_MIN_BLOCKS blocks on, every usable core
+    runs its share, and the block rows are added from zero in block order,
+    so the counts and sums are bitwise those of one process.
     """
     valid = _check_pair(s, y) if m is None else _check_margin_pair(s, y, m)
     k_cls = s.k_classes
-    matrix = np.zeros((k_cls, k_cls), dtype=np.int64)
-    sums = None if m is None else (np.zeros(k_cls), np.zeros(k_cls))
-    for _, sc, onehot, block_valid in _blocks(s, y, valid):
-        lam = _lambda(sc)
-        matrix += (onehot @ _first_max(lam).T.astype(np.float64)).astype(np.int64)
-        if sums is not None:
-            _phi_sums(lam, onehot, block_valid, m, *sums)
-    return ConfusionCounts.from_matrix(matrix), sums
+    total = run_walk(_Counts(s, y, valid, m))
+    counts = ConfusionCounts.from_matrix(
+        total[: k_cls * k_cls].reshape(k_cls, k_cls).astype(np.int64))
+    sums = None if m is None else (total[k_cls * k_cls : -k_cls], total[-k_cls:])
+    return counts, sums
 
 
 def iou_report(counts: ConfusionCounts) -> MetricsReport:
@@ -189,7 +217,9 @@ def lower_bound_report(
 
     l_k0 and l_0k are the per-class sums of ``rho_margin_objective``, taken
     in the same walk over pixel blocks as the confusion counts
-    (``score_counts``), so the bound builds no per-pixel array but the valid mask.
+    (``score_counts``), so the bound builds no per-pixel array but the valid
+    mask; from FORK_MIN_BLOCKS blocks on that walk runs on every usable core,
+    and its sums are still bitwise those of one process.
     The normalizing pixel count is always the evaluated batch's own valid
     count; ``bound_scope`` is "dataset" when that matches ``stats.n_total``
     (full-dataset evaluation) and "batch" otherwise.  The sandwich

@@ -8,8 +8,6 @@ are all driven by one seeded generator, so runs are bitwise repeatable.
 from __future__ import annotations
 
 import math
-import mmap
-import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -18,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, TrainError
+from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
     BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _non_finite_at,
     _pixel_kernel, _pixel_mean, loss_by_name,
@@ -28,6 +26,7 @@ from .metrics import MetricsReport, iou_report, score_counts
 # not called here, but perfbench's tracer wraps these names in this module
 from .metrics import confusion, predict_labels  # noqa: F401
 from .segdata import FeatureBatch, MaskBatch, check_labels, write_csv
+from .team import _Team, helpers_for, process_count, run_walk, shared_arrays
 
 MODEL_MAGIC = b"PMC1"
 #: ``backward`` sums a block's rows as a product with ones, faster than a row sum
@@ -69,19 +68,39 @@ class PixelMLP:
         return (self.w1, self.b1, self.w2, self.b2)
 
 
+class _Forward:
+    """``forward``'s walk: block i's class-major scores go to its columns of
+    a (K, n) array, shared if helpers write it; its result row is empty."""
+
+    what, error, width = "forward", MarginCalError, 0
+
+    def __init__(self, model: PixelMLP, x: np.ndarray) -> None:
+        self.model, self.x = model, x
+        self.n_blocks = -(-x.shape[0] // BLOCK_PX)
+        self.helpers = helpers_for(self.n_blocks)
+        shape = (model.k_classes, x.shape[0])
+        # a fresh shared mapping per call would raise the peak memory of many
+        # small calls, which private memory reuses
+        self.scores = shared_arrays((np.float64, shape))[0] if self.helpers else np.empty(shape)
+
+    def run(self, i: int, row: np.ndarray) -> None:
+        block = slice(i * BLOCK_PX, (i + 1) * BLOCK_PX)
+        self.scores[:, block] = _forward_cache(self.model, self.x[block])[0].T
+
+
 def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     """Deterministic forward pass producing one score row per pixel.
 
     Runs BLOCK_PX pixels at a time, so the hidden layer never exists for
     more than one block.  The scores are stored class-major: the returned
-    (n, K) array is the transposed view of a C-ordered (K, n) array.
+    (n, K) array is the transposed view of a C-ordered (K, n) array in
+    shared memory when helpers write it.  The blocks are a walk
+    (``team.run_walk``): from FORK_MIN_BLOCKS blocks on, every usable core
+    writes its share of them.
     """
-    x = features.features
-    scores = np.empty((model.k_classes, x.shape[0]))
-    for start in range(0, x.shape[0], BLOCK_PX):
-        block = slice(start, start + BLOCK_PX)
-        scores[:, block] = _forward_cache(model, x[block])[0].T
-    return ScoreBatch(scores=scores.T)
+    walk = _Forward(model, features.features)
+    run_walk(walk, walk.helpers)
+    return ScoreBatch(scores=walk.scores.T)
 
 
 def _forward_cache(model: PixelMLP, x: np.ndarray):
@@ -149,26 +168,33 @@ def _block_plan(masks: MaskBatch, image_ids: np.ndarray, block_px: int) -> list:
 
 
 class _Step:
-    """One batch's blocks and the per-block work on them.
+    """One batch's blocks as a walk (see ``team``).
 
     ``run(model, i, row)`` gathers block i, runs forward, checks the scores,
     takes the loss and runs backward, writing [n, n * value, n * gradients]
-    into ``row`` (n is the block's valid count; 0 skips the rest).  ``fold``
-    runs the blocks not yet done and sums the rows in block order.
+    into ``row``, where n is the block's valid count (a block with none
+    writes zeros).  Summed in block order, the rows give the batch's loss
+    and gradients.
     """
+
+    what, error = "a training step", TrainError
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
                  loss_name: str, kernel, margins: Optional[MarginOffsets]) -> None:
-        self.masks, self.loss_name, self.kernel, self.margins = masks, loss_name, kernel, margins
+        self.model, self.masks, self.loss_name = model, masks, loss_name
+        self.kernel, self.margins = kernel, margins
         self.shapes = [p.shape for p in model.params()]
+        self.width = 2 + sum(p.size for p in model.params())
         ppi = masks.pixels_per_image
         self.x_img = features.features.reshape(masks.n_images, ppi, -1)
         self.y_img = masks.labels.reshape(masks.n_images, ppi)
         block_px = BLOCK_PX if kernel is not None else len(image_ids) * ppi
         self.plan = _block_plan(masks, image_ids, block_px)
+        self.n_blocks = len(self.plan)
         self.grad_buf = np.empty(model.k_classes * BLOCK_PX)
 
-    def run(self, model: PixelMLP, i: int, row: np.ndarray) -> None:
+    def run(self, i: int, row: np.ndarray) -> None:
+        model = self.model
         ids, start, stop = self.plan[i]
         if len(ids) == 1:
             x, labels = self.x_img[ids[0], start:stop], self.y_img[ids[0], start:stop]
@@ -178,6 +204,7 @@ class _Step:
         valid = labels != ignore
         n = row[0] = int(np.count_nonzero(valid))
         if n == 0:
+            row[1:] = 0.0
             return
         scores, act = _forward_cache(model, x)
         bad = _non_finite_at(scores)
@@ -198,40 +225,34 @@ class _Step:
         for out, g in zip(_unflatten(row[2:], self.shapes), backward(model, x, act, result.grad)):
             np.multiply(g, n, out=out)
 
-    def run_share(self, model: PixelMLP, rows, done, first: int, stride: int) -> None:
-        """Run blocks ``first, first + stride, ...`` in order, marking each in
-        ``done``.  At a block that raises the share ends; ``fold`` recomputes
-        that block and the rest of the share."""
-        for i in range(first, len(self.plan), stride):
-            try:
-                self.run(model, i, rows[i])
-            except Exception:  # any error: fold re-raises it from the first failing block
-                return
-            done[i] = True
 
-    def fold(self, model: PixelMLP, rows, done) -> tuple[float, list[np.ndarray]]:
-        """The batch's mean loss and gradients from the block rows, summed in
-        block order.  A block not done is run here (with no team, every
-        block), so the first failing block raises exactly as a run of every
-        block in order would."""
-        value = 0.0
-        grads = [np.zeros(shape) for shape in self.shapes]
-        n_valid = 0
-        for i, row in enumerate(rows):
-            if not done[i]:
-                self.run(model, i, row)
-            n = int(row[0])
-            if n == 0:
-                continue
-            value += float(row[1])
-            for total, g in zip(grads, _unflatten(row[2:], self.shapes)):
-                total += g
-            n_valid += n
-        if n_valid == 0:
-            raise ShapeError("no valid pixels in batch")
-        for total in grads:
-            total /= n_valid
-        return value / n_valid, grads
+class _StepTeam(_Team):
+    """``train``'s team, forked once after the data exists, so its helpers
+    read the features and masks through copy-on-write.  ``load`` copies a
+    step's parameters and image ids into memory the helpers share; job n is
+    the step over the first n of those ids, which every process builds from
+    that memory."""
+
+    def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
+                 loss_name: str, kernel, margins: Optional[MarginOffsets], max_ids: int) -> None:
+        params, ids = shared_arrays((np.float64, sum(p.size for p in model.params())),
+                                    (np.int64, max_ids))
+        shared = PixelMLP(*_unflatten(params, [p.shape for p in model.params()]))
+        self.model, self.ids = shared, ids
+
+        def make_step(n: int) -> _Step:  # no reference to self: a cycle would keep the data
+            return _Step(shared, features, masks, ids[:n], loss_name, kernel, margins)
+
+        largest = make_step(max_ids)
+        helpers = min(process_count(), largest.n_blocks) - 1
+        super().__init__(make_step, helpers, largest.n_blocks, largest.width)
+
+    def load(self, model: PixelMLP, image_ids: np.ndarray) -> int:
+        """Copy a step's parameters and image ids in; returns its job number."""
+        for shared, p in zip(self.model.params(), model.params()):
+            np.copyto(shared, p)
+        self.ids[: len(image_ids)] = image_ids
+        return len(image_ids)
 
 
 def batch_gradients(
@@ -242,7 +263,7 @@ def batch_gradients(
     loss_name: str,
     margins: Optional[MarginOffsets] = None,
     *,
-    team: Optional["_Team"] = None,
+    team: Optional[_StepTeam] = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and parameter gradients of one batch of whole images.
 
@@ -257,12 +278,10 @@ def batch_gradients(
     the batch and take it as one block through their public loss.  A
     non-finite score raises NumericError naming its image and pixel.
 
-    With the ``team`` of P - 1 helper processes that ``train`` forks, this
-    process runs blocks 0, P, 2P, ... and helper h blocks h, h + P, ...
-    With no team ``_Step.fold`` runs every block itself, in order: it is the
-    one serial walk.  Either way the rows are summed in block order, so the
-    result is bitwise the same whoever ran each block, and the first failing
-    block raises as it would with no team.
+    The blocks are a walk (see ``team``): on ``train``'s ``team``, or
+    without one on a team of their own.  Either way the rows are summed in
+    block order, so the result is bitwise the same whoever ran each block,
+    and the first failing block raises as it would in one process.
     """
     if features.n_pixels != masks.n_pixels:
         raise ShapeError(
@@ -271,103 +290,15 @@ def batch_gradients(
     image_ids = np.asarray(image_ids)
     check_labels(masks, model.k_classes, image_ids)
     kernel = _pixel_kernel(loss_name, margins, model.k_classes)
-    step = _Step(model, features, masks, image_ids, loss_name, kernel, margins)
-    n_blocks = len(step.plan)
     if team is None:
-        rows = np.empty((n_blocks, 2 + sum(p.size for p in model.params())))
-        done = np.zeros(n_blocks, dtype=bool)
+        total = run_walk(_Step(model, features, masks, image_ids, loss_name, kernel, margins))
     else:
-        model, rows, done = team.start(model, image_ids, n_blocks)
-        step.run_share(model, rows, done, 0, len(team.helpers) + 1)
-        team.wait()
-    return step.fold(model, rows, done)
-
-
-class _Team:
-    """Helper processes that each run a fixed share of every training step's
-    blocks alongside the parent; ``train`` forks them once, after the data
-    exists, so they read the features and masks through copy-on-write.
-
-    One anonymous shared mapping holds the step's parameters and image ids,
-    and each block's done flag and result row.  Each step the parent copies
-    the parameters and ids in and sends each helper the batch size on its go
-    pipe.  Helper h, forked as share h of P processes, runs blocks h, h + P,
-    ... (``_Step.run_share``) and answers on its done pipe.  A helper exits
-    at the end of file of its go pipe: when the parent closes it, or dies.
-    """
-
-    def __init__(self, n_helpers: int, model: PixelMLP, features: FeatureBatch,
-                 masks: MaskBatch, loss_name: str, kernel, margins: Optional[MarginOffsets],
-                 max_ids: int, max_blocks: int) -> None:
-        width = 2 + sum(p.size for p in model.params())  # a result row
-        layout = [(np.float64, width - 2), (np.float64, max_blocks * width),
-                  (np.int64, max_ids), (np.bool_, max_blocks)]
-        nbytes = [-(-count * np.dtype(dtype).itemsize // 64) * 64 for dtype, count in layout]
-        mem = mmap.mmap(-1, sum(nbytes))  # kept alive by the arrays over it
-        shared, pos = [], 0
-        for (dtype, count), size in zip(layout, nbytes):  # each 64-byte aligned
-            shared.append(np.frombuffer(mem, dtype, count, pos))
-            pos += size
-        params, rows, self.ids, self.done = shared
-        self.model = PixelMLP(*_unflatten(params, [p.shape for p in model.params()]))
-        self.rows = rows.reshape(max_blocks, width)
-        self.helpers: list[tuple[int, int, int]] = []  # (pid, go pipe, done pipe)
-        try:
-            for share in range(1, n_helpers + 1):
-                go_r, go_w = os.pipe()
-                done_r, done_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        for fd in (go_w, done_r, *(fd for _, *fds in self.helpers for fd in fds)):
-                            os.close(fd)
-                        self._serve(go_r, done_w, share, n_helpers + 1, features, masks,
-                                    loss_name, kernel, margins)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(go_r)
-                os.close(done_w)
-                self.helpers.append((pid, go_w, done_r))
-        except BaseException:
-            self.close()
-            raise
-
-    def _serve(self, go: int, done_pipe: int, share: int, stride: int, features, masks,
-               loss_name, kernel, margins) -> None:
-        """A helper's life: its share of one step per batch size read from ``go``."""
-        while len(batch := os.read(go, 4)) == 4:
-            ids = self.ids[: int.from_bytes(batch, "little")]
-            step = _Step(self.model, features, masks, ids, loss_name, kernel, margins)
-            step.run_share(self.model, self.rows, self.done, share, stride)
-            os.write(done_pipe, b"\x01")
-
-    def start(self, model: PixelMLP, image_ids: np.ndarray, n_blocks: int):
-        """Share one step with the helpers; returns the shared model, rows and
-        done flags the parent computes and folds with."""
-        for shared, p in zip(self.model.params(), model.params()):
-            np.copyto(shared, p)
-        self.ids[: len(image_ids)] = image_ids
-        self.done[:n_blocks] = False
-        batch = len(image_ids).to_bytes(4, "little")
-        for _, go, _ in self.helpers:
-            os.write(go, batch)
-        return self.model, self.rows[:n_blocks], self.done[:n_blocks]
-
-    def wait(self) -> None:
-        """Wait until every helper has finished its share of the step; a
-        helper that died raises TrainError."""
-        for pid, _, done_pipe in self.helpers:
-            if os.read(done_pipe, 1) != b"\x01":
-                raise TrainError(f"block helper process {pid} exited during a training step")
-
-    def close(self) -> None:
-        """Close the helpers' pipes and reap them."""
-        for pid, go, done_pipe in self.helpers:
-            os.close(go)
-            os.waitpid(pid, 0)
-            os.close(done_pipe)
+        total = team.map(team.load(model, image_ids))
+    n_valid = int(total[0])
+    if n_valid == 0:
+        raise ShapeError("no valid pixels in batch")
+    total /= n_valid
+    return float(total[1]), _unflatten(total[2:], [p.shape for p in model.params()])
 
 
 @dataclass
@@ -411,15 +342,14 @@ class TrainLog:
 def evaluate(
     model: PixelMLP, features: FeatureBatch, masks: MaskBatch
 ) -> MetricsReport:
-    """Score all pixels, take the raw-score argmax, and report IoU metrics."""
+    """Score all pixels, take the raw-score argmax, and report IoU metrics.
+
+    ``forward`` and ``score_counts`` each walk the pixel blocks on a team of
+    their own (see ``team.run_walk``), inside ``train`` too, where the step
+    team's helpers wait meanwhile; the report is bitwise that of one process.
+    """
     counts, _ = score_counts(forward(model, features), masks)
     return iou_report(counts)
-
-
-def _process_count() -> int:
-    if not hasattr(os, "sched_getaffinity"):  # no affinity to read: one process
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def train(
@@ -442,10 +372,11 @@ def train(
 
     A pixel-wise loss's steps run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step
-    (see ``_Team``), and each process runs a fixed share of every step's
-    blocks.  The step's rows are folded in block order here, so the trained
-    model and log are bitwise those of a run in one process.  The helpers
-    are reaped before ``train`` returns or raises.
+    (see ``_StepTeam``), and each process runs a fixed share of every step's
+    blocks.  The step's rows are folded in block order, so the trained
+    model and log are bitwise those of a run in one process.  Each
+    ``evaluate`` (every ``eval_every`` epochs) runs its walks on a team of
+    its own.  Every helper is reaped before ``train`` returns or raises.
     """
     kernel = _pixel_kernel(cfg.loss_name, margins, model.k_classes)
     rng = np.random.default_rng(cfg.seed)
@@ -453,14 +384,8 @@ def train(
     velocity = [np.zeros_like(p) for p in model.params()]
     log = TrainLog()
     started = time.perf_counter()
-    team = None
-    if kernel is not None:
-        max_ids = min(cfg.batch_images, n_images)
-        max_blocks = len(_block_plan(train_masks, np.arange(max_ids), BLOCK_PX))
-        helpers = min(_process_count(), max_blocks) - 1
-        if helpers > 0:
-            team = _Team(helpers, model, train_features, train_masks, cfg.loss_name, kernel,
-                         margins, max_ids, max_blocks)
+    team = _StepTeam(model, train_features, train_masks, cfg.loss_name, kernel, margins,
+                     min(cfg.batch_images, n_images))
     try:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_images)
@@ -499,8 +424,7 @@ def train(
                     )
                 )
     finally:
-        if team is not None:
-            team.close()
+        team.close()
     return model, log
 
 

@@ -294,6 +294,13 @@ class TestGradcheckCommand:
         assert_clean_exit_one(code, capsys.readouterr(),
                               f"need at least one batch to check; got {batches}")
 
+    def test_failed_check_writes_no_csv_header(self, capsys):
+        """The header follows the first check, so an error leaves stdout empty."""
+        code = run(["gradcheck", "--batches", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+
 
 class TestBoundCommand:
     def test_valid_config_writes_csv(self, tmp_path, capsys):
