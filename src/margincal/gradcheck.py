@@ -11,6 +11,8 @@ from .margins import compute_margins
 from .segdata import LabelStats, MaskBatch
 
 FD_STEP = 1e-5
+#: each checked batch: one row of this many pixels over this many classes
+N_PIXELS, K_CLASSES = 16, 3
 #: entries where both gradients are below this scale are compared against it,
 #: which keeps finite-difference roundoff noise from inflating the ratio
 REL_ERR_FLOOR = 1e-6
@@ -44,44 +46,39 @@ class GradCheckResult:
     n_probes: int
 
 
-def _random_case(rng: np.random.Generator, n_pixels: int, k_classes: int):
+def _random_case(rng: np.random.Generator):
     """Scores and labels with every class present and no near-tied maxima."""
     while True:
-        scores = rng.normal(size=(n_pixels, k_classes))
+        scores = rng.normal(size=(N_PIXELS, K_CLASSES))
         top2 = np.sort(scores, axis=1)[:, -2:]
         if np.min(top2[:, 1] - top2[:, 0]) > 1e-3:
             break
-    labels = rng.integers(0, k_classes, size=n_pixels).astype(np.uint8)
-    labels[:k_classes] = np.arange(k_classes, dtype=np.uint8)
+    labels = rng.integers(0, K_CLASSES, size=N_PIXELS).astype(np.uint8)
+    labels[:K_CLASSES] = np.arange(K_CLASSES, dtype=np.uint8)
     return scores, labels
 
 
-def check_loss_gradient(
-    loss_name: str,
-    seed: int,
-    n_batches: int = 50,
-    n_pixels: int = 16,
-    k_classes: int = 3,
-    h: float = FD_STEP,
-) -> GradCheckResult:
-    """Max relative error between analytic and finite-difference gradients."""
+def check_loss_gradient(loss_name: str, seed: int, n_batches: int = 50) -> GradCheckResult:
+    """Max relative error between analytic and finite-difference gradients
+    (step FD_STEP) over ``n_batches`` seeded batches of N_PIXELS pixels and
+    K_CLASSES classes, with every class present in each batch."""
     if n_batches < 1:
         raise ConfigError(f"need at least one batch to check; got {n_batches}")
     loss_fn = loss_by_name(loss_name)
     rng = np.random.default_rng(seed)
-    stats = LabelStats.from_counts([90, 7, 3][:k_classes] + [5] * max(0, k_classes - 3))
-    margins = compute_margins(stats, tau=2.0, upsilon=1.0)
+    margins = compute_margins(LabelStats.from_counts([90, 7, 3]), tau=2.0, upsilon=1.0)
     worst = 0.0
     probes = 0
     for _ in range(n_batches):
-        scores, labels = _random_case(rng, n_pixels, k_classes)
-        mask = MaskBatch(labels=labels, width=n_pixels, height=1, n_images=1)
+        scores, labels = _random_case(rng)
+        mask = MaskBatch(labels=labels, width=N_PIXELS, height=1, n_images=1)
 
         def value(arr: np.ndarray) -> float:
             return loss_fn(ScoreBatch(scores=arr.copy()), mask, margins).value
 
         analytic = loss_fn(ScoreBatch(scores=scores.copy()), mask, margins).grad
-        numeric = fd_gradient(value, scores, h=h)
+        # h by keyword: perfbench's self-test wraps fd_gradient as (value_fn, scores, h)
+        numeric = fd_gradient(value, scores, h=FD_STEP)
         worst = max(worst, float(relative_errors(analytic, numeric).max()))
         probes += scores.size
     return GradCheckResult(loss_name=loss_name, max_rel_err=worst, n_probes=probes)

@@ -107,10 +107,9 @@ def compute_margins(
     return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0, mu_k=mu_k, tau=tau, upsilon=upsilon)
 
 
-def verify_corollary_ratios(
-    m: MarginOffsets, stats: LabelStats, rtol: float = RATIO_RTOL
-) -> tuple[bool, float]:
-    """Check the optimal-allocation ratio conditions; return (ok, worst deviation).
+def verify_corollary_ratios(m: MarginOffsets, stats: LabelStats) -> tuple[bool, float]:
+    """Check the optimal-allocation ratio conditions to RATIO_RTOL; return
+    (ok, worst deviation).
 
     Two families are verified: rho_0i/rho_0j against the closed-form count
     ratio for every class pair, and rho_k0/rho_0k against mu_k.
@@ -125,7 +124,7 @@ def verify_corollary_ratios(
     dev_pairs = float(np.max(np.abs(actual / expected - 1.0)))
     dev_mu = float(np.max(np.abs(m.rho_k0 / (m.mu_k * m.rho_0k) - 1.0)))
     worst = max(dev_pairs, dev_mu)
-    return worst <= rtol, worst
+    return worst <= RATIO_RTOL, worst
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,31 +55,21 @@ class MaskBatch:
     def valid_mask(self) -> np.ndarray:
         return self.labels != self.ignore_index
 
-    def first_bad_label(self, k_classes: int, image_ids=None) -> Optional[tuple[int, int, int]]:
-        """(label, image, pixel) of the first non-ignored label >= ``k_classes``
-        in the images ``image_ids`` (an index array; all images by default),
-        in that order, or None."""
-        labels = self.labels.reshape(self.n_images, -1)
-        if image_ids is not None:
-            labels = labels[image_ids]
-        bad = labels >= k_classes
-        bad &= labels != self.ignore_index
-        if not bad.any():
-            return None
-        i, pixel = np.argwhere(bad)[0]
-        image = i if image_ids is None else image_ids[i]
-        return int(labels[i, pixel]), int(image), int(pixel)
-
 
 def check_labels(masks: MaskBatch, k_classes: int, image_ids=None, image_base: int = 0) -> None:
     """Raise ShapeError naming the first non-ignored label >= ``k_classes`` in
-    the images ``image_ids`` (all by default) by its image, counted from
-    ``image_base``, and pixel."""
-    bad = masks.first_bad_label(k_classes, image_ids)
-    if bad is not None:
-        label, image, pixel = bad
-        raise ShapeError(f"label {label} at image {image_base + image}, pixel {pixel} "
-                         f"exceeds k_classes={k_classes}")
+    the images ``image_ids`` (an index array; all images by default), in
+    that order, by its image, counted from ``image_base``, and pixel."""
+    labels = masks.labels.reshape(masks.n_images, -1)
+    if image_ids is not None:
+        labels = labels[image_ids]
+    bad = labels >= k_classes
+    bad &= labels != masks.ignore_index
+    if bad.any():
+        i, pixel = np.argwhere(bad)[0]
+        image = i if image_ids is None else image_ids[i]
+        raise ShapeError(f"label {labels[i, pixel]} at image {image_base + image}, "
+                         f"pixel {pixel} exceeds k_classes={k_classes}")
 
 
 @dataclass

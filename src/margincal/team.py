@@ -12,6 +12,7 @@ same whichever process ran each block and however many there were.
 """
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 from typing import Optional
@@ -109,8 +110,9 @@ class _Team:
     answer on its done pipe and folds the rows.  Each helper pins itself to
     the usable CPUs but the one the parent was on when it forked.  A helper
     exits at the end of file of its go pipe: when the parent closes it, or
-    dies.  A helper that dies during a walk makes ``map`` raise the walk's
-    ``error`` naming the walk; ``close`` reaps every helper.
+    dies.  A helper that has died, during a walk or before one, makes ``map``
+    raise the walk's ``error`` naming the walk; ``close``, or leaving a
+    ``with`` block on the team, reaps every helper.
     """
 
     def __init__(self, make_walk, n_helpers: int, max_blocks: int, width: int) -> None:
@@ -155,7 +157,8 @@ class _Team:
         done[:] = False
         message = job.to_bytes(4, "little")
         for _, go, _ in self.helpers:
-            os.write(go, message)
+            with contextlib.suppress(BrokenPipeError):  # dead: reading its done pipe raises
+                os.write(go, message)
         _run_share(walk, rows, done, 0, len(self.helpers) + 1)
         for pid, _, done_pipe in self.helpers:
             if os.read(done_pipe, 1) != b"\x01":
@@ -170,6 +173,12 @@ class _Team:
             os.waitpid(pid, 0)
             os.close(done_pipe)
 
+    def __enter__(self) -> "_Team":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def helpers_for(n_blocks: int) -> int:
     """How many helpers a walk of ``n_blocks`` blocks forks: one per extra
@@ -182,8 +191,5 @@ def run_walk(walk, helpers: Optional[int] = None) -> np.ndarray:
     ``helpers`` helpers (by default ``helpers_for(walk.n_blocks)``)."""
     if helpers is None:
         helpers = helpers_for(walk.n_blocks)
-    team = _Team(lambda job: walk, helpers, walk.n_blocks, walk.width)
-    try:
+    with _Team(lambda job: walk, helpers, walk.n_blocks, walk.width) as team:
         return team.map()
-    finally:
-        team.close()

@@ -227,17 +227,35 @@ class _Step:
 
 
 class _StepTeam(_Team):
-    """``train``'s team, forked once after the data exists, so its helpers
-    read the features and masks through copy-on-write.  ``load`` copies a
-    step's parameters and image ids into memory the helpers share; job n is
-    the step over the first n of those ids, which every process builds from
-    that memory."""
+    """The one way a training step runs: a team forked once after the data
+    exists, so its helpers read the features and masks through
+    copy-on-write.  Job n is the step over the first n image ids in memory
+    the helpers share (room for ``max_ids``), which every process builds
+    from that memory.
+
+    Everything fixed for a run is checked here, once, before any fork: the
+    features and masks cover the same pixels, the features have the
+    model's width, the labels of the images the team serves (``image_ids``;
+    all by default) lie below K, naming the first bad one in image order,
+    and the margin-calibration loss has margin-offsets for K.  The loss's
+    block kernel is derived here too.
+    """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
-                 loss_name: str, kernel, margins: Optional[MarginOffsets], max_ids: int) -> None:
+                 loss_name: str, margins: Optional[MarginOffsets], max_ids: int,
+                 image_ids=None) -> None:
+        if features.n_pixels != masks.n_pixels:
+            raise ShapeError(
+                f"features cover {features.n_pixels} pixels but masks have {masks.n_pixels}"
+            )
+        if features.d != model.d:
+            raise ShapeError(f"feature dim {features.d} != model d={model.d}")
+        check_labels(masks, model.k_classes, image_ids)
+        kernel = _pixel_kernel(loss_name, margins, model.k_classes)
+        self.shapes = [p.shape for p in model.params()]
         params, ids = shared_arrays((np.float64, sum(p.size for p in model.params())),
                                     (np.int64, max_ids))
-        shared = PixelMLP(*_unflatten(params, [p.shape for p in model.params()]))
+        shared = PixelMLP(*_unflatten(params, self.shapes))
         self.model, self.ids = shared, ids
 
         def make_step(n: int) -> _Step:  # no reference to self: a cycle would keep the data
@@ -247,12 +265,18 @@ class _StepTeam(_Team):
         helpers = min(process_count(), largest.n_blocks) - 1
         super().__init__(make_step, helpers, largest.n_blocks, largest.width)
 
-    def load(self, model: PixelMLP, image_ids: np.ndarray) -> int:
-        """Copy a step's parameters and image ids in; returns its job number."""
+    def gradients(self, model: PixelMLP, image_ids) -> tuple[float, list[np.ndarray]]:
+        """Loss and parameter gradients of the batch ``image_ids`` at
+        ``model``'s parameters, both copied into the helpers' shared memory."""
         for shared, p in zip(self.model.params(), model.params()):
             np.copyto(shared, p)
         self.ids[: len(image_ids)] = image_ids
-        return len(image_ids)
+        total = self.map(len(image_ids))
+        n_valid = int(total[0])
+        if n_valid == 0:
+            raise ShapeError("no valid pixels in batch")
+        total /= n_valid
+        return float(total[1]), _unflatten(total[2:], self.shapes)
 
 
 def batch_gradients(
@@ -262,43 +286,28 @@ def batch_gradients(
     image_ids,
     loss_name: str,
     margins: Optional[MarginOffsets] = None,
-    *,
-    team: Optional[_StepTeam] = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and parameter gradients of one batch of whole images.
 
-    The batch's labels are checked against K once; a label out of range
-    raises ShapeError naming its image and pixel.  Forward, loss and
-    backward then run per block of at most BLOCK_PX pixels, so a block's
-    activations are still in cache for its backward pass.  A pixel-wise
-    loss is the mean over valid pixels: each block's class-major scores go
-    straight to the loss's block kernel (``losses._pixel_mean``), and the
-    block's valid count n, n times its mean and n times its gradients land
-    in the block's result row.  Soft Dice and Tversky couple every pixel of
-    the batch and take it as one block through their public loss.  A
-    non-finite score raises NumericError naming its image and pixel.
-
-    The blocks are a walk (see ``team``): on ``train``'s ``team``, or
-    without one on a team of their own.  Either way the rows are summed in
-    block order, so the result is bitwise the same whoever ran each block,
-    and the first failing block raises as it would in one process.
+    The step runs on a ``_StepTeam`` of its own: a direct call checks what
+    ``train`` checks, only for the batch's labels, and forks as ``train``
+    does.  A label out of range raises ShapeError naming its image and
+    pixel.  Forward, loss and backward run per block of at most BLOCK_PX
+    pixels, so a block's activations are still in cache for its backward
+    pass.  A pixel-wise loss is the mean over valid pixels: each block's
+    class-major scores go straight to the loss's block kernel
+    (``losses._pixel_mean``), and the block's valid count n, n times its
+    mean and n times its gradients land in its result row.  Soft Dice and
+    Tversky couple every pixel of the batch and take it as one block
+    through their public loss.  A non-finite score raises NumericError
+    naming its image and pixel.  The rows are summed in block order, so the
+    result is bitwise the same whoever ran each block, and the first failing
+    block raises as it would in one process.
     """
-    if features.n_pixels != masks.n_pixels:
-        raise ShapeError(
-            f"features cover {features.n_pixels} pixels but masks have {masks.n_pixels}"
-        )
     image_ids = np.asarray(image_ids)
-    check_labels(masks, model.k_classes, image_ids)
-    kernel = _pixel_kernel(loss_name, margins, model.k_classes)
-    if team is None:
-        total = run_walk(_Step(model, features, masks, image_ids, loss_name, kernel, margins))
-    else:
-        total = team.map(team.load(model, image_ids))
-    n_valid = int(total[0])
-    if n_valid == 0:
-        raise ShapeError("no valid pixels in batch")
-    total /= n_valid
-    return float(total[1]), _unflatten(total[2:], [p.shape for p in model.params()])
+    with _StepTeam(model, features, masks, loss_name, margins, len(image_ids),
+                   image_ids) as team:
+        return team.gradients(model, image_ids)
 
 
 @dataclass
@@ -318,6 +327,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_images must be positive")
         if self.learning_rate < 0 or not (0.0 <= self.momentum < 1.0):
             raise ConfigError("need learning_rate >= 0 and momentum in [0, 1)")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0 (0 never evaluates); got {self.eval_every}")
 
 
 @dataclass
@@ -365,28 +376,29 @@ def train(
 
     Batches are whole images; their order reshuffles every epoch from the
     seeded generator.  For the margin-calibration loss the offsets must be
-    precomputed from training-split statistics and passed in; missing ones
-    raise ConfigError, and ones made for another K ShapeError, before any
-    helper is forked.  A non-finite score or loss raises TrainError naming
-    the epoch, batch and loss.
+    precomputed from training-split statistics and passed in.  The step
+    team (``_StepTeam``) checks the run's inputs once, before any helper is
+    forked: missing offsets raise ConfigError; offsets for another K,
+    features that do not fit the masks or the model, or a label out of
+    range in any training image (the first in image order) ShapeError.  A
+    non-finite score or loss, or a batch with no valid pixel, raises
+    TrainError naming the epoch, batch and loss.
 
     A pixel-wise loss's steps run on every usable core: ``train`` forks one
-    helper process per extra core, up to one per block of the largest step
-    (see ``_StepTeam``), and each process runs a fixed share of every step's
-    blocks.  The step's rows are folded in block order, so the trained
-    model and log are bitwise those of a run in one process.  Each
-    ``evaluate`` (every ``eval_every`` epochs) runs its walks on a team of
-    its own.  Every helper is reaped before ``train`` returns or raises.
+    helper process per extra core, up to one per block of the largest step,
+    and each process runs a fixed share of every step's blocks.  The step's
+    rows are folded in block order, so the trained model and log are
+    bitwise those of a run in one process.  Each ``evaluate`` (every
+    ``eval_every`` epochs) runs its walks on a team of its own.  Every
+    helper is reaped before ``train`` returns or raises.
     """
-    kernel = _pixel_kernel(cfg.loss_name, margins, model.k_classes)
     rng = np.random.default_rng(cfg.seed)
     n_images = train_masks.n_images
     velocity = [np.zeros_like(p) for p in model.params()]
     log = TrainLog()
     started = time.perf_counter()
-    team = _StepTeam(model, train_features, train_masks, cfg.loss_name, kernel, margins,
-                     min(cfg.batch_images, n_images))
-    try:
+    with _StepTeam(model, train_features, train_masks, cfg.loss_name, margins,
+                   min(cfg.batch_images, n_images)) as team:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_images)
             epoch_loss = 0.0
@@ -394,12 +406,8 @@ def train(
             for start in range(0, n_images, cfg.batch_images):
                 where = f"at epoch {epoch}, batch {n_batches} ({cfg.loss_name})"
                 try:
-                    value, grads = batch_gradients(
-                        model, train_features, train_masks,
-                        order[start : start + cfg.batch_images], cfg.loss_name, margins,
-                        team=team,
-                    )
-                except NumericError as exc:
+                    value, grads = team.gradients(model, order[start : start + cfg.batch_images])
+                except (NumericError, ShapeError) as exc:
                     raise TrainError(f"{exc} {where}") from exc
                 if not np.isfinite(value):
                     raise TrainError(f"NaN loss {where}")
@@ -423,8 +431,6 @@ def train(
                         seconds=time.perf_counter() - started,
                     )
                 )
-    finally:
-        team.close()
     return model, log
 
 

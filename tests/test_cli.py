@@ -8,8 +8,12 @@ import pytest
 from margincal import cli
 from margincal.cli import run
 from margincal.margins import read_margins_csv
-from margincal.segdata import FEATURE_DIM, read_stats_csv
-from margincal.trainer import PixelMLP, save_model
+from margincal.metrics import lower_bound_report
+from margincal.segdata import (
+    FEATURE_DIM, SynthConfig, accumulate_stats, generate_synthetic, read_stats_csv,
+    write_stats_csv,
+)
+from margincal.trainer import PixelMLP, forward, load_model, save_model
 
 
 def run_ok(argv):
@@ -224,6 +228,42 @@ class TestTrainEvalFlow:
         assert log_path.read_text().splitlines() == [
             "epoch,train_loss,train_miou,val_miou,seconds"
         ]
+
+    def test_negative_eval_every_is_exit_one(self, tmp_path, capsys):
+        model_path, log_path = tmp_path / "model.bin", tmp_path / "log.csv"
+        code = run(["train", "--out-model", str(model_path), "--log-csv", str(log_path)]
+                   + SMALL_TRAIN + ["--eval-every", "-2"])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "eval_every must be >= 0 (0 never evaluates); got -2")
+        assert not model_path.exists() and not log_path.exists()
+
+    def test_eval_with_margins_reports_the_certified_lower_bound(self, tmp_path, capsys):
+        """``eval --margins`` writes the IoU lower bound that the margins CSV's
+        offsets certify on the val split, as ``lower_bound_report`` computes it."""
+        model_path = tmp_path / "model.bin"
+        run_ok(["train", "--loss", "margin_calibration", "--out-model", str(model_path)]
+               + SMALL_TRAIN)
+        split = dict(width=24, height=24, k_classes=3, target_ratios=(0.84, 0.10, 0.06),
+                     noise_sigma=0.05)
+        _, train_masks = generate_synthetic(SynthConfig(seed=3, n_images=8, **split))
+        feats, masks = generate_synthetic(SynthConfig(seed=4, n_images=4, **split))
+        stats_csv, margins_csv = tmp_path / "stats.csv", tmp_path / "margins.csv"
+        write_stats_csv(accumulate_stats(train_masks, 3), stats_csv)
+        run_ok(["margins", "--stats", str(stats_csv), "--tau", "2", "--upsilon", "1",
+                "--out", str(margins_csv)])
+        metrics_path = tmp_path / "metrics.csv"
+        run_ok(["eval", "--model", str(model_path), "--margins", str(margins_csv),
+                "--out", str(metrics_path)] + SMALL_DATASET)
+        capsys.readouterr()
+        want = lower_bound_report(forward(load_model(model_path), feats), masks,
+                                  read_margins_csv(margins_csv))
+        with open(metrics_path) as fh:
+            rows = {row["class_index"]: row for row in csv.DictReader(fh)}
+        np.testing.assert_allclose([float(rows[str(k)]["iou_lower"]) for k in range(3)],
+                                   want.iou_lower_per_class, rtol=1e-11)
+        miou, miou_lower = float(rows["miou"]["iou"]), float(rows["miou_lower"]["iou"])
+        assert (miou, miou_lower) == pytest.approx((want.miou, want.miou_lower), rel=1e-11)
+        assert miou_lower <= miou
 
     def test_eval_generates_only_its_split(self, tmp_path, capsys, generate_calls):
         model_path = tmp_path / "model.bin"

@@ -202,9 +202,25 @@ class TestTrain:
                                              r"at epoch 1, batch 0 \(cross_entropy\)"):
             train(model, feats, masks, cfg)
 
+    def test_batch_with_no_valid_pixel_names_epoch_and_batch(self):
+        feats, masks = tiny_dataset(n_images=4)
+        labels = masks.labels.copy()
+        labels[2 * 256 : 3 * 256] = 255  # image 2 is all ignored
+        masks = MaskBatch(labels=labels, width=16, height=16, n_images=4)
+        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=1, seed=0)
+        batch = list(np.random.default_rng(0).permutation(4)).index(2)
+        with pytest.raises(TrainError, match=rf"^no valid pixels in batch at epoch 1, "
+                                             rf"batch {batch} \(cross_entropy\)$"):
+            train(model, feats, masks, cfg)
+
     def test_unknown_loss_rejected(self):
         with pytest.raises(ConfigError, match="unknown loss"):
             TrainConfig(loss_name="hinge")
+
+    def test_negative_eval_every_rejected(self):
+        with pytest.raises(ConfigError, match="^eval_every must be >= 0"):
+            TrainConfig(eval_every=-2)
 
     def test_separable_task_drives_objective_low(self):
         """On a cleanly separable toy task the piecewise-linear objective
@@ -266,19 +282,25 @@ class TestBlockedStep:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("size", [16, 128], ids=["grouped", "sliced"])
-    def test_label_out_of_range_names_image_and_pixel(self, size):
-        """The batch's labels are checked against K once, before any block;
-        a bad label is reported where it sits in its image."""
-        n_images, image, pixel = 4, 2, size * size - 7
+    def test_label_out_of_range_names_image_and_pixel(self, monkeypatch, forks, size):
+        """``train`` checks every training label against K once, before it
+        forks; the first bad label in image order is reported where it sits
+        in its image, although seed 0's first batch starts with image 2,
+        which holds another bad label."""
+        n_images, image, pixel = 4, 1, size * size - 7
         feats, masks = tiny_dataset(n_images=n_images, size=size)
         labels = masks.labels.copy()
         labels[image * size * size + pixel] = 3
+        labels[(image + 1) * size * size] = 4
         masks = MaskBatch(labels=labels, width=size, height=size, n_images=n_images)
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
-        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=n_images)
-        with pytest.raises(ShapeError, match=rf"^label 3 at image {image}, pixel {pixel} "
-                                             r"exceeds k_classes=3$"):
-            train(model, feats, masks, cfg)
+        use_cores(monkeypatch, 2)
+        for batch_images in (1, n_images):
+            cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=batch_images)
+            with pytest.raises(ShapeError, match=rf"^label 3 at image {image}, pixel {pixel} "
+                                                 r"exceeds k_classes=3$"):
+                train(model, feats, masks, cfg)
+        assert forks == []
 
     def test_every_label_check_names_image_and_pixel(self):
         """The losses, evaluation and the lower bound report an out-of-range
@@ -573,6 +595,43 @@ class TestSharedStep:
         assert len(forks) == 1
         assert_reaped(forks)
 
+    def test_a_helper_dead_between_steps_raises_naming_it(self, monkeypatch, forks):
+        """A helper killed after the first step: the second step raises the
+        step's error naming it, not the job write's BrokenPipeError."""
+        real = trainer_module._StepTeam.map
+        steps = []
+
+        def kill_before_second_step(team, job):
+            steps.append(job)
+            if len(steps) == 2:
+                os.kill(forks[0], signal.SIGKILL)
+                # wait for the exit without reaping it: the team's close reaps it
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return real(team, job)
+
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(trainer_module._StepTeam, "map", kill_before_second_step)
+        with pytest.raises(TrainError) as caught:
+            run_training("cross_entropy", 64, 8, 4)
+        assert str(caught.value) == (f"block helper process {forks[0]} exited during a "
+                                     "training step")
+        assert len(steps) == 2 and len(forks) == 1
+        assert_reaped(forks)
+
+    def test_a_direct_call_runs_on_a_team_of_its_own(self, monkeypatch, forks):
+        """``batch_gradients`` forks like ``train``: a helper per extra core
+        from two blocks on, reaped before it returns, with the same result."""
+        feats, masks = tiny_dataset(seed=5, n_images=4, size=64, noise=0.1)
+        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
+        runs = []
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            value, grads = batch_gradients(model, feats, masks, [3, 0, 2], "cross_entropy")
+            runs.append((value, b"".join(g.tobytes() for g in grads)))
+        assert runs[1] == runs[0]
+        assert len(forks) == 1
+        assert_reaped(forks)
+
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_one_helper_per_extra_usable_core(self, monkeypatch, forks, cores):
         use_cores(monkeypatch, cores)
@@ -614,6 +673,16 @@ class TestSharedStep:
         with pytest.raises(ShapeError, match="^margin-offsets and scores disagree on the "
                                              "class count$"):
             train(model, feats, masks, cfg, margins=two_class)
+        assert forks == []
+
+    def test_features_of_another_width_raise_before_any_fork(self, monkeypatch, forks):
+        feats, masks = tiny_dataset(n_images=4, size=64)
+        use_cores(monkeypatch, 2)
+        model = PixelMLP.init(FEATURE_DIM + 1, 16, 3, seed=1)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=4)
+        with pytest.raises(ShapeError, match=rf"^feature dim {FEATURE_DIM} != model "
+                                             rf"d={FEATURE_DIM + 1}$"):
+            train(model, feats, masks, cfg)
         assert forks == []
 
     def test_direct_call_needs_margins_for_the_margin_loss(self):
