@@ -56,20 +56,20 @@ class MaskBatch:
         return self.labels != self.ignore_index
 
 
-def check_labels(masks: MaskBatch, k_classes: int, image_ids=None, image_base: int = 0) -> None:
-    """Raise ShapeError naming the first non-ignored label >= ``k_classes`` in
-    the images ``image_ids`` (an index array; all images by default), in
-    that order, by its image, counted from ``image_base``, and pixel."""
+def check_labels(masks: MaskBatch, k_classes: int, image_base: int = 0) -> None:
+    """Raise ShapeError naming the first non-ignored label outside [0,
+    ``k_classes``) by its image, counted from ``image_base``, and pixel.
+    Unsigned labels skip the test for negatives."""
     labels = masks.labels.reshape(masks.n_images, -1)
-    if image_ids is not None:
-        labels = labels[image_ids]
     bad = labels >= k_classes
+    if labels.dtype.kind == "i":
+        bad |= labels < 0
     bad &= labels != masks.ignore_index
     if bad.any():
-        i, pixel = np.argwhere(bad)[0]
-        image = i if image_ids is None else image_ids[i]
-        raise ShapeError(f"label {labels[i, pixel]} at image {image_base + image}, "
-                         f"pixel {pixel} exceeds k_classes={k_classes}")
+        image, pixel = np.argwhere(bad)[0]
+        label = labels[image, pixel]
+        why = "is below 0" if label < 0 else f"exceeds k_classes={k_classes}"
+        raise ShapeError(f"label {label} at image {image_base + image}, pixel {pixel} {why}")
 
 
 @dataclass
@@ -315,8 +315,12 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureBatch, MaskBatch]:
 
 def accumulate_stats(masks, k_classes: int) -> LabelStats:
     """Count per-class pixels over one or more MaskBatches, skipping ignore pixels."""
+    if k_classes < 1:
+        raise ConfigError(f"k_classes must be >= 1; got {k_classes}")
     if isinstance(masks, MaskBatch):
         masks = [masks]
+    if not masks:
+        raise StatsError("no masks given")
     counts = np.zeros(k_classes, dtype=np.int64)
     image_base = 0
     for batch in masks:

@@ -186,10 +186,8 @@ def helpers_for(n_blocks: int) -> int:
     return min(process_count(), n_blocks) - 1 if n_blocks >= FORK_MIN_BLOCKS else 0
 
 
-def run_walk(walk, helpers: Optional[int] = None) -> np.ndarray:
+def run_walk(walk) -> np.ndarray:
     """The sum of ``walk``'s rows in block order, on a team of its own with
-    ``helpers`` helpers (by default ``helpers_for(walk.n_blocks)``)."""
-    if helpers is None:
-        helpers = helpers_for(walk.n_blocks)
-    with _Team(lambda job: walk, helpers, walk.n_blocks, walk.width) as team:
+    ``helpers_for(walk.n_blocks)`` helpers."""
+    with _Team(lambda job: walk, helpers_for(walk.n_blocks), walk.n_blocks, walk.width) as team:
         return team.map()

@@ -70,18 +70,19 @@ class PixelMLP:
 
 class _Forward:
     """``forward``'s walk: block i's class-major scores go to its columns of
-    a (K, n) array, shared if helpers write it; its result row is empty."""
+    a (K, n) array, shared if helpers write it (``run_walk`` forks
+    ``helpers_for(n_blocks)``); its result row is empty."""
 
     what, error, width = "forward", MarginCalError, 0
 
     def __init__(self, model: PixelMLP, x: np.ndarray) -> None:
         self.model, self.x = model, x
         self.n_blocks = -(-x.shape[0] // BLOCK_PX)
-        self.helpers = helpers_for(self.n_blocks)
         shape = (model.k_classes, x.shape[0])
         # a fresh shared mapping per call would raise the peak memory of many
         # small calls, which private memory reuses
-        self.scores = shared_arrays((np.float64, shape))[0] if self.helpers else np.empty(shape)
+        shared = helpers_for(self.n_blocks) > 0
+        self.scores = shared_arrays((np.float64, shape))[0] if shared else np.empty(shape)
 
     def run(self, i: int, row: np.ndarray) -> None:
         block = slice(i * BLOCK_PX, (i + 1) * BLOCK_PX)
@@ -91,15 +92,18 @@ class _Forward:
 def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     """Deterministic forward pass producing one score row per pixel.
 
-    Runs BLOCK_PX pixels at a time, so the hidden layer never exists for
-    more than one block.  The scores are stored class-major: the returned
-    (n, K) array is the transposed view of a C-ordered (K, n) array in
-    shared memory when helpers write it.  The blocks are a walk
+    Features of another width than the model's raise ShapeError before any
+    block runs.  Runs BLOCK_PX pixels at a time, so the hidden layer never
+    exists for more than one block.  The scores are stored class-major: the
+    returned (n, K) array is the transposed view of a C-ordered (K, n) array
+    in shared memory when helpers write it.  The blocks are a walk
     (``team.run_walk``): from FORK_MIN_BLOCKS blocks on, every usable core
     writes its share of them.
     """
+    if features.d != model.d:
+        raise ShapeError(f"feature dim {features.d} != model d={model.d}")
     walk = _Forward(model, features.features)
-    run_walk(walk, walk.helpers)
+    run_walk(walk)
     return ScoreBatch(scores=walk.scores.T)
 
 
@@ -108,10 +112,9 @@ def _forward_cache(model: PixelMLP, x: np.ndarray):
 
     Both are class-major: ``act`` is (hidden, n), and the (n, K) scores are a
     view of a (K, n) array.  Overflow is left silent: the caller's
-    finiteness check names the first non-finite score.
+    finiteness check names the first non-finite score.  The caller has
+    checked that ``x`` has the model's width.
     """
-    if x.shape[1] != model.d:
-        raise ShapeError(f"feature dim {x.shape[1]} != model d={model.d}")
     with np.errstate(over="ignore", invalid="ignore"):
         act = model.w1.T @ x.T
         for row, bias in zip(act, model.b1):  # faster than a (hidden, 1) broadcast
@@ -170,11 +173,18 @@ def _block_plan(masks: MaskBatch, image_ids: np.ndarray, block_px: int) -> list:
 class _Step:
     """One batch's blocks as a walk (see ``team``).
 
-    ``run(model, i, row)`` gathers block i, runs forward, checks the scores,
-    takes the loss and runs backward, writing [n, n * value, n * gradients]
-    into ``row``, where n is the block's valid count (a block with none
-    writes zeros).  Summed in block order, the rows give the batch's loss
-    and gradients.
+    A block holds at most BLOCK_PX pixels: whole images, grouped when they
+    are small, or equal slices of one large image, so its activations are
+    still in cache for its backward pass.  ``run(i, row)`` gathers
+    block i, runs forward, checks the scores (a non-finite one raises
+    NumericError naming its image and pixel), takes the loss and runs
+    backward.  A pixel-wise loss's class-major block scores go straight to
+    its block kernel (``losses._pixel_mean``); soft Dice and Tversky couple
+    every pixel of the batch and take it as one block through their public
+    loss (``kernel`` None).  The block writes [n, n * value, n * gradients]
+    into ``row``, where n is its valid count (a block with none writes
+    zeros).  Summed in block order, the rows give the batch's loss and
+    gradients.
     """
 
     what, error = "a training step", TrainError
@@ -235,22 +245,20 @@ class _StepTeam(_Team):
 
     Everything fixed for a run is checked here, once, before any fork: the
     features and masks cover the same pixels, the features have the
-    model's width, the labels of the images the team serves (``image_ids``;
-    all by default) lie below K, naming the first bad one in image order,
-    and the margin-calibration loss has margin-offsets for K.  The loss's
-    block kernel is derived here too.
+    model's width, every label lies in [0, K) or is ignored, naming the
+    first bad one in image order, and the margin-calibration loss has
+    margin-offsets for K.  The loss's block kernel is derived here too.
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
-                 loss_name: str, margins: Optional[MarginOffsets], max_ids: int,
-                 image_ids=None) -> None:
+                 loss_name: str, margins: Optional[MarginOffsets], max_ids: int) -> None:
         if features.n_pixels != masks.n_pixels:
             raise ShapeError(
                 f"features cover {features.n_pixels} pixels but masks have {masks.n_pixels}"
             )
         if features.d != model.d:
             raise ShapeError(f"feature dim {features.d} != model d={model.d}")
-        check_labels(masks, model.k_classes, image_ids)
+        check_labels(masks, model.k_classes)
         kernel = _pixel_kernel(loss_name, margins, model.k_classes)
         self.shapes = [p.shape for p in model.params()]
         params, ids = shared_arrays((np.float64, sum(p.size for p in model.params())),
@@ -266,8 +274,12 @@ class _StepTeam(_Team):
         super().__init__(make_step, helpers, largest.n_blocks, largest.width)
 
     def gradients(self, model: PixelMLP, image_ids) -> tuple[float, list[np.ndarray]]:
-        """Loss and parameter gradients of the batch ``image_ids`` at
-        ``model``'s parameters, both copied into the helpers' shared memory."""
+        """Loss and parameter gradients of the batch of whole images
+        ``image_ids`` at ``model``'s parameters, both copied into the
+        helpers' shared memory.  The pixel-wise losses are means over valid
+        pixels.  The blocks' rows are summed in block order, so the result
+        is bitwise the same whoever ran each block, and the first failing
+        block raises as it would in one process."""
         for shared, p in zip(self.model.params(), model.params()):
             np.copyto(shared, p)
         self.ids[: len(image_ids)] = image_ids
@@ -277,37 +289,6 @@ class _StepTeam(_Team):
             raise ShapeError("no valid pixels in batch")
         total /= n_valid
         return float(total[1]), _unflatten(total[2:], self.shapes)
-
-
-def batch_gradients(
-    model: PixelMLP,
-    features: FeatureBatch,
-    masks: MaskBatch,
-    image_ids,
-    loss_name: str,
-    margins: Optional[MarginOffsets] = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Loss and parameter gradients of one batch of whole images.
-
-    The step runs on a ``_StepTeam`` of its own: a direct call checks what
-    ``train`` checks, only for the batch's labels, and forks as ``train``
-    does.  A label out of range raises ShapeError naming its image and
-    pixel.  Forward, loss and backward run per block of at most BLOCK_PX
-    pixels, so a block's activations are still in cache for its backward
-    pass.  A pixel-wise loss is the mean over valid pixels: each block's
-    class-major scores go straight to the loss's block kernel
-    (``losses._pixel_mean``), and the block's valid count n, n times its
-    mean and n times its gradients land in its result row.  Soft Dice and
-    Tversky couple every pixel of the batch and take it as one block
-    through their public loss.  A non-finite score raises NumericError
-    naming its image and pixel.  The rows are summed in block order, so the
-    result is bitwise the same whoever ran each block, and the first failing
-    block raises as it would in one process.
-    """
-    image_ids = np.asarray(image_ids)
-    with _StepTeam(model, features, masks, loss_name, margins, len(image_ids),
-                   image_ids) as team:
-        return team.gradients(model, image_ids)
 
 
 @dataclass

@@ -179,6 +179,23 @@ class TestStatsMarginsFlow:
         stats = read_stats_csv(stats_csv)
         assert stats.n_total == 6 * 24 * 24
 
+    @pytest.mark.parametrize("masks, k_classes, message", [
+        ("data", "-1", "k_classes must be >= 1; got -1"),
+        ("empty", "3", "no masks given"),
+    ], ids=["negative-k", "no-masks"])
+    def test_stats_bad_input_is_clean_error(self, tmp_path, capsys, masks, k_classes, message):
+        """Before: numpy's traceback for a negative K, and an empty directory
+        read as a dataset whose every pixel is ignored."""
+        run_ok(["gen", "--out-dir", str(tmp_path / "data"), "--seed", "0", "--n-images", "2"]
+               + SMALL_DATASET[:10])
+        (tmp_path / "empty").mkdir()
+        capsys.readouterr()
+        out = tmp_path / "stats.csv"
+        code = run(["stats", "--masks", str(tmp_path / masks), "--k-classes", k_classes,
+                    "--out", str(out)])
+        assert_clean_exit_one(code, capsys.readouterr(), message)
+        assert not out.exists()
+
 
 class TestTrainEvalFlow:
     def test_train_eval_produces_metrics(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import margincal.team as team_module
 import margincal.trainer as trainer_module
 from margincal.errors import ConfigError, ShapeError, TrainError
 from margincal.losses import (
@@ -28,7 +29,6 @@ from margincal.trainer import (
     TrainLog,
     TrainLogRecord,
     backward,
-    batch_gradients,
     evaluate,
     forward,
     load_model,
@@ -112,11 +112,16 @@ class TestForward:
         np.testing.assert_array_equal(scores, reference)
         assert scores.T.flags.c_contiguous
 
-    def test_feature_dim_mismatch(self):
+    def test_feature_dim_mismatch(self, monkeypatch, forks):
+        """Checked once per call, before a walk of two blocks that would
+        otherwise fork a helper."""
         model = PixelMLP.init(FEATURE_DIM, 4, 3, seed=0)
-        bad = FeatureBatch(features=np.zeros((10, 4)), d=4)
-        with pytest.raises(Exception, match="feature dim"):
+        bad = FeatureBatch(features=np.zeros((2 * BLOCK_PX, 4)), d=4)
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", 2)
+        with pytest.raises(ShapeError, match=rf"^feature dim 4 != model d={FEATURE_DIM}$"):
             forward(model, bad)
+        assert forks == []
 
 
 class TestTrain:
@@ -173,7 +178,8 @@ class TestTrain:
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
         cfg = TrainConfig(loss_name="margin_calibration", epochs=1,
                           batch_images=4)
-        with pytest.raises(ConfigError, match="margin"):
+        with pytest.raises(ConfigError, match="^the margin-calibration loss needs "
+                                              "margin-offsets$"):
             train(model, feats, masks, cfg)
 
     def test_nan_loss_aborts_with_location(self):
@@ -243,9 +249,16 @@ class TestTrain:
         assert objective.value < 0.05, objective.value
 
 
+def step_gradients(model, feats, masks, ids, loss_name, margins=None):
+    """Loss and gradients of one training step over the images ``ids``."""
+    with trainer_module._StepTeam(model, feats, masks, loss_name, margins, len(ids)) as team:
+        return team.gradients(model, ids)
+
+
 class TestBlockedStep:
-    """``batch_gradients`` walks a batch in pixel blocks; a block stitched in
-    wrongly changes its value or gradients against the whole batch at once."""
+    """A training step (``_StepTeam.gradients``) walks a batch in pixel
+    blocks; a block stitched in wrongly changes its value or gradients
+    against the whole batch at once."""
 
     @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
     @pytest.mark.parametrize(
@@ -269,7 +282,7 @@ class TestBlockedStep:
         model.b2[2] = model.b2[1]
         ids = np.random.default_rng(4).permutation(n_images)[: n_images - 1]
 
-        value, grads = batch_gradients(model, feats, masks, ids, loss_name, margins)
+        value, grads = step_gradients(model, feats, masks, ids, loss_name, margins)
 
         rows = np.concatenate([np.arange(i * ppi, (i + 1) * ppi) for i in ids])
         x = feats.features[rows]
@@ -302,28 +315,39 @@ class TestBlockedStep:
                 train(model, feats, masks, cfg)
         assert forks == []
 
-    def test_every_label_check_names_image_and_pixel(self):
-        """The losses, evaluation and the lower bound report an out-of-range
-        label with the same image and pixel as the training step."""
+    @staticmethod
+    def assert_every_label_check_says(label, message):
+        """Training, the losses, evaluation, the lower bound and the label
+        statistics all raise ``message`` for ``label`` at image 1, pixel 37."""
         feats, masks = tiny_dataset(n_images=2)
         margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
-        labels = masks.labels.copy()
-        labels[16 * 16 + 37] = 3
+        labels = masks.labels.astype(np.int16 if label < 0 else masks.labels.dtype)
+        labels[16 * 16 + 37] = label
         masks = MaskBatch(labels=labels, width=16, height=16, n_images=2)
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
         scores = forward(model, feats)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=2)
         calls = {
-            "batch_gradients": lambda: batch_gradients(model, feats, masks, np.arange(2),
-                                                       "cross_entropy"),
+            "train": lambda: train(model, feats, masks, cfg),
             "calibrated_log_loss": lambda: calibrated_log_loss(scores, masks, margins),
             "cross_entropy": lambda: cross_entropy(scores, masks),
             "evaluate": lambda: evaluate(model, feats, masks),
             "lower_bound_report": lambda: lower_bound_report(scores, masks, margins),
+            "accumulate_stats": lambda: accumulate_stats(masks, 3),
         }
         for name, call in calls.items():
             with pytest.raises(ShapeError) as caught:
                 call()
-            assert str(caught.value) == "label 3 at image 1, pixel 37 exceeds k_classes=3", name
+            assert str(caught.value) == message, name
+
+    def test_every_label_check_names_image_and_pixel(self):
+        self.assert_every_label_check_says(3, "label 3 at image 1, pixel 37 exceeds k_classes=3")
+
+    def test_negative_label_is_rejected_everywhere(self):
+        """Not a valid pixel of no class: before, the losses counted it in
+        their mean, evaluation dropped it and the statistics raised numpy's
+        ValueError."""
+        self.assert_every_label_check_says(-1, "label -1 at image 1, pixel 37 is below 0")
 
     def test_same_seed_identical_parameters(self):
         feats, masks = tiny_dataset()
@@ -618,20 +642,6 @@ class TestSharedStep:
         assert len(steps) == 2 and len(forks) == 1
         assert_reaped(forks)
 
-    def test_a_direct_call_runs_on_a_team_of_its_own(self, monkeypatch, forks):
-        """``batch_gradients`` forks like ``train``: a helper per extra core
-        from two blocks on, reaped before it returns, with the same result."""
-        feats, masks = tiny_dataset(seed=5, n_images=4, size=64, noise=0.1)
-        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
-        runs = []
-        for cores in (1, 2):
-            use_cores(monkeypatch, cores)
-            value, grads = batch_gradients(model, feats, masks, [3, 0, 2], "cross_entropy")
-            runs.append((value, b"".join(g.tobytes() for g in grads)))
-        assert runs[1] == runs[0]
-        assert len(forks) == 1
-        assert_reaped(forks)
-
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_one_helper_per_extra_usable_core(self, monkeypatch, forks, cores):
         use_cores(monkeypatch, cores)
@@ -645,7 +655,7 @@ class TestSharedStep:
         run_training(loss_name, 64, 4, 4, epochs=1)
         assert forks == []
 
-    def test_a_step_of_more_than_1024_blocks_is_shared(self, monkeypatch, forks):
+    def test_a_step_of_1025_blocks_matches_one_process(self, monkeypatch, forks):
         """1,025 one-image blocks in one step; one feature per pixel keeps the
         4.2 million pixels small."""
         n_images, ppi = 1025, 64 * 64
@@ -684,9 +694,3 @@ class TestSharedStep:
                                              rf"d={FEATURE_DIM + 1}$"):
             train(model, feats, masks, cfg)
         assert forks == []
-
-    def test_direct_call_needs_margins_for_the_margin_loss(self):
-        feats, masks = tiny_dataset()
-        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
-        with pytest.raises(ConfigError, match="needs margin-offsets"):
-            batch_gradients(model, feats, masks, np.arange(4), "margin_calibration")
