@@ -16,7 +16,7 @@ from . import gradcheck as gradcheck_mod
 from .errors import ConfigError, MarginCalError
 from .margins import DEFAULT_TAU, DEFAULT_UPSILON, compute_margins
 from .margins import read_margins_csv, write_margins_csv
-from .metrics import lower_bound_report, write_metrics_csv
+from .metrics import write_metrics_csv
 from .segdata import (
     FEATURE_DIM,
     MaskBatch,
@@ -34,7 +34,6 @@ from .trainer import (
     PixelMLP,
     TrainConfig,
     evaluate,
-    forward,
     load_model,
     save_model,
     train,
@@ -186,11 +185,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     feats, masks = _split(args, args.split)
-    if args.margins:
-        margins = read_margins_csv(args.margins)
-        report = lower_bound_report(forward(model, feats), masks, margins)
-    else:
-        report = evaluate(model, feats, masks)
+    margins = read_margins_csv(args.margins) if args.margins else None
+    report = evaluate(model, feats, masks, margins)
     write_metrics_csv(report, args.out)
     print(f"miou={report.miou:.6g} pixel_acc={report.pixel_accuracy:.6g} -> {args.out}")
     return 0

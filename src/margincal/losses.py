@@ -170,18 +170,6 @@ def _block_rows(labels: np.ndarray, valid: np.ndarray, k_classes: int):
     return onehot, valid
 
 
-def _block(s: ScoreBatch, y: Optional[MaskBatch], valid: Optional[np.ndarray], start: int,
-           scores: bool = True):
-    """The block of at most BLOCK_PX pixels from ``start``, as ``_blocks`` yields it."""
-    cols = slice(start, start + BLOCK_PX)
-    onehot = block_valid = block_sc = None
-    if y is not None:
-        onehot, block_valid = _block_rows(y.labels[cols], valid[cols], s.k_classes)
-    if scores:
-        block_sc = np.ascontiguousarray(s.scores.T[:, cols])
-    return cols, block_sc, onehot, block_valid
-
-
 def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None,
             valid: Optional[np.ndarray] = None, scores: bool = True):
     """The batch in class-major blocks of at most BLOCK_PX pixels, in pixel order.
@@ -191,7 +179,13 @@ def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None,
     the last two are None.
     """
     for start in range(0, s.n_pixels, BLOCK_PX):
-        yield _block(s, y, valid, start, scores)
+        cols = slice(start, start + BLOCK_PX)
+        onehot = block_valid = block_sc = None
+        if y is not None:
+            onehot, block_valid = _block_rows(y.labels[cols], valid[cols], s.k_classes)
+        if scores:
+            block_sc = np.ascontiguousarray(s.scores.T[:, cols])
+        yield cols, block_sc, onehot, block_valid
 
 
 def _count_valid(valid: np.ndarray) -> int:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DataError, DegenerateError, MarginCalError, NumericError, ShapeError
 from .losses import (
-    BLOCK_PX, ScoreBatch, _block, _blocks, _check_margin_pair, _check_pair, _first_max, _lambda,
-    _phi_sums,
+    BLOCK_PX, ScoreBatch, _block_rows, _blocks, _check_margins, _check_pair, _first_max,
+    _lambda, _phi_sums,
 )
 from .margins import MarginOffsets
 from .segdata import LabelStats, MaskBatch, write_csv
@@ -92,6 +92,8 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
     p = pred.labels[valid]
     if t.size and (int(t.max()) >= k_classes or int(p.max()) >= k_classes):
         raise DataError(f"labels exceed k_classes={k_classes}")
+    if t.size and (int(t.min()) < 0 or int(p.min()) < 0):  # t * K + p would count another cell
+        raise DataError("labels below 0")
     code = t.astype(np.intp)  # the one pixel-length integer array: t*K + p
     code *= k_classes
     code += p
@@ -100,23 +102,27 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
 
 
 class _Counts:
-    """``score_counts``'s walk.  Block i's row is its (truth, prediction)
-    count matrix, K x K and exact in float64, then with margin-offsets its
-    K sums of phi(lam / rho_k0) and its K sums of phi(-lam / rho_0k)."""
+    """The one walk from scores to counts, named ``what``.  ``scores(cols)``
+    gives the (K, b) class-major scores of the pixel slice ``cols``: a
+    ScoreBatch's columns, or a model's forward pass on the pixels' features
+    (``trainer._model_scores``).  Block i's row is its (truth, prediction)
+    count matrix, K x K and exact in float64, then with margin-offsets its K
+    sums of phi(lam / rho_k0) and its K sums of phi(-lam / rho_0k)."""
 
-    what, error = "score_counts", MarginCalError
+    error = MarginCalError
 
-    def __init__(self, s: ScoreBatch, y: MaskBatch, valid: np.ndarray,
-                 m: Optional[MarginOffsets]) -> None:
-        self.s, self.y, self.valid, self.m = s, y, valid, m
-        k_cls = s.k_classes
-        self.n_blocks = -(-s.n_pixels // BLOCK_PX)
+    def __init__(self, scores, k_cls: int, y: MaskBatch, m: Optional[MarginOffsets],
+                 what: str) -> None:
+        self.scores, self.k_cls, self.y, self.m, self.what = scores, k_cls, y, m, what
+        self.n_blocks = -(-y.n_pixels // BLOCK_PX)
         self.width = k_cls * k_cls + (0 if m is None else 2 * k_cls)
 
     def run(self, i: int, row: np.ndarray) -> None:
-        k_cls = self.s.k_classes
-        _, sc, onehot, valid = _block(self.s, self.y, self.valid, i * BLOCK_PX)
-        lam = _lambda(sc)
+        k_cls = self.k_cls
+        cols = slice(i * BLOCK_PX, (i + 1) * BLOCK_PX)
+        labels = self.y.labels[cols]
+        onehot, valid = _block_rows(labels, labels != self.y.ignore_index, k_cls)
+        lam = _lambda(self.scores(cols))
         matrix = row[: k_cls * k_cls].reshape(k_cls, k_cls)
         np.matmul(onehot, _first_max(lam).T.astype(np.float64), out=matrix)
         if self.m is not None:
@@ -125,25 +131,34 @@ class _Counts:
             _phi_sums(lam, onehot, valid, self.m, sums[:k_cls], sums[k_cls:])
 
 
+def _score_walk(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets]) -> _Counts:
+    """The ``_Counts`` walk over the columns of ``s``, after the losses' checks."""
+    _check_pair(s, y)
+    if m is not None:
+        _check_margins(m, s.k_classes)
+    return _Counts(lambda cols: np.ascontiguousarray(s.scores.T[:, cols]), s.k_classes, y, m,
+                   "score_counts")
+
+
+def _tally(total: np.ndarray, k_cls: int, m: Optional[MarginOffsets]):
+    """The confusion counts in a ``_Counts`` walk's total, and with
+    margin-offsets the unnormalized l_k0 and l_0k sums (else None)."""
+    counts = ConfusionCounts.from_matrix(
+        total[: k_cls * k_cls].reshape(k_cls, k_cls).astype(np.int64))
+    return counts, None if m is None else (total[k_cls * k_cls : -k_cls], total[-k_cls:])
+
+
 def score_counts(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets] = None):
     """Confusion counts of the scores' predictions against ``y``, and with
     margin-offsets ``m`` the unnormalized l_k0 and l_0k sums (else None).
 
-    One walk over class-major blocks: each block's margins lambda = sc -
-    max_{j != k} sc_j give the prediction (see ``predict_labels``), the block's
-    (truth, prediction) count matrix as one exact float64 product of one-hots,
-    and the phi-sums of ``rho_margin_objective``.  The blocks are a walk
-    (``team.run_walk``): from FORK_MIN_BLOCKS blocks on, every usable core
-    runs its share, and the block rows are added from zero in block order,
-    so the counts and sums are bitwise those of one process.
-    """
-    valid = _check_pair(s, y) if m is None else _check_margin_pair(s, y, m)
-    k_cls = s.k_classes
-    total = run_walk(_Counts(s, y, valid, m))
-    counts = ConfusionCounts.from_matrix(
-        total[: k_cls * k_cls].reshape(k_cls, k_cls).astype(np.int64))
-    sums = None if m is None else (total[k_cls * k_cls : -k_cls], total[-k_cls:])
-    return counts, sums
+    One ``_Counts`` walk over the scores' columns, on a team of its own
+    (``team.run_walk``, which forks from FORK_MIN_BLOCKS blocks on); the
+    block rows are added in block order, so the result is bitwise that of
+    one process.  Each block's margins lambda = sc - max_{j != k} sc_j give
+    its predictions (see ``predict_labels``) and the phi-sums of
+    ``rho_margin_objective``."""
+    return _tally(run_walk(_score_walk(s, y, m)), s.k_classes, m)
 
 
 def iou_report(counts: ConfusionCounts) -> MetricsReport:
@@ -198,43 +213,40 @@ def predict_labels(s: ScoreBatch, like: MaskBatch) -> MaskBatch:
         top = _first_max(_lambda(sc))
         for k in range(1, s.k_classes):
             np.copyto(labels[cols], k, where=top[k])
-    return MaskBatch(
-        labels=labels,
-        width=like.width,
-        height=like.height,
-        n_images=like.n_images,
-        ignore_index=like.ignore_index,
-    )
+    return MaskBatch(labels=labels, width=like.width, height=like.height,
+                     n_images=like.n_images, ignore_index=like.ignore_index)
 
 
-def lower_bound_report(
-    s: ScoreBatch,
-    y: MaskBatch,
-    m: MarginOffsets,
-    stats: Optional[LabelStats] = None,
-) -> MetricsReport:
-    """Full report plus the margin-loss lower bounds on IoU.
+def lower_bound_report(s: ScoreBatch, y: MaskBatch, m: MarginOffsets,
+                       stats: Optional[LabelStats] = None) -> MetricsReport:
+    """``_report`` of ``score_counts``' walk: the IoU metrics and the margin
+    lower bounds of the scores ``s``.  ``trainer.evaluate(model, features,
+    y, m)`` gives it bitwise from the features, building no score array."""
+    return _report(run_walk(_score_walk(s, y, m)), s.k_classes, m, stats)
 
-    l_k0 and l_0k are the per-class sums of ``rho_margin_objective``, taken
-    in the same walk over pixel blocks as the confusion counts
-    (``score_counts``), so the bound builds no per-pixel array but the valid
-    mask; from FORK_MIN_BLOCKS blocks on that walk runs on every usable core,
-    and its sums are still bitwise those of one process.
-    The normalizing pixel count is always the evaluated batch's own valid
-    count; ``bound_scope`` is "dataset" when that matches ``stats.n_total``
-    (full-dataset evaluation) and "batch" otherwise.  The sandwich
-    P_k0 <= l_k0, P_0k <= l_0k, IoU_lower_k <= IoU_k is verified before
-    returning.
+
+def _report(total: np.ndarray, k_cls: int, m: Optional[MarginOffsets] = None,
+            stats: Optional[LabelStats] = None) -> MetricsReport:
+    """``iou_report`` of a ``_Counts`` walk's total, and with margin-offsets
+    ``m`` the lower bounds on IoU from its sums of ``rho_margin_objective``.
+
+    The bound's normalizing pixel count is always the evaluated batch's own
+    valid count; ``bound_scope`` is "dataset" when that matches
+    ``stats.n_total`` and "batch" otherwise.  The sandwich P_k0 <= l_k0,
+    P_0k <= l_0k, IoU_lower_k <= IoU_k is verified before returning.
     """
-    counts, (ell_k0, ell_0k) = score_counts(s, y, m)
+    counts, sums = _tally(total, k_cls, m)
     report = iou_report(counts)
+    if m is None:
+        return report
+    ell_k0, ell_0k = sums
     ell_k0 /= counts.total
     ell_0k /= counts.total
 
     denom = report.p_k + ell_0k
     if np.any(denom[report.present] == 0):
         raise DegenerateError("P_k + l_0k vanished for a present class")
-    iou_lower = np.full(s.k_classes, np.nan)
+    iou_lower = np.full(k_cls, np.nan)
     iou_lower[report.present] = (
         report.p_k[report.present] - ell_k0[report.present]
     ) / denom[report.present]

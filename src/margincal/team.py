@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-#: a walk forks helpers only from this many blocks (2,097,152 pixels).  Forking,
-#: pinning and reaping a helper cost about 2 ms plus the helper's exit, which
-#: grows with the parent's memory (5-9 ms at 300 MB).  Measured at K = 3,
-#: `forward` and `lower_bound_report` repay that from 64 and 256 blocks,
-#: `score_counts` without margin-offsets only from about 512; CHANGES.md
-#: holds the timings.
+#: a walk on a team of its own (``run_walk``: `forward`, `score_counts`,
+#: `lower_bound_report`, `evaluate`) forks helpers only from this many blocks
+#: (2,097,152 pixels).  Forking, pinning and reaping a helper cost about 2 ms
+#: plus the helper's exit, which grows with the parent's memory (5-9 ms at
+#: 300 MB).  Measured at K = 3, `forward` and `lower_bound_report` repay that
+#: from 64 and 256 blocks, `score_counts` without margin-offsets only from
+#: about 512; CHANGES.md holds the timings.
 FORK_MIN_BLOCKS = 512
 
 
@@ -105,14 +106,14 @@ class _Team:
     every helper, from what the helpers can see: what existed when they were
     forked, and shared memory (``shared_arrays``).  One anonymous shared
     mapping holds each block's result row and done flag, for walks of at most
-    ``max_blocks`` blocks of ``width`` entries.  ``map(job)`` sends the job
-    number on each helper's go pipe, runs share 0, waits for each helper's
-    answer on its done pipe and folds the rows.  Each helper pins itself to
-    the usable CPUs but the one the parent was on when it forked.  A helper
-    exits at the end of file of its go pipe: when the parent closes it, or
-    dies.  A helper that has died, during a walk or before one, makes ``map``
-    raise the walk's ``error`` naming the walk; ``close``, or leaving a
-    ``with`` block on the team, reaps every helper.
+    ``max_blocks`` blocks of at most ``width`` entries.  ``map(job)`` sends
+    the job number on each helper's go pipe, runs share 0, waits for each
+    helper's answer on its done pipe and folds the rows.  Each helper pins
+    itself to the usable CPUs but the one the parent was on when it forked.
+    A helper exits at the end of file of its go pipe: when the parent closes
+    it, or dies.  A helper that has died, during a walk or before one, makes
+    ``map`` raise the walk's ``error`` naming the walk; ``close``, or leaving
+    a ``with`` block on the team, reaps every helper.
     """
 
     def __init__(self, make_walk, n_helpers: int, max_blocks: int, width: int) -> None:
@@ -147,13 +148,13 @@ class _Team:
         """A helper's life: its share of one walk per job number read from ``go``."""
         while len(job := os.read(go, 4)) == 4:
             walk = self.make_walk(int.from_bytes(job, "little"))
-            _run_share(walk, self.rows, self.done, share, stride)
+            _run_share(walk, self.rows[:, : walk.width], self.done, share, stride)
             os.write(done_pipe, b"\x01")
 
     def map(self, job: int = 0) -> np.ndarray:
         """Run the walk of ``job`` on the team; its rows' sum in block order."""
         walk = self.make_walk(job)
-        rows, done = self.rows[: walk.n_blocks], self.done[: walk.n_blocks]
+        rows, done = self.rows[: walk.n_blocks, : walk.width], self.done[: walk.n_blocks]
         done[:] = False
         message = job.to_bytes(4, "little")
         for _, go, _ in self.helpers:

@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _non_finite_at,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _non_finite_at,
     _pixel_kernel, _pixel_mean, loss_by_name,
 )
 from .margins import MarginOffsets
-from .metrics import MetricsReport, iou_report, score_counts
+from .metrics import MetricsReport, _Counts, _report
 # not called here, but perfbench's tracer wraps these names in this module
-from .metrics import confusion, predict_labels  # noqa: F401
+from .metrics import confusion, iou_report, predict_labels  # noqa: F401
 from .segdata import FeatureBatch, MaskBatch, check_labels, write_csv
 from .team import _Team, helpers_for, process_count, run_walk, shared_arrays
 
@@ -123,6 +123,31 @@ def _forward_cache(model: PixelMLP, x: np.ndarray):
         scores = model.w2.T @ act
         scores += model.b2[:, None]
     return scores.T, act
+
+
+def _model_scores(model: PixelMLP, x: np.ndarray):
+    """A ``_Counts`` score source: ``_forward_cache``'s scores of the rows
+    ``cols`` of ``x``.  A non-finite one raises NumericError naming its row."""
+    def scores(cols: slice) -> np.ndarray:
+        sc = _forward_cache(model, x[cols])[0]
+        bad = _non_finite_at(sc)
+        if bad is not None:
+            raise NumericError(f"non-finite score at pixel {cols.start + bad[0]}, class {bad[1]}")
+        return sc.T
+
+    return scores
+
+
+def _check_split(model: PixelMLP, features: FeatureBatch, masks: MaskBatch) -> None:
+    """Raise ShapeError unless the features and masks cover the same pixels,
+    the features have the model's width and every label is in [0, K) or
+    ignored (naming the first bad one in image order)."""
+    if features.n_pixels != masks.n_pixels:
+        raise ShapeError(f"features cover {features.n_pixels} pixels but masks have "
+                         f"{masks.n_pixels}")
+    if features.d != model.d:
+        raise ShapeError(f"feature dim {features.d} != model d={model.d}")
+    check_labels(masks, model.k_classes)
 
 
 def backward(
@@ -237,51 +262,56 @@ class _Step:
 
 
 class _StepTeam(_Team):
-    """The one way a training step runs: a team forked once after the data
-    exists, so its helpers read the features and masks through
-    copy-on-write.  Job n is the step over the first n image ids in memory
-    the helpers share (room for ``max_ids``), which every process builds
-    from that memory.
+    """The one way a training step runs, and ``train``'s evaluation: a team
+    forked once after the data exists, so its helpers read the features and
+    masks through copy-on-write, with one helper per extra usable core, up
+    to one per block of the largest step.  In memory the helpers share
+    (``_load``), job n <= ``max_ids`` is the step over the first n image
+    ids, and job ``max_ids`` + 1 + j evaluates split j: the training split
+    (0) or ``val`` (1).
 
-    Everything fixed for a run is checked here, once, before any fork: the
-    features and masks cover the same pixels, the features have the
-    model's width, every label lies in [0, K) or is ignored, naming the
-    first bad one in image order, and the margin-calibration loss has
-    margin-offsets for K.  The loss's block kernel is derived here too.
+    Everything fixed for a run is checked here, once, before any fork:
+    ``_check_split`` of each split, and margin-offsets for K for the
+    margin-calibration loss, whose block kernel is derived here too.
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
-                 loss_name: str, margins: Optional[MarginOffsets], max_ids: int) -> None:
-        if features.n_pixels != masks.n_pixels:
-            raise ShapeError(
-                f"features cover {features.n_pixels} pixels but masks have {masks.n_pixels}"
-            )
-        if features.d != model.d:
-            raise ShapeError(f"feature dim {features.d} != model d={model.d}")
-        check_labels(masks, model.k_classes)
+                 loss_name: str, margins: Optional[MarginOffsets], max_ids: int,
+                 val: Optional[tuple[FeatureBatch, MaskBatch]] = None) -> None:
+        splits = [(features, masks), *([val] if val else [])]
+        for split in splits:
+            _check_split(model, *split)
         kernel = _pixel_kernel(loss_name, margins, model.k_classes)
         self.shapes = [p.shape for p in model.params()]
         params, ids = shared_arrays((np.float64, sum(p.size for p in model.params())),
                                     (np.int64, max_ids))
         shared = PixelMLP(*_unflatten(params, self.shapes))
-        self.model, self.ids = shared, ids
+        self.model, self.ids, self.max_ids = shared, ids, max_ids
 
-        def make_step(n: int) -> _Step:  # no reference to self: a cycle would keep the data
-            return _Step(shared, features, masks, ids[:n], loss_name, kernel, margins)
+        def make_walk(job: int):  # no reference to self: a cycle would keep the data
+            if job > max_ids:
+                x, y = splits[job - max_ids - 1]
+                return _Counts(_model_scores(shared, x.features), shared.k_classes, y, None,
+                               "evaluate")
+            return _Step(shared, features, masks, ids[:job], loss_name, kernel, margins)
 
-        largest = make_step(max_ids)
-        helpers = min(process_count(), largest.n_blocks) - 1
-        super().__init__(make_step, helpers, largest.n_blocks, largest.width)
+        walks = [make_walk(job) for job in range(max_ids, max_ids + 1 + len(splits))]
+        helpers = min(process_count(), walks[0].n_blocks) - 1  # walks[0]: the largest step
+        super().__init__(make_walk, helpers, max(w.n_blocks for w in walks),
+                         max(w.width for w in walks))
+
+    def _load(self, model: PixelMLP) -> None:
+        """Copy ``model``'s parameters into the helpers' shared memory."""
+        for shared, p in zip(self.model.params(), model.params()):
+            np.copyto(shared, p)
 
     def gradients(self, model: PixelMLP, image_ids) -> tuple[float, list[np.ndarray]]:
         """Loss and parameter gradients of the batch of whole images
-        ``image_ids`` at ``model``'s parameters, both copied into the
-        helpers' shared memory.  The pixel-wise losses are means over valid
-        pixels.  The blocks' rows are summed in block order, so the result
-        is bitwise the same whoever ran each block, and the first failing
-        block raises as it would in one process."""
-        for shared, p in zip(self.model.params(), model.params()):
-            np.copyto(shared, p)
+        ``image_ids`` at ``model``'s parameters.  The pixel-wise losses are
+        means over valid pixels.  The blocks' rows are summed in block
+        order, so the result is bitwise the same whoever ran each block, and
+        the first failing block raises as it would in one process."""
+        self._load(model)
         self.ids[: len(image_ids)] = image_ids
         total = self.map(len(image_ids))
         n_valid = int(total[0])
@@ -289,6 +319,12 @@ class _StepTeam(_Team):
             raise ShapeError("no valid pixels in batch")
         total /= n_valid
         return float(total[1]), _unflatten(total[2:], self.shapes)
+
+    def evaluate(self, model: PixelMLP, split: int) -> MetricsReport:
+        """``evaluate(model, *split)`` of split 0 (training) or 1 (``val``),
+        bitwise, with no fork: each process runs its share of the blocks."""
+        self._load(model)
+        return _report(self.map(self.max_ids + 1 + split), model.k_classes)
 
 
 @dataclass
@@ -331,17 +367,21 @@ class TrainLog:
         self.records.append(record)
 
 
-def evaluate(
-    model: PixelMLP, features: FeatureBatch, masks: MaskBatch
-) -> MetricsReport:
-    """Score all pixels, take the raw-score argmax, and report IoU metrics.
+def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
+             margins: Optional[MarginOffsets] = None) -> MetricsReport:
+    """IoU metrics of the raw-score argmax, and with margin-offsets the
+    lower bounds on IoU: bitwise ``lower_bound_report(forward(...), ...)``.
 
-    ``forward`` and ``score_counts`` each walk the pixel blocks on a team of
-    their own (see ``team.run_walk``), inside ``train`` too, where the step
-    team's helpers wait meanwhile; the report is bitwise that of one process.
+    One ``_Counts`` walk from features to counts on a team of its own
+    (forking from FORK_MIN_BLOCKS blocks on), with no (K, n) score array.
+    ``_check_split`` and the offsets' K are checked before any block runs.
     """
-    counts, _ = score_counts(forward(model, features), masks)
-    return iou_report(counts)
+    _check_split(model, features, masks)
+    if margins is not None:
+        _check_margins(margins, model.k_classes)
+    walk = _Counts(_model_scores(model, features.features), model.k_classes, masks, margins,
+                   "evaluate")
+    return _report(run_walk(walk), model.k_classes, margins)
 
 
 def train(
@@ -359,18 +399,19 @@ def train(
     seeded generator.  For the margin-calibration loss the offsets must be
     precomputed from training-split statistics and passed in.  The step
     team (``_StepTeam``) checks the run's inputs once, before any helper is
-    forked: missing offsets raise ConfigError; offsets for another K,
-    features that do not fit the masks or the model, or a label out of
-    range in any training image (the first in image order) ShapeError.  A
-    non-finite score or loss, or a batch with no valid pixel, raises
+    forked: missing offsets raise ConfigError; offsets for another K, and
+    features that do not fit the masks or the model or a label out of range
+    in the training split or (if ``eval_every``) the val split, ShapeError.
+    A non-finite score or loss, or a batch with no valid pixel, raises
     TrainError naming the epoch, batch and loss.
 
     A pixel-wise loss's steps run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step,
     and each process runs a fixed share of every step's blocks.  The step's
     rows are folded in block order, so the trained model and log are
-    bitwise those of a run in one process.  Each ``evaluate`` (every
-    ``eval_every`` epochs) runs its walks on a team of its own.  Every
+    bitwise those of a run in one process.  Every ``eval_every`` epochs the
+    same team evaluates the training split and the val split (its train and
+    val mIoU are bitwise ``evaluate``'s), forking nothing more.  Every
     helper is reaped before ``train`` returns or raises.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -378,8 +419,10 @@ def train(
     velocity = [np.zeros_like(p) for p in model.params()]
     log = TrainLog()
     started = time.perf_counter()
+    has_val = cfg.eval_every > 0 and val_features is not None and val_masks is not None
     with _StepTeam(model, train_features, train_masks, cfg.loss_name, margins,
-                   min(cfg.batch_images, n_images)) as team:
+                   min(cfg.batch_images, n_images),
+                   (val_features, val_masks) if has_val else None) as team:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_images)
             epoch_loss = 0.0
@@ -399,16 +442,12 @@ def train(
                 epoch_loss += value
                 n_batches += 1
             if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-                train_report = evaluate(model, train_features, train_masks)
-                val_miou = float("nan")
-                if val_features is not None and val_masks is not None:
-                    val_miou = evaluate(model, val_features, val_masks).miou
                 log.append(
                     TrainLogRecord(
                         epoch=epoch,
                         train_loss=epoch_loss / n_batches,
-                        train_miou=train_report.miou,
-                        val_miou=val_miou,
+                        train_miou=team.evaluate(model, 0).miou,
+                        val_miou=team.evaluate(model, 1).miou if has_val else float("nan"),
                         seconds=time.perf_counter() - started,
                     )
                 )

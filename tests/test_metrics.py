@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from margincal.errors import ShapeError
+from margincal.errors import DataError, ShapeError
 from margincal.losses import BLOCK_PX, ScoreBatch, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import (
@@ -90,6 +90,15 @@ class TestConfusion:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             confusion(make_mask([0, 1]), make_mask([0, 1, 0]), 2)
+
+    @pytest.mark.parametrize("truth", [[1, 1], [0, 1]])
+    def test_negative_prediction_rejected(self, truth):
+        """Before, truth 1 with prediction -1 was counted as truth 0
+        predicted 2, and truth 0 raised numpy's ValueError."""
+        pred = MaskBatch(labels=np.array([-1, 1], dtype=np.int16), width=2, height=1,
+                         n_images=1)
+        with pytest.raises(DataError, match="^labels below 0$"):
+            confusion(pred, make_mask(truth), 3)
 
 
 class TestIgnoreLabelBelowK:

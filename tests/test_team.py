@@ -1,5 +1,6 @@
 """Tests for block walks on several processes: evaluation on one and on two
-cores, the fork threshold, a helper that dies, and where helpers run."""
+cores, standalone and inside ``train``, the fork threshold, a helper that
+dies, and where helpers run."""
 import gc
 import os
 import weakref
@@ -10,7 +11,7 @@ import pytest
 import margincal.metrics as metrics_module
 import margincal.team as team_module
 import margincal.trainer as trainer_module
-from margincal.errors import MarginCalError
+from margincal.errors import MarginCalError, NumericError
 from margincal.losses import BLOCK_PX, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report, score_counts
@@ -96,8 +97,8 @@ class TestParallelEvaluation:
             use_cores(monkeypatch, cores)
             forks.clear()
             outputs.append(evaluation_outputs(model, feats, masks, margins))
-            # forward, two score_counts, lower_bound_report's, and evaluate's two walks
-            assert len(forks) == (6 if forked and cores == 2 else 0)
+            # forward, two score_counts, lower_bound_report's and evaluate's one walk
+            assert len(forks) == (5 if forked and cores == 2 else 0)
             assert_reaped(forks)
         assert outputs[1] == outputs[0]
 
@@ -118,7 +119,41 @@ class TestParallelEvaluation:
             assert len(forks) == (n_blocks >= FORK_MIN_BLOCKS)
             assert_reaped(forks)
 
-    @pytest.mark.parametrize("walk", ["forward", "score_counts"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("threshold", [N_BLOCKS, N_BLOCKS + 1],
+                             ids=["at-threshold", "below-threshold"])
+    def test_evaluate_with_margins_is_the_lower_bound_report_bitwise(self, monkeypatch, forks,
+                                                                     k, threshold):
+        """One walk from features to counts gives every field of
+        ``lower_bound_report(forward(...))`` bitwise, forks at most once and
+        builds no (K, n) score array: ``_Forward`` raises while it runs."""
+        feats, masks, margins, model = identity_case(k)
+        monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", threshold)
+        fields = ("iou_per_class", "dsc_per_class", "miou", "pixel_accuracy", "p_k", "p_k0",
+                  "p_0k", "present", "iou_lower_per_class", "miou_lower", "ell_k0", "ell_0k",
+                  "bound_scope")
+
+        def as_bytes(report):
+            return [np.asarray(getattr(report, name)).tobytes() for name in fields]
+
+        use_cores(monkeypatch, 1)
+        want = as_bytes(lower_bound_report(forward(model, feats), masks, margins))
+
+        def no_score_array(*args):
+            raise AssertionError("evaluate built a (K, n) score array")
+
+        monkeypatch.setattr(trainer_module, "_Forward", no_score_array)
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            forks.clear()
+            assert as_bytes(evaluate(model, feats, masks, margins)) == want
+            plain = evaluate(model, feats, masks)
+            assert plain.miou_lower is None
+            assert as_bytes(plain)[:8] == want[:8]
+            assert len(forks) == (2 if threshold == N_BLOCKS and cores == 2 else 0)
+            assert_reaped(forks)
+
+    @pytest.mark.parametrize("walk", ["forward", "score_counts", "evaluate"])
     def test_a_dead_helper_raises_naming_the_walk(self, monkeypatch, forks, walk):
         feats, masks, margins, model = identity_case()
         s = forward(model, feats)
@@ -135,9 +170,96 @@ class TestParallelEvaluation:
             return real(*args)
 
         monkeypatch.setattr(module, name, die_in_helper)
+        calls = {"forward": lambda: forward(model, feats),
+                 "score_counts": lambda: score_counts(s, masks, margins),
+                 "evaluate": lambda: evaluate(model, feats, masks, margins)}
         with pytest.raises(MarginCalError,
                            match=rf"^block helper process \d+ exited during {walk}$"):
-            forward(model, feats) if walk == "forward" else score_counts(s, masks, margins)
+            calls[walk]()
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_non_finite_score_names_its_pixel(self, monkeypatch, forks, cores):
+        """NaN features in block 1 (a helper's share at 2 cores) and block 4
+        (the parent's): evaluation names the first, by its pixel in the
+        split, as ``forward``'s ScoreBatch check does."""
+        feats, masks, margins, model = identity_case()
+        monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", 2)
+        feats.features[BLOCK_PX + 123, 1] = np.nan
+        feats.features[4 * BLOCK_PX + 5, 0] = np.nan
+        use_cores(monkeypatch, cores)
+        with pytest.raises(NumericError) as want:
+            forward(model, feats)
+        assert str(want.value).startswith(f"non-finite score at pixel {BLOCK_PX + 123}, class ")
+        for margins_or_none in (None, margins):
+            with pytest.raises(NumericError) as got:
+                evaluate(model, feats, masks, margins_or_none)
+            assert str(got.value) == str(want.value)
+        assert len(forks) == 3 * (cores - 1)
+        assert_reaped(forks)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestEvaluationInTrain:
+    """``train`` evaluates both splits on its step team: its log's mIoUs are
+    bitwise a standalone ``evaluate``'s, and it forks no more helpers."""
+
+    @staticmethod
+    def data():
+        """Training and val splits of 64x64 images, one image per block."""
+        feats, masks = tiny_dataset(seed=5, n_images=6, size=64, noise=0.1)
+        val_feats, val_masks = tiny_dataset(seed=6, n_images=3, size=64, noise=0.1)
+        return feats, masks, val_feats, val_masks
+
+    def test_log_mious_equal_a_standalone_evaluate(self, monkeypatch, forks):
+        feats, masks, val_feats, val_masks = self.data()
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=3, batch_images=6, seed=3,
+                          eval_every=2)
+        runs = []
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            forks.clear()
+            model, log = train(PixelMLP.init(FEATURE_DIM, 8, 3, seed=1), feats, masks, cfg,
+                               val_features=val_feats, val_masks=val_masks)
+            assert len(forks) == cores - 1
+            assert_reaped(forks)
+            assert [r.epoch for r in log.records] == [2, 3]
+            last = log.records[-1]
+            assert last.train_miou == evaluate(model, feats, masks).miou
+            assert last.val_miou == evaluate(model, val_feats, val_masks).miou
+            runs.append([(r.train_miou, r.val_miou) for r in log.records])
+        assert runs[1] == runs[0]
+
+    def test_a_helper_dead_during_evaluation_raises_naming_it(self, monkeypatch, forks):
+        """The step does not use ``metrics._lambda``; only evaluation does."""
+        feats, masks, val_feats, val_masks = self.data()
+        parent = os.getpid()
+        real = metrics_module._lambda
+
+        def die_in_helper(sc):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(sc)
+
+        monkeypatch.setattr(metrics_module, "_lambda", die_in_helper)
+        use_cores(monkeypatch, 2)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=6, eval_every=1)
+        with pytest.raises(MarginCalError) as caught:
+            train(PixelMLP.init(FEATURE_DIM, 8, 3, seed=1), feats, masks, cfg,
+                  val_features=val_feats, val_masks=val_masks)
+        assert str(caught.value) == f"block helper process {forks[0]} exited during evaluate"
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_a_non_finite_val_score_names_its_pixel(self, monkeypatch, forks):
+        feats, masks, val_feats, val_masks = self.data()
+        val_feats.features[BLOCK_PX + 9, 2] = np.nan
+        use_cores(monkeypatch, 2)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=6, eval_every=1)
+        with pytest.raises(NumericError, match=rf"^non-finite score at pixel {BLOCK_PX + 9}, "):
+            train(PixelMLP.init(FEATURE_DIM, 8, 3, seed=1), feats, masks, cfg,
+                  val_features=val_feats, val_masks=val_masks)
         assert len(forks) == 1
         assert_reaped(forks)
 
@@ -177,9 +299,9 @@ class TestPlacement:
         monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", 2)
         use_cores(monkeypatch, 2)
         run_training("cross_entropy", 64, 4, 4, epochs=1)
-        # the step team's helper, then one per walk of each evaluate (train and val splits)
-        assert len(forks) == 5
-        assert pinned.calls() == [f"0 [{1 - parent_cpu}]"] * 5
+        # the step team's helper, which also evaluates the train and val splits
+        assert len(forks) == 1
+        assert pinned.calls() == [f"0 [{1 - parent_cpu}]"]
         assert_reaped(forks)
 
     @pytest.mark.parametrize("pin_fails", [False, True], ids=["pinned", "pinning-fails"])

@@ -685,6 +685,32 @@ class TestSharedStep:
             train(model, feats, masks, cfg, margins=two_class)
         assert forks == []
 
+    @pytest.mark.parametrize("defect", ["label", "width"])
+    def test_a_bad_val_split_raises_before_any_fork_or_step(self, monkeypatch, forks, defect):
+        """Checked with the training split, not at the first evaluation
+        (epoch 2 here); the model is untouched."""
+        feats, masks = tiny_dataset(n_images=4, size=64)
+        val_feats, val_masks = tiny_dataset(seed=6, n_images=2, size=64)
+        if defect == "label":
+            labels = val_masks.labels.copy()
+            labels[64 * 64 + 37] = 3
+            val_masks = MaskBatch(labels=labels, width=64, height=64, n_images=2)
+            message = "label 3 at image 1, pixel 37 exceeds k_classes=3"
+        else:
+            val_feats = FeatureBatch(features=np.zeros((val_masks.n_pixels, FEATURE_DIM + 1)),
+                                     d=FEATURE_DIM + 1)
+            message = f"feature dim {FEATURE_DIM + 1} != model d={FEATURE_DIM}"
+        use_cores(monkeypatch, 2)
+        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
+        before = [p.copy() for p in model.params()]
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=2, batch_images=2, eval_every=2)
+        with pytest.raises(ShapeError) as caught:
+            train(model, feats, masks, cfg, val_features=val_feats, val_masks=val_masks)
+        assert str(caught.value) == message
+        assert forks == []
+        for p, q in zip(model.params(), before):
+            np.testing.assert_array_equal(p, q)
+
     def test_features_of_another_width_raise_before_any_fork(self, monkeypatch, forks):
         feats, masks = tiny_dataset(n_images=4, size=64)
         use_cores(monkeypatch, 2)
