@@ -93,13 +93,12 @@ class LossResult:
     per_class_bg: np.ndarray
 
 
-def _check_pair(s: ScoreBatch, y: MaskBatch) -> np.ndarray:
+def _check_pair(s: ScoreBatch, y: MaskBatch) -> None:
     if s.n_pixels != y.n_pixels:
         raise ShapeError(
             f"scores cover {s.n_pixels} pixels but mask has {y.n_pixels}"
         )
     check_labels(y, s.k_classes)
-    return y.valid_mask()
 
 
 def _best_other(sc: np.ndarray) -> np.ndarray:
@@ -170,26 +169,26 @@ def _block_rows(labels: np.ndarray, valid: np.ndarray, k_classes: int):
     return onehot, valid
 
 
-def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None,
-            valid: Optional[np.ndarray] = None, scores: bool = True):
+def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None, scores: bool = True):
     """The batch in class-major blocks of at most BLOCK_PX pixels, in pixel order.
 
     Yields (cols, sc, onehot, valid): the block's pixel slice, its (K, b)
-    scores (None unless ``scores``) and its ``_block_rows``; without ``y``
-    the last two are None.
+    scores (None unless ``scores``) and the ``_block_rows`` of its labels in
+    ``y``; without ``y`` the last two are None.
     """
     for start in range(0, s.n_pixels, BLOCK_PX):
         cols = slice(start, start + BLOCK_PX)
         onehot = block_valid = block_sc = None
         if y is not None:
-            onehot, block_valid = _block_rows(y.labels[cols], valid[cols], s.k_classes)
+            labels = y.labels[cols]
+            onehot, block_valid = _block_rows(labels, labels != y.ignore_index, s.k_classes)
         if scores:
             block_sc = np.ascontiguousarray(s.scores.T[:, cols])
         yield cols, block_sc, onehot, block_valid
 
 
-def _count_valid(valid: np.ndarray) -> int:
-    n_valid = int(np.count_nonzero(valid))
+def _count_valid(y: MaskBatch) -> int:
+    n_valid = int(np.count_nonzero(y.valid_mask()))
     if n_valid == 0:
         raise ShapeError("no valid pixels in batch")
     return n_valid
@@ -216,10 +215,10 @@ def _pixel_mean(loss, blocks, grad: np.ndarray, n_valid: int) -> LossResult:
     return LossResult(float(fg.sum() + bg.sum()), grad.T, fg, bg)
 
 
-def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, valid: np.ndarray) -> LossResult:
+def _pixelwise(loss, s: ScoreBatch, y: MaskBatch) -> LossResult:
     """``_pixel_mean`` of the whole batch, block by block."""
     grad = np.empty((s.k_classes, s.n_pixels))
-    return _pixel_mean(loss, _blocks(s, y, valid), grad, _count_valid(valid))
+    return _pixel_mean(loss, _blocks(s, y), grad, _count_valid(y))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,10 +281,9 @@ def _check_margins(m: Optional[MarginOffsets], k_classes: int) -> None:
         raise ShapeError("margin-offsets and scores disagree on the class count")
 
 
-def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> np.ndarray:
-    valid = _check_pair(s, y)
+def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> None:
+    _check_pair(s, y)
     _check_margins(m, s.k_classes)
-    return valid
 
 
 def _margin_kernel(m: MarginOffsets):
@@ -301,8 +299,8 @@ def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossRe
     elsewhere.  The gradient chains through the margin's max term, routed to
     the single lowest-indexed best competitor of each (pixel, class) entry.
     """
-    valid = _check_margin_pair(s, y, m)
-    return _pixelwise(_margin_kernel(m), s, y, valid)
+    _check_margin_pair(s, y, m)
+    return _pixelwise(_margin_kernel(m), s, y)
 
 
 def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -314,10 +312,10 @@ def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossR
     valid pixels, phi(t) = min(1, max(0, 1 - t)), each divided by the valid
     pixel count: the l_k0 and l_0k of the IoU lower bound.
     """
-    valid = _check_margin_pair(s, y, m)
-    n_valid = _count_valid(valid)
+    _check_margin_pair(s, y, m)
+    n_valid = _count_valid(y)
     fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
-    for _, sc, onehot, block_valid in _blocks(s, y, valid):
+    for _, sc, onehot, block_valid in _blocks(s, y):
         _phi_sums(_lambda(sc), onehot, block_valid, m, fg, bg)
     fg /= n_valid
     bg /= n_valid
@@ -369,7 +367,8 @@ def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
 
 def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
     """Mean softmax negative log-likelihood over non-ignored pixels."""
-    return _pixelwise((_cross_entropy_block, ()), s, y, _check_pair(s, y))
+    _check_pair(s, y)
+    return _pixelwise((_cross_entropy_block, ()), s, y)
 
 
 def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
@@ -402,7 +401,8 @@ def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> L
     """Focal loss: NLL scaled by (1 - p_true)^gamma to emphasize hard pixels."""
     if gamma < 0:
         raise ConfigError("gamma must be non-negative")
-    return _pixelwise((_focal_block, (gamma,)), s, y, _check_pair(s, y))
+    _check_pair(s, y)
+    return _pixelwise((_focal_block, (gamma,)), s, y)
 
 
 def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
@@ -415,12 +415,12 @@ def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
     t_ik (FP = A - I, FN = B - I); the second turns p into the gradient in
     place through the softmax VJP.  Ignored pixels have p = 0 throughout.
     """
-    valid = _check_pair(s, y)
-    _count_valid(valid)
+    _check_pair(s, y)
+    _count_valid(y)
     k_cls = s.k_classes
     grad = np.empty((k_cls, s.n_pixels))
     inter, a, b = np.zeros(k_cls), np.zeros(k_cls), np.zeros(k_cls)
-    for cols, sc, onehot, block_valid in _blocks(s, y, valid):
+    for cols, sc, onehot, block_valid in _blocks(s, y):
         p = grad[:, cols]
         _softmax_block(sc, p)
         if block_valid is not None:
@@ -434,7 +434,7 @@ def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
     # dL/dp_ik = u_k + v_k t_ik, from dI/dp = t, dFP/dp = 1 - t, dFN/dp = -t
     u = (alpha * index / denom / k_cls)[:, None]
     v = ((index * (1.0 - alpha - beta) - 1.0) / denom / k_cls)[:, None]
-    for cols, _, onehot, _ in _blocks(s, y, valid, scores=False):
+    for cols, _, onehot, _ in _blocks(s, y, scores=False):
         p = grad[:, cols]
         dp = onehot * v
         dp += u

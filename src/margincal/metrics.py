@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DataError, DegenerateError, MarginCalError, NumericError, ShapeError
 from .losses import (
-    BLOCK_PX, ScoreBatch, _block_rows, _blocks, _check_margins, _check_pair, _first_max,
-    _lambda, _phi_sums,
+    BLOCK_PX, ScoreBatch, _block_rows, _blocks, _check_margin_pair, _first_max, _lambda,
+    _phi_sums,
 )
 from .margins import MarginOffsets
 from .segdata import LabelStats, MaskBatch, write_csv
@@ -104,8 +104,9 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
 class _Counts:
     """The one walk from scores to counts, named ``what``.  ``scores(cols)``
     gives the (K, b) class-major scores of the pixel slice ``cols``: a
-    ScoreBatch's columns, or a model's forward pass on the pixels' features
-    (``trainer._model_scores``).  Block i's row is its (truth, prediction)
+    ScoreBatch's columns (``lower_bound_report``), or a model's forward pass
+    on the pixels' features (``trainer._model_scores``).  Each block takes
+    its valid row from its own labels.  Block i's row is its (truth, prediction)
     count matrix, K x K and exact in float64, then with margin-offsets its K
     sums of phi(lam / rho_k0) and its K sums of phi(-lam / rho_0k)."""
 
@@ -129,36 +130,6 @@ class _Counts:
             sums = row[k_cls * k_cls :]
             sums[:] = 0.0
             _phi_sums(lam, onehot, valid, self.m, sums[:k_cls], sums[k_cls:])
-
-
-def _score_walk(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets]) -> _Counts:
-    """The ``_Counts`` walk over the columns of ``s``, after the losses' checks."""
-    _check_pair(s, y)
-    if m is not None:
-        _check_margins(m, s.k_classes)
-    return _Counts(lambda cols: np.ascontiguousarray(s.scores.T[:, cols]), s.k_classes, y, m,
-                   "score_counts")
-
-
-def _tally(total: np.ndarray, k_cls: int, m: Optional[MarginOffsets]):
-    """The confusion counts in a ``_Counts`` walk's total, and with
-    margin-offsets the unnormalized l_k0 and l_0k sums (else None)."""
-    counts = ConfusionCounts.from_matrix(
-        total[: k_cls * k_cls].reshape(k_cls, k_cls).astype(np.int64))
-    return counts, None if m is None else (total[k_cls * k_cls : -k_cls], total[-k_cls:])
-
-
-def score_counts(s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets] = None):
-    """Confusion counts of the scores' predictions against ``y``, and with
-    margin-offsets ``m`` the unnormalized l_k0 and l_0k sums (else None).
-
-    One ``_Counts`` walk over the scores' columns, on a team of its own
-    (``team.run_walk``, which forks from FORK_MIN_BLOCKS blocks on); the
-    block rows are added in block order, so the result is bitwise that of
-    one process.  Each block's margins lambda = sc - max_{j != k} sc_j give
-    its predictions (see ``predict_labels``) and the phi-sums of
-    ``rho_margin_objective``."""
-    return _tally(run_walk(_score_walk(s, y, m)), s.k_classes, m)
 
 
 def iou_report(counts: ConfusionCounts) -> MetricsReport:
@@ -219,27 +190,34 @@ def predict_labels(s: ScoreBatch, like: MaskBatch) -> MaskBatch:
 
 def lower_bound_report(s: ScoreBatch, y: MaskBatch, m: MarginOffsets,
                        stats: Optional[LabelStats] = None) -> MetricsReport:
-    """``_report`` of ``score_counts``' walk: the IoU metrics and the margin
-    lower bounds of the scores ``s``.  ``trainer.evaluate(model, features,
-    y, m)`` gives it bitwise from the features, building no score array."""
-    return _report(run_walk(_score_walk(s, y, m)), s.k_classes, m, stats)
+    """``_report`` of a ``_Counts`` walk over the columns of ``s``: the IoU
+    metrics and the margin lower bounds of the scores.  The losses' checks
+    run first.  The walk is on a team of its own (``team.run_walk``), and
+    ``trainer.evaluate(model, features, y, m)`` gives the report bitwise
+    from the features, building no score array."""
+    _check_margin_pair(s, y, m)
+    walk = _Counts(lambda cols: np.ascontiguousarray(s.scores.T[:, cols]), s.k_classes, y, m,
+                   "lower_bound_report")
+    return _report(run_walk(walk), s.k_classes, m, stats)
 
 
 def _report(total: np.ndarray, k_cls: int, m: Optional[MarginOffsets] = None,
             stats: Optional[LabelStats] = None) -> MetricsReport:
-    """``iou_report`` of a ``_Counts`` walk's total, and with margin-offsets
-    ``m`` the lower bounds on IoU from its sums of ``rho_margin_objective``.
+    """``iou_report`` of the confusion counts in a ``_Counts`` walk's total,
+    and with margin-offsets ``m`` the lower bounds on IoU from its sums of
+    ``rho_margin_objective``.
 
     The bound's normalizing pixel count is always the evaluated batch's own
     valid count; ``bound_scope`` is "dataset" when that matches
     ``stats.n_total`` and "batch" otherwise.  The sandwich P_k0 <= l_k0,
     P_0k <= l_0k, IoU_lower_k <= IoU_k is verified before returning.
     """
-    counts, sums = _tally(total, k_cls, m)
+    counts = ConfusionCounts.from_matrix(
+        total[: k_cls * k_cls].reshape(k_cls, k_cls).astype(np.int64))
     report = iou_report(counts)
     if m is None:
         return report
-    ell_k0, ell_0k = sums
+    ell_k0, ell_0k = total[k_cls * k_cls : -k_cls], total[-k_cls:]
     ell_k0 /= counts.total
     ell_0k /= counts.total
 

@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-#: a walk on a team of its own (``run_walk``: `forward`, `score_counts`,
-#: `lower_bound_report`, `evaluate`) forks helpers only from this many blocks
-#: (2,097,152 pixels).  Forking, pinning and reaping a helper cost about 2 ms
-#: plus the helper's exit, which grows with the parent's memory (5-9 ms at
-#: 300 MB).  Measured at K = 3, `forward` and `lower_bound_report` repay that
-#: from 64 and 256 blocks, `score_counts` without margin-offsets only from
-#: about 512; CHANGES.md holds the timings.
+#: a walk on a team of its own (``run_walk``: `forward`, `lower_bound_report`,
+#: `evaluate`) forks helpers only from this many blocks (2,097,152 pixels).
+#: Forking, pinning and reaping a helper cost about 2 ms plus the helper's
+#: exit, which grows with the parent's memory (5-9 ms at 300 MB).  At K = 3,
+#: `forward` and `lower_bound_report` repay that from 64 and 256 blocks; 512 is
+#: where a since-deleted count walk without margin-offsets broke even, kept
+#: without re-tuning for `evaluate`.  CHANGES.md holds the timings.
 FORK_MIN_BLOCKS = 512
 
 
@@ -181,14 +181,11 @@ class _Team:
         self.close()
 
 
-def helpers_for(n_blocks: int) -> int:
-    """How many helpers a walk of ``n_blocks`` blocks forks: one per extra
-    usable CPU (at most one per block) from FORK_MIN_BLOCKS blocks on."""
-    return min(process_count(), n_blocks) - 1 if n_blocks >= FORK_MIN_BLOCKS else 0
-
-
 def run_walk(walk) -> np.ndarray:
     """The sum of ``walk``'s rows in block order, on a team of its own with
-    ``helpers_for(walk.n_blocks)`` helpers."""
-    with _Team(lambda job: walk, helpers_for(walk.n_blocks), walk.n_blocks, walk.width) as team:
+    one helper per extra usable CPU (at most one per block) from
+    FORK_MIN_BLOCKS blocks on."""
+    n_blocks = walk.n_blocks
+    helpers = min(process_count(), n_blocks) - 1 if n_blocks >= FORK_MIN_BLOCKS else 0
+    with _Team(lambda job: walk, helpers, n_blocks, walk.width) as team:
         return team.map()

@@ -12,7 +12,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .metrics import MetricsReport, _Counts, _report
 # not called here, but perfbench's tracer wraps these names in this module
 from .metrics import confusion, iou_report, predict_labels  # noqa: F401
 from .segdata import FeatureBatch, MaskBatch, check_labels, write_csv
-from .team import _Team, helpers_for, process_count, run_walk, shared_arrays
+from .team import _Team, process_count, run_walk, shared_arrays
 
 MODEL_MAGIC = b"PMC1"
 #: ``backward`` sums a block's rows as a product with ones, faster than a row sum
@@ -70,19 +70,15 @@ class PixelMLP:
 
 class _Forward:
     """``forward``'s walk: block i's class-major scores go to its columns of
-    a (K, n) array, shared if helpers write it (``run_walk`` forks
-    ``helpers_for(n_blocks)``); its result row is empty."""
+    a (K, n) array in shared memory, which helpers can write whenever
+    ``run_walk`` forks them; its result row is empty."""
 
     what, error, width = "forward", MarginCalError, 0
 
     def __init__(self, model: PixelMLP, x: np.ndarray) -> None:
         self.model, self.x = model, x
         self.n_blocks = -(-x.shape[0] // BLOCK_PX)
-        shape = (model.k_classes, x.shape[0])
-        # a fresh shared mapping per call would raise the peak memory of many
-        # small calls, which private memory reuses
-        shared = helpers_for(self.n_blocks) > 0
-        self.scores = shared_arrays((np.float64, shape))[0] if shared else np.empty(shape)
+        self.scores = shared_arrays((np.float64, (model.k_classes, x.shape[0])))[0]
 
     def run(self, i: int, row: np.ndarray) -> None:
         block = slice(i * BLOCK_PX, (i + 1) * BLOCK_PX)
@@ -96,9 +92,8 @@ def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     block runs.  Runs BLOCK_PX pixels at a time, so the hidden layer never
     exists for more than one block.  The scores are stored class-major: the
     returned (n, K) array is the transposed view of a C-ordered (K, n) array
-    in shared memory when helpers write it.  The blocks are a walk
-    (``team.run_walk``): from FORK_MIN_BLOCKS blocks on, every usable core
-    writes its share of them.
+    in shared memory.  The blocks are a walk (``team.run_walk``), which
+    decides whether helpers write a share of them.
     """
     if features.d != model.d:
         raise ShapeError(f"feature dim {features.d} != model d={model.d}")
@@ -265,21 +260,21 @@ class _StepTeam(_Team):
     """The one way a training step runs, and ``train``'s evaluation: a team
     forked once after the data exists, so its helpers read the features and
     masks through copy-on-write, with one helper per extra usable core, up
-    to one per block of the largest step.  In memory the helpers share
-    (``_load``), job n <= ``max_ids`` is the step over the first n image
-    ids, and job ``max_ids`` + 1 + j evaluates split j: the training split
-    (0) or ``val`` (1).
+    to one per block of the largest walk it will run.  In memory the helpers
+    share (``_load``), job n <= ``max_ids`` is the step over the first n
+    image ids, and job ``max_ids`` + 1 + j evaluates ``splits[j]``, the
+    (features, masks) pairs ``evaluate`` takes.
 
     Everything fixed for a run is checked here, once, before any fork:
-    ``_check_split`` of each split, and margin-offsets for K for the
-    margin-calibration loss, whose block kernel is derived here too.
+    ``_check_split`` of the training split and of each of ``splits``, and
+    margin-offsets for K for the margin-calibration loss, whose block kernel
+    is derived here too.
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
                  loss_name: str, margins: Optional[MarginOffsets], max_ids: int,
-                 val: Optional[tuple[FeatureBatch, MaskBatch]] = None) -> None:
-        splits = [(features, masks), *([val] if val else [])]
-        for split in splits:
+                 splits: Sequence[tuple[FeatureBatch, MaskBatch]] = ()) -> None:
+        for split in [(features, masks), *splits]:
             _check_split(model, *split)
         kernel = _pixel_kernel(loss_name, margins, model.k_classes)
         self.shapes = [p.shape for p in model.params()]
@@ -296,8 +291,8 @@ class _StepTeam(_Team):
             return _Step(shared, features, masks, ids[:job], loss_name, kernel, margins)
 
         walks = [make_walk(job) for job in range(max_ids, max_ids + 1 + len(splits))]
-        helpers = min(process_count(), walks[0].n_blocks) - 1  # walks[0]: the largest step
-        super().__init__(make_walk, helpers, max(w.n_blocks for w in walks),
+        n_blocks = max(w.n_blocks for w in walks)
+        super().__init__(make_walk, min(process_count(), n_blocks) - 1, n_blocks,
                          max(w.width for w in walks))
 
     def _load(self, model: PixelMLP) -> None:
@@ -321,8 +316,8 @@ class _StepTeam(_Team):
         return float(total[1]), _unflatten(total[2:], self.shapes)
 
     def evaluate(self, model: PixelMLP, split: int) -> MetricsReport:
-        """``evaluate(model, *split)`` of split 0 (training) or 1 (``val``),
-        bitwise, with no fork: each process runs its share of the blocks."""
+        """``evaluate(model, *splits[split])``, bitwise, with no fork: each
+        process runs its share of the blocks."""
         self._load(model)
         return _report(self.map(self.max_ids + 1 + split), model.k_classes)
 
@@ -397,32 +392,36 @@ def train(
 
     Batches are whole images; their order reshuffles every epoch from the
     seeded generator.  For the margin-calibration loss the offsets must be
-    precomputed from training-split statistics and passed in.  The step
-    team (``_StepTeam``) checks the run's inputs once, before any helper is
-    forked: missing offsets raise ConfigError; offsets for another K, and
-    features that do not fit the masks or the model or a label out of range
-    in the training split or (if ``eval_every``) the val split, ShapeError.
-    A non-finite score or loss, or a batch with no valid pixel, raises
-    TrainError naming the epoch, batch and loss.
+    precomputed from training-split statistics and passed in.  The run's
+    inputs are checked once, before any helper is forked: a val split with
+    features but no masks, or masks but no features, and missing offsets
+    raise ConfigError; the step team (``_StepTeam``) raises ShapeError for
+    offsets for another K, and for features that do not fit the masks or
+    the model or a label out of range in the training split or (if
+    ``eval_every``) the val split.  A non-finite score or loss, or a batch
+    with no valid pixel, raises TrainError naming the epoch, batch and loss.
 
-    A pixel-wise loss's steps run on every usable core: ``train`` forks one
-    helper process per extra core, up to one per block of the largest step,
-    and each process runs a fixed share of every step's blocks.  The step's
-    rows are folded in block order, so the trained model and log are
-    bitwise those of a run in one process.  Every ``eval_every`` epochs the
-    same team evaluates the training split and the val split (its train and
-    val mIoU are bitwise ``evaluate``'s), forking nothing more.  Every
-    helper is reaped before ``train`` returns or raises.
+    The steps and evaluations run on every usable core: ``train`` forks one
+    helper process per extra core, up to one per block of the largest step
+    or evaluated split, and each process runs a fixed share of every walk's
+    blocks (soft Dice and Tversky take a step as one block).  The rows are
+    folded in block order, so the trained model and log are bitwise those
+    of a run in one process.  Every ``eval_every`` epochs the same team
+    evaluates the training split and the val split (its train and val mIoU
+    are bitwise ``evaluate``'s), forking nothing more.  Every helper is
+    reaped before ``train`` returns or raises.
     """
     rng = np.random.default_rng(cfg.seed)
     n_images = train_masks.n_images
     velocity = [np.zeros_like(p) for p in model.params()]
     log = TrainLog()
     started = time.perf_counter()
-    has_val = cfg.eval_every > 0 and val_features is not None and val_masks is not None
+    if (val_features is None) != (val_masks is None):
+        raise ConfigError("give both val_features and val_masks, or neither")
+    has_val = val_masks is not None
+    splits = [(train_features, train_masks)] + [(val_features, val_masks)] * has_val
     with _StepTeam(model, train_features, train_masks, cfg.loss_name, margins,
-                   min(cfg.batch_images, n_images),
-                   (val_features, val_masks) if has_val else None) as team:
+                   min(cfg.batch_images, n_images), splits if cfg.eval_every else []) as team:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_images)
             epoch_loss = 0.0

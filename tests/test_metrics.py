@@ -11,7 +11,6 @@ from margincal.metrics import (
     iou_report,
     lower_bound_report,
     predict_labels,
-    score_counts,
     write_metrics_csv,
 )
 from margincal.segdata import LabelStats, MaskBatch, accumulate_stats
@@ -108,14 +107,17 @@ class TestIgnoreLabelBelowK:
     MASK = MaskBatch(labels=np.array([0, 1, 1], dtype=np.uint8), width=3, height=1,
                      n_images=1, ignore_index=0)
 
-    def test_score_counts_agree_with_confusion(self):
-        counts, _ = score_counts(self.SCORES, self.MASK)
-        assert counts.total == 2
-        np.testing.assert_array_equal(counts.tp, [0, 1])  # the tie goes to class 0
-        np.testing.assert_array_equal(counts.fp, [1, 0])
-        np.testing.assert_array_equal(counts.fn, [0, 1])
+    def test_lower_bound_report_counts_agree_with_confusion(self):
+        """Over the 2 valid pixels: tp [0, 1], fp [1, 0], fn [0, 1]."""
+        margins = compute_margins(LabelStats.from_counts([3, 5]), tau=1.0, upsilon=1.0)
+        report = lower_bound_report(self.SCORES, self.MASK, margins)
+        np.testing.assert_array_equal(report.p_k, [0.0, 1.0])  # (tp + fn) / 2
+        np.testing.assert_array_equal(report.p_k0, [0.0, 0.5])  # fn / 2
+        np.testing.assert_array_equal(report.p_0k, [0.5, 0.0])  # fp / 2: the tie goes to 0
+        assert report.pixel_accuracy == 0.5
         direct = confusion(predict_labels(self.SCORES, self.MASK), self.MASK, 2)
-        assert (direct.total, direct.tp.tolist()) == (2, [0, 1])
+        assert (direct.total, direct.tp.tolist(), direct.fp.tolist(), direct.fn.tolist()) == (
+            2, [0, 1], [1, 0], [0, 1])
 
     def test_lower_bound_as_if_the_pixel_were_absent(self):
         margins = compute_margins(LabelStats.from_counts([3, 5]), tau=1.0, upsilon=1.0)
@@ -267,13 +269,21 @@ class TestLowerBoundReport:
             assert report.miou_lower <= report.miou + 1e-15
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_blocked_walk_matches_recount(self, k):
+    def test_blocked_walk_matches_recount(self, monkeypatch, k):
         """Counts agree exactly with an argmax/bincount recount, and the phi-sums
-        bitwise with rho_margin_objective, across ties, blocks and ignored pixels."""
+        bitwise with rho_margin_objective, across ties, blocks and ignored pixels.
+        Each block takes its valid row from its labels: the report builds no
+        pixel-length valid mask, so ``MaskBatch.valid_mask`` raises while it runs."""
         scores, mask = tied_case(k)
         sb = ScoreBatch(scores=np.ascontiguousarray(scores.T).T)
         margins = compute_margins(accumulate_stats(mask, k), tau=2.0, upsilon=1.0)
-        report = lower_bound_report(sb, mask, margins)
+
+        def no_valid_mask(self):
+            raise AssertionError("lower_bound_report built a pixel-length valid mask")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MaskBatch, "valid_mask", no_valid_mask)
+            report = lower_bound_report(sb, mask, margins)
         tp, fp, fn, n = recount(scores, mask.labels, k)
         np.testing.assert_array_equal(report.p_k0, fn / n)
         np.testing.assert_array_equal(report.p_0k, fp / n)

@@ -14,7 +14,7 @@ import margincal.trainer as trainer_module
 from margincal.errors import MarginCalError, NumericError
 from margincal.losses import BLOCK_PX, rho_margin_objective
 from margincal.margins import compute_margins
-from margincal.metrics import lower_bound_report, score_counts
+from margincal.metrics import lower_bound_report
 from margincal.segdata import FEATURE_DIM, FeatureBatch, MaskBatch, accumulate_stats
 from margincal.team import FORK_MIN_BLOCKS, run_walk
 from margincal.trainer import PixelMLP, TrainConfig, evaluate, forward, train
@@ -56,36 +56,34 @@ def identity_case(k=3, seed=0):
 
 
 def evaluation_outputs(model, feats, masks, margins):
-    """The bytes of every output of forward, score_counts, lower_bound_report
-    and evaluate, after checking them against serial oracles: the scores are
-    the identity model's inputs, the counts an argmax/bincount recount, and
-    the phi-sums bitwise those of ``rho_margin_objective``'s one serial walk."""
+    """The bytes of every output of forward, lower_bound_report and evaluate,
+    after checking them against serial oracles: the scores are the identity
+    model's inputs, the counts an argmax/bincount recount, and the phi-sums
+    bitwise those of ``rho_margin_objective``'s one serial walk."""
     s = forward(model, feats)
-    counts, none = score_counts(s, masks)
-    counts_m, sums = score_counts(s, masks, margins)
     report = lower_bound_report(s, masks, margins)
     plain = evaluate(model, feats, masks)
-    assert none is None
     np.testing.assert_array_equal(s.scores, feats.features[:, :3])
     tp, fp, fn, n = recount(s.scores, masks.labels, 3)
-    for got in (counts, counts_m):
-        assert (got.tp.tolist(), got.fp.tolist(), got.fn.tolist(), got.total) == (
-            tp.tolist(), fp.tolist(), fn.tolist(), n)
-    assert plain.pixel_accuracy == tp.sum() / n
+    for got in (report, plain):
+        np.testing.assert_array_equal(got.p_k0, fn / n)
+        np.testing.assert_array_equal(got.p_0k, fp / n)
+        np.testing.assert_array_equal(got.p_k, (tp + fn) / n)
+        assert got.pixel_accuracy == tp.sum() / n
     objective = rho_margin_objective(s, masks, margins)
     np.testing.assert_array_equal(report.ell_k0, objective.per_class_fg)
     np.testing.assert_array_equal(report.ell_0k, objective.per_class_bg)
-    arrays = [s.scores, *sums, report.iou_per_class, report.iou_lower_per_class,
-              report.ell_k0, report.ell_0k, plain.iou_per_class, plain.p_k0, plain.p_0k]
+    arrays = [s.scores, report.iou_per_class, report.iou_lower_per_class, report.ell_k0,
+              report.ell_0k, plain.iou_per_class, plain.p_k0, plain.p_0k]
     return [np.ascontiguousarray(a).tobytes() for a in arrays] + [
         report.miou, report.miou_lower, plain.miou]
 
 
 @pytest.mark.usefixtures("deadline")
 class TestParallelEvaluation:
-    """``forward`` and ``score_counts`` walk their blocks on one process per
-    usable core once a walk has FORK_MIN_BLOCKS blocks, and their outputs are
-    bitwise those of one process."""
+    """``forward``, ``lower_bound_report`` and ``evaluate`` walk their blocks
+    on one process per usable core once a walk has FORK_MIN_BLOCKS blocks,
+    and their outputs are bitwise those of one process."""
 
     @pytest.mark.parametrize("threshold, forked", [(N_BLOCKS, True), (N_BLOCKS + 1, False)],
                              ids=["at-threshold", "below-threshold"])
@@ -97,8 +95,8 @@ class TestParallelEvaluation:
             use_cores(monkeypatch, cores)
             forks.clear()
             outputs.append(evaluation_outputs(model, feats, masks, margins))
-            # forward, two score_counts, lower_bound_report's and evaluate's one walk
-            assert len(forks) == (5 if forked and cores == 2 else 0)
+            # one walk each: forward, lower_bound_report and evaluate
+            assert len(forks) == (3 if forked and cores == 2 else 0)
             assert_reaped(forks)
         assert outputs[1] == outputs[0]
 
@@ -153,7 +151,7 @@ class TestParallelEvaluation:
             assert len(forks) == (2 if threshold == N_BLOCKS and cores == 2 else 0)
             assert_reaped(forks)
 
-    @pytest.mark.parametrize("walk", ["forward", "score_counts", "evaluate"])
+    @pytest.mark.parametrize("walk", ["forward", "lower_bound_report", "evaluate"])
     def test_a_dead_helper_raises_naming_the_walk(self, monkeypatch, forks, walk):
         feats, masks, margins, model = identity_case()
         s = forward(model, feats)
@@ -171,7 +169,7 @@ class TestParallelEvaluation:
 
         monkeypatch.setattr(module, name, die_in_helper)
         calls = {"forward": lambda: forward(model, feats),
-                 "score_counts": lambda: score_counts(s, masks, margins),
+                 "lower_bound_report": lambda: lower_bound_report(s, masks, margins),
                  "evaluate": lambda: evaluate(model, feats, masks, margins)}
         with pytest.raises(MarginCalError,
                            match=rf"^block helper process \d+ exited during {walk}$"):

@@ -523,13 +523,13 @@ def slowed(monkeypatch, where, seconds):
     monkeypatch.setattr(trainer_module, "_forward_cache", slow_forward_cache)
 
 
-def run_training(loss_name, size, n_images, batch_images, epochs=2):
+def run_training(loss_name, size, n_images, batch_images, epochs=2, eval_every=1):
     feats, masks = tiny_dataset(seed=5, n_images=n_images, size=size, noise=0.1)
     val = tiny_dataset(seed=6, n_images=2, size=size, noise=0.1)
     margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
     model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
     cfg = TrainConfig(loss_name=loss_name, epochs=epochs, batch_images=batch_images,
-                      learning_rate=0.1, seed=3, eval_every=1)
+                      learning_rate=0.1, seed=3, eval_every=eval_every)
     model, log = train(model, feats, masks, cfg, margins, *val)
     params = b"".join(p.tobytes() for p in model.params())
     return params, [(r.epoch, r.train_loss, r.train_miou, r.val_miou) for r in log.records]
@@ -651,9 +651,24 @@ class TestSharedStep:
 
     @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
     def test_whole_batch_losses_fork_nothing(self, monkeypatch, forks, loss_name):
+        """A step taken as one block, with no evaluation: no helper has a block."""
         use_cores(monkeypatch, 2)
-        run_training(loss_name, 64, 4, 4, epochs=1)
+        run_training(loss_name, 64, 4, 4, epochs=1, eval_every=0)
         assert forks == []
+
+    @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
+    def test_whole_batch_losses_evaluate_on_every_core(self, monkeypatch, forks, loss_name):
+        """The step team is sized by its largest walk, here the 4-block
+        evaluation of the training split: one helper, and a model and log
+        bitwise those of one process."""
+        runs = []
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            forks.clear()
+            runs.append(run_training(loss_name, 64, 4, 4))
+            assert len(forks) == cores - 1
+            assert_reaped(forks)
+        assert runs[1] == runs[0]
 
     def test_a_step_of_1025_blocks_matches_one_process(self, monkeypatch, forks):
         """1,025 one-image blocks in one step; one feature per pixel keeps the
@@ -710,6 +725,19 @@ class TestSharedStep:
         assert forks == []
         for p, q in zip(model.params(), before):
             np.testing.assert_array_equal(p, q)
+
+    @pytest.mark.parametrize("given", ["features", "masks"])
+    def test_a_half_given_val_split_raises_before_any_fork(self, monkeypatch, forks, given):
+        """Before, the val mIoU was logged as NaN."""
+        feats, masks = tiny_dataset(n_images=4, size=64)
+        val_feats, val_masks = tiny_dataset(seed=6, n_images=2, size=64)
+        val = {"val_features": val_feats} if given == "features" else {"val_masks": val_masks}
+        use_cores(monkeypatch, 2)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=2, eval_every=1)
+        with pytest.raises(ConfigError, match="^give both val_features and val_masks, "
+                                              "or neither$"):
+            train(PixelMLP.init(FEATURE_DIM, 16, 3, seed=1), feats, masks, cfg, **val)
+        assert forks == []
 
     def test_features_of_another_width_raise_before_any_fork(self, monkeypatch, forks):
         feats, masks = tiny_dataset(n_images=4, size=64)
