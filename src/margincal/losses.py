@@ -16,7 +16,6 @@ per-class sums and once for the gradient.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .margins import MarginOffsets
-from .segdata import MaskBatch, check_labels
+from .segdata import MaskBatch, _non_finite_at, check_labels
 
 _LN2 = float(np.log(2.0))
 #: pixels per class-major block: the block's (K, BLOCK_PX) float64
@@ -66,18 +65,6 @@ class ScoreBatch:
         return self.scores.shape[1]
 
 
-def _non_finite_at(scores: np.ndarray) -> Optional[tuple[int, int]]:
-    """(pixel, class) of the first non-finite entry of (n, K) ``scores``, or None.
-
-    NaN propagates through min and max, so two reductions see every
-    non-finite entry without an (n, K) mask; only a failure builds one.
-    """
-    if scores.size and not (math.isfinite(scores.min()) and math.isfinite(scores.max())):
-        pixel, k = np.argwhere(~np.isfinite(scores))[0]
-        return int(pixel), int(k)
-    return None
-
-
 @dataclass
 class LossResult:
     """Scalar loss with its gradient and the per-class decomposition.
@@ -93,12 +80,13 @@ class LossResult:
     per_class_bg: np.ndarray
 
 
-def _check_pair(s: ScoreBatch, y: MaskBatch) -> None:
+def _check_pair(s: ScoreBatch, y: MaskBatch) -> int:
+    """The valid pixel count of ``y`` (``check_labels``), once ``s`` covers its pixels."""
     if s.n_pixels != y.n_pixels:
         raise ShapeError(
             f"scores cover {s.n_pixels} pixels but mask has {y.n_pixels}"
         )
-    check_labels(y, s.k_classes)
+    return check_labels(y, s.k_classes)
 
 
 def _best_other(sc: np.ndarray) -> np.ndarray:
@@ -187,8 +175,7 @@ def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None, scores: bool = True):
         yield cols, block_sc, onehot, block_valid
 
 
-def _count_valid(y: MaskBatch) -> int:
-    n_valid = int(np.count_nonzero(y.valid_mask()))
+def _require_valid(n_valid: int) -> int:
     if n_valid == 0:
         raise ShapeError("no valid pixels in batch")
     return n_valid
@@ -215,10 +202,10 @@ def _pixel_mean(loss, blocks, grad: np.ndarray, n_valid: int) -> LossResult:
     return LossResult(float(fg.sum() + bg.sum()), grad.T, fg, bg)
 
 
-def _pixelwise(loss, s: ScoreBatch, y: MaskBatch) -> LossResult:
-    """``_pixel_mean`` of the whole batch, block by block."""
+def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, n_valid: int) -> LossResult:
+    """``_pixel_mean`` of the whole batch, block by block, over ``n_valid`` pixels."""
     grad = np.empty((s.k_classes, s.n_pixels))
-    return _pixel_mean(loss, _blocks(s, y), grad, _count_valid(y))
+    return _pixel_mean(loss, _blocks(s, y), grad, _require_valid(n_valid))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,9 +268,10 @@ def _check_margins(m: Optional[MarginOffsets], k_classes: int) -> None:
         raise ShapeError("margin-offsets and scores disagree on the class count")
 
 
-def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> None:
-    _check_pair(s, y)
+def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> int:
+    n_valid = _check_pair(s, y)
     _check_margins(m, s.k_classes)
+    return n_valid
 
 
 def _margin_kernel(m: MarginOffsets):
@@ -299,8 +287,7 @@ def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossRe
     elsewhere.  The gradient chains through the margin's max term, routed to
     the single lowest-indexed best competitor of each (pixel, class) entry.
     """
-    _check_margin_pair(s, y, m)
-    return _pixelwise(_margin_kernel(m), s, y)
+    return _pixelwise(_margin_kernel(m), s, y, _check_margin_pair(s, y, m))
 
 
 def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -312,8 +299,7 @@ def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossR
     valid pixels, phi(t) = min(1, max(0, 1 - t)), each divided by the valid
     pixel count: the l_k0 and l_0k of the IoU lower bound.
     """
-    _check_margin_pair(s, y, m)
-    n_valid = _count_valid(y)
+    n_valid = _require_valid(_check_margin_pair(s, y, m))
     fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
     for _, sc, onehot, block_valid in _blocks(s, y):
         _phi_sums(_lambda(sc), onehot, block_valid, m, fg, bg)
@@ -367,8 +353,7 @@ def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
 
 def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
     """Mean softmax negative log-likelihood over non-ignored pixels."""
-    _check_pair(s, y)
-    return _pixelwise((_cross_entropy_block, ()), s, y)
+    return _pixelwise((_cross_entropy_block, ()), s, y, _check_pair(s, y))
 
 
 def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
@@ -401,8 +386,7 @@ def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> L
     """Focal loss: NLL scaled by (1 - p_true)^gamma to emphasize hard pixels."""
     if gamma < 0:
         raise ConfigError("gamma must be non-negative")
-    _check_pair(s, y)
-    return _pixelwise((_focal_block, (gamma,)), s, y)
+    return _pixelwise((_focal_block, (gamma,)), s, y, _check_pair(s, y))
 
 
 def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
@@ -415,8 +399,7 @@ def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
     t_ik (FP = A - I, FN = B - I); the second turns p into the gradient in
     place through the softmax VJP.  Ignored pixels have p = 0 throughout.
     """
-    _check_pair(s, y)
-    _count_valid(y)
+    _require_valid(_check_pair(s, y))
     k_cls = s.k_classes
     grad = np.empty((k_cls, s.n_pixels))
     inter, a, b = np.zeros(k_cls), np.zeros(k_cls), np.zeros(k_cls)

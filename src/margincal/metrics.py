@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, DegenerateError, MarginCalError, NumericError, ShapeError
+from .errors import ConfigError, DataError, DegenerateError, MarginCalError, NumericError, ShapeError
 from .losses import (
     BLOCK_PX, ScoreBatch, _block_rows, _blocks, _check_margin_pair, _first_max, _lambda,
     _phi_sums,
@@ -59,9 +59,9 @@ class MetricsReport:
 
     Classes absent from both truth and prediction get NaN IoU/DSC and are
     excluded from the means; ``present`` records which classes counted.
-    The lower-bound fields stay None until filled by ``lower_bound_report``,
-    whose ``bound_scope`` says whether the 1/N normalization used the whole
-    dataset or just the evaluated batch.
+    The lower-bound fields stay None unless margin-offsets are given to
+    ``lower_bound_report`` or ``trainer.evaluate``; ``bound_scope`` says if the
+    1/N normalization used the whole dataset or (``evaluate``'s) the batch.
     """
 
     iou_per_class: np.ndarray
@@ -195,6 +195,8 @@ def lower_bound_report(s: ScoreBatch, y: MaskBatch, m: MarginOffsets,
     run first.  The walk is on a team of its own (``team.run_walk``), and
     ``trainer.evaluate(model, features, y, m)`` gives the report bitwise
     from the features, building no score array."""
+    if m is None:
+        raise ConfigError("lower_bound_report needs margin-offsets")
     _check_margin_pair(s, y, m)
     walk = _Counts(lambda cols: np.ascontiguousarray(s.scores.T[:, cols]), s.k_classes, y, m,
                    "lower_bound_report")

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .errors import ConfigError, DataError, FormatError, ShapeError, StatsError
 
 IGNORE_INDEX = 255
 FEATURE_DIM = 8
+#: labels per block of a whole-split label scan, whose scratch is one block's
+SCAN_BLOCK = 65536
 
 
 @dataclass
@@ -56,20 +58,44 @@ class MaskBatch:
         return self.labels != self.ignore_index
 
 
-def check_labels(masks: MaskBatch, k_classes: int, image_base: int = 0) -> None:
-    """Raise ShapeError naming the first non-ignored label outside [0,
-    ``k_classes``) by its image, counted from ``image_base``, and pixel.
-    Unsigned labels skip the test for negatives."""
-    labels = masks.labels.reshape(masks.n_images, -1)
-    bad = labels >= k_classes
-    if labels.dtype.kind == "i":
-        bad |= labels < 0
-    bad &= labels != masks.ignore_index
+def _checked_block(masks: MaskBatch, k_classes: int, image_base: int, start: int):
+    """The SCAN_BLOCK labels from ``start`` and their valid row, once they
+    pass ``check_labels``'s test."""
+    block = masks.labels[start : start + SCAN_BLOCK]
+    valid = block != masks.ignore_index
+    bad = block >= k_classes
+    if block.dtype.kind == "i":
+        bad |= block < 0
+    bad &= valid
     if bad.any():
-        image, pixel = np.argwhere(bad)[0]
-        label = labels[image, pixel]
-        why = "is below 0" if label < 0 else f"exceeds k_classes={k_classes}"
-        raise ShapeError(f"label {label} at image {image_base + image}, pixel {pixel} {why}")
+        at = int(bad.argmax())
+        image, pixel = divmod(start + at, masks.pixels_per_image)
+        why = "is below 0" if block[at] < 0 else f"exceeds k_classes={k_classes}"
+        raise ShapeError(f"label {block[at]} at image {image_base + image}, pixel {pixel} {why}")
+    return block, valid
+
+
+def check_labels(masks: MaskBatch, k_classes: int, image_base: int = 0) -> int:
+    """Raise ShapeError naming the first non-ignored label outside [0,
+    ``k_classes``) by its image, counted from ``image_base``, and pixel;
+    else return the count of labels that are not ignored.  Unsigned labels
+    skip the test for negatives."""
+    n_valid = 0
+    for start in range(0, masks.n_pixels, SCAN_BLOCK):
+        n_valid += np.count_nonzero(_checked_block(masks, k_classes, image_base, start)[1])
+    return n_valid
+
+
+def _non_finite_at(values: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, column) of the first non-finite entry of 2-D ``values``, or None.
+
+    NaN propagates through min and max, so two reductions see every
+    non-finite entry without a mask of their shape; only a failure builds one.
+    """
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        return int(row), int(col)
+    return None
 
 
 @dataclass
@@ -83,8 +109,9 @@ class FeatureBatch:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[1] != self.d:
             raise DataError(f"features must have shape (n_pixels, {self.d})")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("features contain non-finite values")
+        bad = _non_finite_at(self.features)
+        if bad is not None:
+            raise DataError(f"non-finite feature at pixel {bad[0]}, column {bad[1]}")
 
     @property
     def n_pixels(self) -> int:
@@ -324,9 +351,9 @@ def accumulate_stats(masks, k_classes: int) -> LabelStats:
     counts = np.zeros(k_classes, dtype=np.int64)
     image_base = 0
     for batch in masks:
-        check_labels(batch, k_classes, image_base=image_base)
-        valid = batch.valid_mask()
-        counts += np.bincount(batch.labels[valid].astype(np.int64), minlength=k_classes)
+        for start in range(0, batch.n_pixels, SCAN_BLOCK):
+            block, valid = _checked_block(batch, k_classes, image_base, start)
+            counts += np.bincount(block[valid], minlength=k_classes)
         image_base += batch.n_images
     if counts.sum() == 0:
         raise StatsError("empty effective dataset: every pixel carries the ignore index")

@@ -18,14 +18,14 @@ import numpy as np
 
 from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _non_finite_at,
-    _pixel_kernel, _pixel_mean, loss_by_name,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _pixel_kernel, _pixel_mean,
+    loss_by_name,
 )
 from .margins import MarginOffsets
 from .metrics import MetricsReport, _Counts, _report
 # not called here, but perfbench's tracer wraps these names in this module
 from .metrics import confusion, iou_report, predict_labels  # noqa: F401
-from .segdata import FeatureBatch, MaskBatch, check_labels, write_csv
+from .segdata import FeatureBatch, MaskBatch, _non_finite_at, check_labels, write_csv
 from .team import _Team, process_count, run_walk, shared_arrays
 
 MODEL_MAGIC = b"PMC1"
@@ -102,16 +102,16 @@ def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     return ScoreBatch(scores=walk.scores.T)
 
 
-def _forward_cache(model: PixelMLP, x: np.ndarray):
+def _forward_cache(model: PixelMLP, x: np.ndarray, out: Optional[np.ndarray] = None):
     """Scores of the rows of ``x`` and the hidden activations ``backward`` needs.
 
-    Both are class-major: ``act`` is (hidden, n), and the (n, K) scores are a
-    view of a (K, n) array.  Overflow is left silent: the caller's
-    finiteness check names the first non-finite score.  The caller has
-    checked that ``x`` has the model's width.
+    Both are class-major: ``act`` is (hidden, n), written into ``out`` if
+    given, and the (n, K) scores are a view of a (K, n) array.  Overflow is
+    left silent: the caller's finiteness check names the first non-finite
+    score.  The caller has checked that ``x`` has the model's width.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        act = model.w1.T @ x.T
+        act = np.matmul(model.w1.T, x.T, out=out)
         for row, bias in zip(act, model.b1):  # faster than a (hidden, 1) broadcast
             row += bias
         np.maximum(act, 0.0, out=act)
@@ -146,18 +146,19 @@ def _check_split(model: PixelMLP, features: FeatureBatch, masks: MaskBatch) -> N
 
 
 def backward(
-    model: PixelMLP, x: np.ndarray, act: np.ndarray, grad_scores: np.ndarray
+    model: PixelMLP, x: np.ndarray, act: np.ndarray, grad_scores: np.ndarray, out=None
 ) -> tuple[np.ndarray, ...]:
     """Parameter gradients for a given upstream d(loss)/d(scores).
 
-    ``act`` is the (hidden, n) activation from ``_forward_cache``.  The
-    hidden relu mask is act > 0 (identical to pre > 0 for the gradient
-    convention that puts the kink's subgradient at zero).
+    ``act`` is the (hidden, n) activation from ``_forward_cache``; ``out``, if
+    given, takes the (hidden, n) gradient at the hidden layer.  The relu mask
+    is act > 0 (identical to pre > 0 for the gradient convention that puts the
+    kink's subgradient at zero).
     """
     g = grad_scores.T
     gw2 = act @ grad_scores
     gb2 = g.sum(axis=1)
-    gpre = model.w2 @ g
+    gpre = np.matmul(model.w2, g, out=out)
     gpre *= act > 0.0
     gw1 = x.T @ gpre.T
     n = gpre.shape[1]
@@ -204,14 +205,15 @@ class _Step:
     loss (``kernel`` None).  The block writes [n, n * value, n * gradients]
     into ``row``, where n is its valid count (a block with none writes
     zeros).  Summed in block order, the rows give the batch's loss and
-    gradients.
+    gradients.  ``scratch``'s two rows take a block's activations and their
+    gradient.
     """
 
     what, error = "a training step", TrainError
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
-                 loss_name: str, kernel, margins: Optional[MarginOffsets]) -> None:
-        self.model, self.masks, self.loss_name = model, masks, loss_name
+                 loss_name: str, kernel, margins: Optional[MarginOffsets], scratch) -> None:
+        self.model, self.masks, self.loss_name, self.scratch = model, masks, loss_name, scratch
         self.kernel, self.margins = kernel, margins
         self.shapes = [p.shape for p in model.params()]
         self.width = 2 + sum(p.size for p in model.params())
@@ -236,7 +238,8 @@ class _Step:
         if n == 0:
             row[1:] = 0.0
             return
-        scores, act = _forward_cache(model, x)
+        act, gpre = (b[: model.hidden * labels.size].reshape(model.hidden, -1) for b in self.scratch)
+        scores, act = _forward_cache(model, x, act)
         bad = _non_finite_at(scores)
         if bad is not None:
             image, pixel = divmod(start + bad[0], self.masks.pixels_per_image)
@@ -252,7 +255,8 @@ class _Step:
             grad = self.grad_buf[: k_cls * labels.size].reshape(k_cls, -1)
             result = _pixel_mean(self.kernel, (block,), grad, n)
         row[1] = n * result.value
-        for out, g in zip(_unflatten(row[2:], self.shapes), backward(model, x, act, result.grad)):
+        grads = backward(model, x, act, result.grad, gpre)
+        for out, g in zip(_unflatten(row[2:], self.shapes), grads):
             np.multiply(g, n, out=out)
 
 
@@ -282,13 +286,17 @@ class _StepTeam(_Team):
                                     (np.int64, max_ids))
         shared = PixelMLP(*_unflatten(params, self.shapes))
         self.model, self.ids, self.max_ids = shared, ids, max_ids
+        # each process's (hidden, n) block activations and their gradient, made once: made
+        # and freed per block, they let malloc return the heap and fault it in again
+        block_px = BLOCK_PX if kernel is not None else max_ids * masks.pixels_per_image
+        scratch = np.empty((2, model.hidden * block_px))
 
         def make_walk(job: int):  # no reference to self: a cycle would keep the data
             if job > max_ids:
                 x, y = splits[job - max_ids - 1]
                 return _Counts(_model_scores(shared, x.features), shared.k_classes, y, None,
                                "evaluate")
-            return _Step(shared, features, masks, ids[:job], loss_name, kernel, margins)
+            return _Step(shared, features, masks, ids[:job], loss_name, kernel, margins, scratch)
 
         walks = [make_walk(job) for job in range(max_ids, max_ids + 1 + len(splits))]
         n_blocks = max(w.n_blocks for w in walks)

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from margincal.errors import DataError, ShapeError
-from margincal.losses import BLOCK_PX, ScoreBatch, rho_margin_objective
+from margincal.errors import ConfigError, DataError, ShapeError
+from margincal.losses import BLOCK_PX, ScoreBatch, _pixel_kernel, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import (
     ConfusionCounts,
@@ -292,6 +292,16 @@ class TestLowerBoundReport:
         objective = rho_margin_objective(sb, mask, margins)
         np.testing.assert_array_equal(report.ell_k0, objective.per_class_fg)
         np.testing.assert_array_equal(report.ell_0k, objective.per_class_bg)
+
+    def test_missing_offsets_name_the_caller(self):
+        """Without margin-offsets the report names itself, and training's
+        loss kernel keeps its own text."""
+        sb, mask, _, _ = self._random_case(2)
+        with pytest.raises(ConfigError, match="^lower_bound_report needs margin-offsets$"):
+            lower_bound_report(sb, mask, None)
+        with pytest.raises(ConfigError,
+                           match="^the margin-calibration loss needs margin-offsets$"):
+            _pixel_kernel("margin_calibration", None, 3)
 
     def test_scope_labels(self):
         sb, mask, margins, stats = self._random_case(1)

@@ -1,16 +1,22 @@
 """Tests for PGM I/O, synthetic generation and label statistics."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from margincal.errors import ConfigError, DataError, FormatError, ShapeError, StatsError
+from margincal.losses import ScoreBatch, rho_margin_objective
+from margincal.margins import compute_margins
 from margincal.segdata import (
     FEATURE_DIM,
+    SCAN_BLOCK,
+    FeatureBatch,
     LabelStats,
     MaskBatch,
     SynthConfig,
     accumulate_stats,
+    check_labels,
     generate_synthetic,
     read_mask_pgm,
     read_stats_csv,
@@ -230,6 +236,61 @@ class TestAccumulateStats:
                        n_images=1)
         stats = accumulate_stats([m1, m2], 2)
         np.testing.assert_array_equal(stats.n_per_class, [4, 4])
+
+    def test_counts_across_scan_blocks_match_bincount(self):
+        """Exact counts over several SCAN_BLOCK blocks and a partial last one,
+        with an ignore label below K that must not count as its class."""
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 4, size=2 * SCAN_BLOCK + 1000).astype(np.uint8)
+        mask = MaskBatch(labels=labels, width=labels.size, height=1, n_images=1, ignore_index=1)
+        want = np.bincount(labels[labels != 1], minlength=4)
+        np.testing.assert_array_equal(accumulate_stats(mask, 4).n_per_class, want)
+
+
+class TestFeatureBatch:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_feature_names_pixel_and_column(self, bad):
+        """The first non-finite entry in pixel order is named, here past the
+        first SCAN_BLOCK rows and outside column 0."""
+        features = np.zeros((SCAN_BLOCK + 100, FEATURE_DIM))
+        features[SCAN_BLOCK + 5, 3] = bad
+        features[SCAN_BLOCK + 6, 0] = bad
+        with pytest.raises(DataError) as caught:
+            FeatureBatch(features)
+        assert str(caught.value) == f"non-finite feature at pixel {SCAN_BLOCK + 5}, column 3"
+
+
+@pytest.fixture(scope="module")
+def large_split():
+    """2,097,152 px (128 images of 128x128), K = 2, an ignore label every 11 px."""
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 2, size=128 * 128 * 128).astype(np.uint8)
+    labels[::11] = 255
+    masks = MaskBatch(labels=labels, width=128, height=128, n_images=128)
+    return masks, rng.normal(size=(labels.size, FEATURE_DIM)), rng.normal(size=(labels.size, 2))
+
+
+@pytest.mark.parametrize("scan", ["FeatureBatch", "check_labels", "accumulate_stats",
+                                  "rho_margin_objective"])
+def test_whole_split_scans_hold_one_block_of_scratch(large_split, scan):
+    """Each scan over 2,097,152 px allocates under 2 MB (``tracemalloc``'s
+    peak), where a pixel-length bool array alone is 2.1 MB."""
+    masks, features, scores = large_split
+    scores = ScoreBatch(scores)
+    margins = compute_margins(LabelStats.from_counts([9, 1]), tau=2.0, upsilon=1.0)
+    call = {
+        "FeatureBatch": lambda: FeatureBatch(features),
+        "check_labels": lambda: check_labels(masks, 2),
+        "accumulate_stats": lambda: accumulate_stats(masks, 2),
+        "rho_margin_objective": lambda: rho_margin_objective(scores, masks, margins),
+    }[scan]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 class TestStatsCsv:

@@ -2,6 +2,7 @@
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report
 from margincal.segdata import (
     FEATURE_DIM,
+    SCAN_BLOCK,
     FeatureBatch,
     LabelStats,
     MaskBatch,
     SynthConfig,
     accumulate_stats,
+    check_labels,
     generate_synthetic,
 )
 from margincal.trainer import (
@@ -349,6 +352,58 @@ class TestBlockedStep:
         ValueError."""
         self.assert_every_label_check_says(-1, "label -1 at image 1, pixel 37 is below 0")
 
+    def test_a_step_allocates_no_block_activations(self, monkeypatch):
+        """A block's (hidden, n) activations and their gradient go into
+        scratch made once per team, so a step's allocations stay below one
+        such array (2 MB at hidden 64); made and freed per block, they let
+        malloc return the heap to the system and fault it in again."""
+        use_cores(monkeypatch, 1)
+        feats, masks = tiny_dataset(n_images=4, size=64)
+        model = PixelMLP.init(FEATURE_DIM, 64, 3, seed=0)
+        with trainer_module._StepTeam(model, feats, masks, "cross_entropy", None, 4) as team:
+            team.gradients(model, np.arange(4))
+            tracemalloc.start()
+            try:
+                team.gradients(model, np.arange(4))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 64 * BLOCK_PX * 8
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16], ids=["unsigned", "signed"])
+    def test_first_bad_label_past_the_first_scan_block(self, monkeypatch, forks, dtype):
+        """The label checks read SCAN_BLOCK labels at a time.  With ignore
+        labels in every block (so a block's maximum is always 255) and the
+        bad labels in later blocks, ``check_labels``, ``accumulate_stats``
+        and ``train`` name the first bad label in image order; in signed
+        labels that is a -1 before the 7."""
+        size, n_images = 256, 6
+        ppi = size * size
+        assert ppi + 37 >= SCAN_BLOCK  # image 1, pixel 37 is past the first block
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 3, size=n_images * ppi).astype(dtype)
+        labels[::7] = 255
+        labels[[4 * ppi + 4, 4 * ppi + 9, 5 * ppi]] = [7, 8, 9]
+        message = "label 7 at image 4, pixel 4 exceeds k_classes=3"
+        if dtype == np.int16:
+            labels[ppi + 37] = -1
+            message = "label -1 at image 1, pixel 37 is below 0"
+        masks = MaskBatch(labels=labels, width=size, height=size, n_images=n_images)
+        feats = FeatureBatch(np.zeros((labels.size, FEATURE_DIM)))
+        model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=2)
+        use_cores(monkeypatch, 2)
+        calls = {
+            "check_labels": lambda: check_labels(masks, 3),
+            "accumulate_stats": lambda: accumulate_stats(masks, 3),
+            "train": lambda: train(model, feats, masks, cfg),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ShapeError) as caught:
+                call()
+            assert str(caught.value) == message, name
+        assert forks == []
+
     def test_same_seed_identical_parameters(self):
         feats, masks = tiny_dataset()
         stats = accumulate_stats(masks, 3)
@@ -515,10 +570,10 @@ def slowed(monkeypatch, where, seconds):
     ("parent") or in every other process ("helper")."""
     parent = os.getpid()
 
-    def slow_forward_cache(model, x):
+    def slow_forward_cache(model, x, out=None):
         if (os.getpid() == parent) == (where == "parent"):
             time.sleep(seconds)
-        return _forward_cache(model, x)
+        return _forward_cache(model, x, out)
 
     monkeypatch.setattr(trainer_module, "_forward_cache", slow_forward_cache)
 
@@ -583,10 +638,10 @@ class TestSharedStep:
         feats.features[early * ppi + 100, 0] = np.nan
         feats.features[late * ppi + 7, 1] = np.nan
 
-        def hold_up_early(model, x):
+        def hold_up_early(model, x, out=None):
             if np.isnan(x[:, 0]).any():
                 time.sleep(0.5)
-            return _forward_cache(model, x)
+            return _forward_cache(model, x, out)
 
         monkeypatch.setattr(trainer_module, "_forward_cache", hold_up_early)
         messages = []
@@ -606,10 +661,10 @@ class TestSharedStep:
     def test_a_dead_helper_raises_instead_of_blocking(self, monkeypatch, forks):
         parent = os.getpid()
 
-        def die_in_helper(model, x):
+        def die_in_helper(model, x, out=None):
             if os.getpid() != parent:
                 os._exit(3)
-            return _forward_cache(model, x)
+            return _forward_cache(model, x, out)
 
         use_cores(monkeypatch, 2)
         monkeypatch.setattr(trainer_module, "_forward_cache", die_in_helper)
