@@ -188,7 +188,9 @@ def _cmd_eval(args) -> int:
     margins = read_margins_csv(args.margins) if args.margins else None
     report = evaluate(model, feats, masks, margins)
     write_metrics_csv(report, args.out)
-    print(f"miou={report.miou:.6g} pixel_acc={report.pixel_accuracy:.6g} -> {args.out}")
+    bound = (f" miou_lower={report.miou_lower:.6g} bound_scope={report.bound_scope}"
+             if margins is not None else "")
+    print(f"miou={report.miou:.6g} pixel_acc={report.pixel_accuracy:.6g}{bound} -> {args.out}")
     return 0
 
 

@@ -10,9 +10,9 @@ All losses are pure functions of (scores, labels); reductions run in a fixed
 order so repeated evaluations are bitwise identical.  Every loss reads the
 batch class-major, in (K, BLOCK_PX) blocks whose temporaries stay in cache,
 with row-wise numpy operations only: the margin objectives, cross-entropy and
-focal sum per-pixel terms block by block, and soft Dice (Tversky at
-alpha = beta = 1/2) and Tversky walk the blocks twice, once for their
-per-class sums and once for the gradient.
+focal sum per-pixel terms block by block, and soft Dice (Tversky at alpha =
+beta = 1/2) and Tversky walk the blocks twice, for their per-class sums and
+for the gradient.  A training step runs the same block kernels (``_pixel_kernel``).
 """
 from __future__ import annotations
 
@@ -327,8 +327,8 @@ def _phi_sums(lam, onehot, valid, m: MarginOffsets, fg, bg) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_block(sc: np.ndarray, out: np.ndarray):
-    """Softmax of a class-major (K, b) block, written into ``out``.
+def _softmax_block(sc: np.ndarray, out: np.ndarray, valid=None):
+    """Softmax of a class-major (K, b) block into ``out``, zero where a given ``valid`` is 0.
 
     Returns the shifted scores z = sc - max and their exp-sum ``total``, so
     that log p = z - log(total) holds even where p underflows.
@@ -337,6 +337,8 @@ def _softmax_block(sc: np.ndarray, out: np.ndarray):
     np.exp(z, out=out)
     total = out.sum(axis=0)
     out /= total
+    if valid is not None:
+        out *= valid
     return z, total
 
 
@@ -389,48 +391,60 @@ def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> L
     return _pixelwise((_focal_block, (gamma,)), s, y, _check_pair(s, y))
 
 
+def _tversky_sums(sc, onehot, valid, p, inter, a, b) -> None:
+    """Tversky's sums pass over one block: the softmax p of its valid pixels
+    into ``p``, and its I_k = sum_i p_ik t_ik, A_k = sum_i p_ik and B_k =
+    sum_i t_ik added to ``inter``, ``a`` and ``b``."""
+    _softmax_block(sc, p, valid)
+    inter += _row_dots(p, onehot)
+    a += p.sum(axis=1)
+    b += onehot.sum(axis=1)
+
+
+def _tversky_slopes(inter, a, b, alpha: float, beta: float, eps: float):
+    """The per-class losses (1 - index_k)/K of a batch's sums, and the (K, 1)
+    slope columns u, v of dL/dp_ik = u_k + v_k t_ik (FP = A - I, FN = B - I)."""
+    denom = inter + alpha * (a - inter) + beta * (b - inter) + eps
+    index = (inter + eps) / denom
+    k_cls = inter.size
+    return ((1.0 - index) / k_cls, (alpha * index / denom / k_cls)[:, None],
+            ((index * (1.0 - alpha - beta) - 1.0) / denom / k_cls)[:, None])
+
+
+def _tversky_vjp(p: np.ndarray, onehot: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Tversky's VJP pass over one block: its p becomes dL/ds in place."""
+    dp = onehot * v
+    dp += u
+    dp -= (dp * p).sum(axis=0)  # softmax VJP: p_j (dp_j - sum_k dp_k p_k)
+    p *= dp
+
+
 def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
              eps: float) -> LossResult:
     """Tversky loss 1 - mean_k (I_k + eps)/(I_k + alpha FP_k + beta FN_k + eps)
-    in two passes over the blocks.
-
-    The first writes the softmax p of the valid pixels into the gradient
-    buffer and sums I_k = sum_i p_ik t_ik, A_k = sum_i p_ik and B_k = sum_i
-    t_ik (FP = A - I, FN = B - I); the second turns p into the gradient in
-    place through the softmax VJP.  Ignored pixels have p = 0 throughout.
-    """
+    in two passes over the blocks: ``_tversky_sums`` leaves p in the
+    gradient buffer, and ``_tversky_vjp`` turns it into the gradient."""
     _require_valid(_check_pair(s, y))
     k_cls = s.k_classes
     grad = np.empty((k_cls, s.n_pixels))
     inter, a, b = np.zeros(k_cls), np.zeros(k_cls), np.zeros(k_cls)
     for cols, sc, onehot, block_valid in _blocks(s, y):
-        p = grad[:, cols]
-        _softmax_block(sc, p)
-        if block_valid is not None:
-            p *= block_valid
-        inter += _row_dots(p, onehot)
-        a += p.sum(axis=1)
-        b += onehot.sum(axis=1)
-    denom = inter + alpha * (a - inter) + beta * (b - inter) + eps
-    index = (inter + eps) / denom
-    per_class = (1.0 - index) / k_cls
-    # dL/dp_ik = u_k + v_k t_ik, from dI/dp = t, dFP/dp = 1 - t, dFN/dp = -t
-    u = (alpha * index / denom / k_cls)[:, None]
-    v = ((index * (1.0 - alpha - beta) - 1.0) / denom / k_cls)[:, None]
+        _tversky_sums(sc, onehot, block_valid, grad[:, cols], inter, a, b)
+    per_class, u, v = _tversky_slopes(inter, a, b, alpha, beta, eps)
     for cols, _, onehot, _ in _blocks(s, y, scores=False):
-        p = grad[:, cols]
-        dp = onehot * v
-        dp += u
-        dp -= (dp * p).sum(axis=0)  # softmax VJP: p_j (dp_j - sum_k dp_k p_k)
-        p *= dp
+        _tversky_vjp(grad[:, cols], onehot, u, v)
     return LossResult(float(per_class.sum()), grad.T, per_class, np.zeros(k_cls))
 
 
+def _dice(eps: float) -> tuple[float, float, float]:
+    """Soft Dice as Tversky: (2I + eps)/(A + B + eps) = (I + eps/2)/(I + FP/2 + FN/2 + eps/2)."""
+    return 0.5, 0.5, 0.5 * eps
+
+
 def soft_dice(s: ScoreBatch, y: MaskBatch, eps: float = BASELINE_DICE_EPS) -> LossResult:
-    """Soft Dice loss 1 - mean_k (2 I_k + eps)/(A_k + B_k + eps) on softmax scores:
-    Tversky at alpha = beta = 1/2 with eps/2, since (2I + eps)/(A + B + eps)
-    = (I + eps/2)/(I + FP/2 + FN/2 + eps/2)."""
-    return _tversky(s, y, 0.5, 0.5, 0.5 * eps)
+    """Soft Dice loss 1 - mean_k (2 I_k + eps)/(A_k + B_k + eps) on softmax
+    scores: Tversky at ``_dice(eps)``."""
+    return _tversky(s, y, *_dice(eps))
 
 
 def tversky(
@@ -445,9 +459,10 @@ def tversky(
 
 
 def _pixel_kernel(name: str, margins: Optional[MarginOffsets], k_classes: int):
-    """The (block kernel, args) pair that ``_pixel_mean`` takes for the loss
-    ``name`` at its default settings, or None for soft Dice and Tversky,
-    which couple every pixel of a batch.  The margin-offsets are checked
+    """The (kernel, args) pair of the loss ``name`` at its default settings:
+    ``_pixel_mean``'s block kernel for a pixel-wise loss, and for soft Dice
+    and Tversky, which couple every pixel of a batch, ``_tversky_slopes``
+    with its weights (alpha, beta, eps).  The margin-offsets are checked
     against ``k_classes`` here, once; missing ones raise ConfigError."""
     if name == "margin_calibration":
         _check_margins(margins, k_classes)
@@ -456,14 +471,16 @@ def _pixel_kernel(name: str, margins: Optional[MarginOffsets], k_classes: int):
         return _cross_entropy_block, ()
     if name == "focal":
         return _focal_block, (BASELINE_FOCAL_GAMMA,)
-    return None
+    if name == "soft_dice":
+        return _tversky_slopes, _dice(BASELINE_DICE_EPS)
+    return _tversky_slopes, (BASELINE_TVERSKY_ALPHA, BASELINE_TVERSKY_BETA, BASELINE_DICE_EPS)
 
 
 def loss_by_name(name: str):
     """Map a loss name to a (scores, mask, margins) -> LossResult callable.
 
     Baselines ignore the margins argument; it keeps one calling convention
-    for the trainer.
+    for the gradient check.
     """
     if name == "margin_calibration":
         return calibrated_log_loss

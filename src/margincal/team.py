@@ -147,7 +147,7 @@ class _Team:
     def _serve(self, go: int, done_pipe: int, share: int, stride: int) -> None:
         """A helper's life: its share of one walk per job number read from ``go``."""
         while len(job := os.read(go, 4)) == 4:
-            walk = self.make_walk(int.from_bytes(job, "little"))
+            walk = self.make_walk(int.from_bytes(job, "little", signed=True))
             _run_share(walk, self.rows[:, : walk.width], self.done, share, stride)
             os.write(done_pipe, b"\x01")
 
@@ -156,7 +156,7 @@ class _Team:
         walk = self.make_walk(job)
         rows, done = self.rows[: walk.n_blocks, : walk.width], self.done[: walk.n_blocks]
         done[:] = False
-        message = job.to_bytes(4, "little")
+        message = job.to_bytes(4, "little", signed=True)
         for _, go, _ in self.helpers:
             with contextlib.suppress(BrokenPipeError):  # dead: reading its done pipe raises
                 os.write(go, message)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
     BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _pixel_kernel, _pixel_mean,
-    loss_by_name,
+    _softmax_block, _tversky_slopes, _tversky_sums, _tversky_vjp,
 )
 from .margins import MarginOffsets
 from .metrics import MetricsReport, _Counts, _report
@@ -176,54 +176,50 @@ def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _block_plan(masks: MaskBatch, image_ids: np.ndarray, block_px: int) -> list:
-    """(ids, start, stop) of each block of at most ``block_px`` pixels of the
+def _block_plan(masks: MaskBatch, image_ids: np.ndarray) -> list:
+    """(ids, start, stop) of each block of at most BLOCK_PX pixels of the
     images ``image_ids`` (an index array), in order: whole images grouped
     (start, stop = 0, pixels per image), or equal slices [start, stop) of
     one large image."""
     ppi = masks.pixels_per_image
-    group = block_px // ppi
+    group = BLOCK_PX // ppi
     if group >= 2:
         return [(image_ids[j : j + group], 0, ppi) for j in range(0, len(image_ids), group)]
-    n_slices = -(-ppi // block_px)
-    step = -(-ppi // n_slices)  # equal slices of at most block_px
+    n_slices = -(-ppi // BLOCK_PX)
+    step = -(-ppi // n_slices)  # equal slices of at most BLOCK_PX
     return [(image_ids[j : j + 1], start, min(start + step, ppi))
             for j in range(len(image_ids)) for start in range(0, ppi, step)]
 
 
 class _Step:
-    """One batch's blocks as a walk (see ``team``).
+    """One walk over a batch's blocks (see ``team``).
 
     A block holds at most BLOCK_PX pixels: whole images, grouped when they
     are small, or equal slices of one large image, so its activations are
-    still in cache for its backward pass.  ``run(i, row)`` gathers
-    block i, runs forward, checks the scores (a non-finite one raises
-    NumericError naming its image and pixel), takes the loss and runs
-    backward.  A pixel-wise loss's class-major block scores go straight to
-    its block kernel (``losses._pixel_mean``); soft Dice and Tversky couple
-    every pixel of the batch and take it as one block through their public
-    loss (``kernel`` None).  The block writes [n, n * value, n * gradients]
-    into ``row``, where n is its valid count (a block with none writes
-    zeros).  Summed in block order, the rows give the batch's loss and
-    gradients.  ``scratch``'s two rows take a block's activations and their
-    gradient.
+    still in cache for its backward pass.  ``run(i, row)`` gathers block i,
+    runs forward, checks the scores (a non-finite one raises NumericError
+    naming its image and pixel) and applies ``loss``, a (kernel, args) pair:
+    a pixel-wise loss's kernel (``losses._pixel_mean``) and backward write
+    [n, n * value, n * gradients] of the mean over the block's n valid
+    pixels; ``_tversky_sums`` writes the block's [n, I, A, B]; and
+    ``_tversky_vjp`` at the slopes (u, v) in ``args`` and backward write
+    [n, 0, gradients] of a batch's soft Dice or Tversky loss.  A block with
+    no valid pixel writes zeros; ``scratch`` holds its (hidden, b), (K, b) arrays.
     """
 
     what, error = "a training step", TrainError
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
-                 loss_name: str, kernel, margins: Optional[MarginOffsets], scratch) -> None:
-        self.model, self.masks, self.loss_name, self.scratch = model, masks, loss_name, scratch
-        self.kernel, self.margins = kernel, margins
+                 loss, scratch) -> None:
+        self.model, self.masks, self.loss, self.scratch = model, masks, loss, scratch
         self.shapes = [p.shape for p in model.params()]
-        self.width = 2 + sum(p.size for p in model.params())
+        self.width = (1 + 3 * model.k_classes if loss[0] is _tversky_sums
+                      else 2 + sum(p.size for p in model.params()))
         ppi = masks.pixels_per_image
         self.x_img = features.features.reshape(masks.n_images, ppi, -1)
         self.y_img = masks.labels.reshape(masks.n_images, ppi)
-        block_px = BLOCK_PX if kernel is not None else len(image_ids) * ppi
-        self.plan = _block_plan(masks, image_ids, block_px)
+        self.plan = _block_plan(masks, image_ids)
         self.n_blocks = len(self.plan)
-        self.grad_buf = np.empty(model.k_classes * BLOCK_PX)
 
     def run(self, i: int, row: np.ndarray) -> None:
         model = self.model
@@ -232,32 +228,35 @@ class _Step:
             x, labels = self.x_img[ids[0], start:stop], self.y_img[ids[0], start:stop]
         else:
             x, labels = self.x_img[ids].reshape(-1, self.x_img.shape[2]), self.y_img[ids].reshape(-1)
-        ignore = self.masks.ignore_index
-        valid = labels != ignore
+        valid = labels != self.masks.ignore_index
         n = row[0] = int(np.count_nonzero(valid))
+        row[1:] = 0.0
         if n == 0:
-            row[1:] = 0.0
             return
-        act, gpre = (b[: model.hidden * labels.size].reshape(model.hidden, -1) for b in self.scratch)
+        k_cls, size = model.k_classes, labels.size
+        act, gpre, grad = (buf[: rows * size].reshape(rows, size) for buf, rows
+                           in zip(self.scratch, (model.hidden, model.hidden, k_cls)))
         scores, act = _forward_cache(model, x, act)
         bad = _non_finite_at(scores)
         if bad is not None:
             image, pixel = divmod(start + bad[0], self.masks.pixels_per_image)
             raise NumericError(f"non-finite score at image {ids[image]}, pixel {pixel}, "
                                f"class {bad[1]}")
-        k_cls = model.k_classes
-        if self.kernel is None:
-            y = MaskBatch(labels=labels, width=labels.size, height=1, n_images=1,
-                          ignore_index=ignore)
-            result = loss_by_name(self.loss_name)(ScoreBatch(scores=scores), y, self.margins)
+        onehot, valid = _block_rows(labels, valid, k_cls)
+        kernel, args = self.loss
+        if kernel is _tversky_sums:
+            _tversky_sums(scores.T, onehot, valid, grad, *row[1:].reshape(3, k_cls))
+            return
+        if kernel is _tversky_vjp:
+            _softmax_block(scores.T, grad, valid)
+            _tversky_vjp(grad, onehot, *args)
+            scale, grad_scores = 1, grad.T
         else:
-            block = (slice(None), scores.T, *_block_rows(labels, valid, k_cls))
-            grad = self.grad_buf[: k_cls * labels.size].reshape(k_cls, -1)
-            result = _pixel_mean(self.kernel, (block,), grad, n)
-        row[1] = n * result.value
-        grads = backward(model, x, act, result.grad, gpre)
+            result = _pixel_mean(self.loss, ((slice(None), scores.T, onehot, valid),), grad, n)
+            row[1], scale, grad_scores = n * result.value, n, result.grad
+        grads = backward(model, x, act, grad_scores, gpre)
         for out, g in zip(_unflatten(row[2:], self.shapes), grads):
-            np.multiply(g, n, out=out)
+            np.multiply(g, scale, out=out)
 
 
 class _StepTeam(_Team):
@@ -266,8 +265,9 @@ class _StepTeam(_Team):
     masks through copy-on-write, with one helper per extra usable core, up
     to one per block of the largest walk it will run.  In memory the helpers
     share (``_load``), job n <= ``max_ids`` is the step over the first n
-    image ids, and job ``max_ids`` + 1 + j evaluates ``splits[j]``, the
-    (features, masks) pairs ``evaluate`` takes.
+    image ids, job -n its sums walk (soft Dice and Tversky), and job
+    ``max_ids`` + 1 + j evaluates ``splits[j]``, the (features, masks) pairs
+    ``evaluate`` takes.
 
     Everything fixed for a run is checked here, once, before any fork:
     ``_check_split`` of the training split and of each of ``splits``, and
@@ -280,25 +280,29 @@ class _StepTeam(_Team):
                  splits: Sequence[tuple[FeatureBatch, MaskBatch]] = ()) -> None:
         for split in [(features, masks), *splits]:
             _check_split(model, *split)
-        kernel = _pixel_kernel(loss_name, margins, model.k_classes)
+        kernel, args = _pixel_kernel(loss_name, margins, model.k_classes)
         self.shapes = [p.shape for p in model.params()]
-        params, ids = shared_arrays((np.float64, sum(p.size for p in model.params())),
-                                    (np.int64, max_ids))
+        params, ids, slopes = shared_arrays(
+            (np.float64, sum(p.size for p in model.params())), (np.int64, max_ids),
+            (np.float64, (2, model.k_classes, 1)))
         shared = PixelMLP(*_unflatten(params, self.shapes))
-        self.model, self.ids, self.max_ids = shared, ids, max_ids
-        # each process's (hidden, n) block activations and their gradient, made once: made
+        self.model, self.ids, self.max_ids, self.slopes = shared, ids, max_ids, slopes
+        self.weights = args if kernel is _tversky_slopes else None
+        step = (kernel, args) if self.weights is None else (_tversky_vjp, slopes)
+        # each process's block activations, their gradient and kernel rows, made once: made
         # and freed per block, they let malloc return the heap and fault it in again
-        block_px = BLOCK_PX if kernel is not None else max_ids * masks.pixels_per_image
-        scratch = np.empty((2, model.hidden * block_px))
+        scratch = [np.empty(r * BLOCK_PX) for r in (model.hidden, model.hidden, model.k_classes)]
 
         def make_walk(job: int):  # no reference to self: a cycle would keep the data
+            if job < 0:
+                return _Step(shared, features, masks, ids[:-job], (_tversky_sums, ()), scratch)
             if job > max_ids:
                 x, y = splits[job - max_ids - 1]
                 return _Counts(_model_scores(shared, x.features), shared.k_classes, y, None,
                                "evaluate")
-            return _Step(shared, features, masks, ids[:job], loss_name, kernel, margins, scratch)
+            return _Step(shared, features, masks, ids[:job], step, scratch)
 
-        walks = [make_walk(job) for job in range(max_ids, max_ids + 1 + len(splits))]
+        walks = [make_walk(job) for job in (-max_ids, *range(max_ids, max_ids + 1 + len(splits)))]
         n_blocks = max(w.n_blocks for w in walks)
         super().__init__(make_walk, min(process_count(), n_blocks) - 1, n_blocks,
                          max(w.width for w in walks))
@@ -311,17 +315,24 @@ class _StepTeam(_Team):
     def gradients(self, model: PixelMLP, image_ids) -> tuple[float, list[np.ndarray]]:
         """Loss and parameter gradients of the batch of whole images
         ``image_ids`` at ``model``'s parameters.  The pixel-wise losses are
-        means over valid pixels.  The blocks' rows are summed in block
-        order, so the result is bitwise the same whoever ran each block, and
-        the first failing block raises as it would in one process."""
+        means over valid pixels; soft Dice and Tversky take the loss and the
+        slopes of the step's walk from the sums of a walk before it.  The
+        blocks' rows are summed in block order, so the result is bitwise the
+        same whoever ran each block, and the first failing block raises as
+        it would in one process."""
         self._load(model)
-        self.ids[: len(image_ids)] = image_ids
-        total = self.map(len(image_ids))
+        n_ids = len(image_ids)
+        self.ids[:n_ids] = image_ids
+        total = self.map(n_ids if self.weights is None else -n_ids)
         n_valid = int(total[0])
         if n_valid == 0:
             raise ShapeError("no valid pixels in batch")
-        total /= n_valid
-        return float(total[1]), _unflatten(total[2:], self.shapes)
+        if self.weights is None:
+            total /= n_valid
+            return float(total[1]), _unflatten(total[2:], self.shapes)
+        per_class, u, v = _tversky_slopes(*total[1:].reshape(3, -1), *self.weights)
+        self.slopes[:] = u, v
+        return float(per_class.sum()), _unflatten(self.map(n_ids)[2:], self.shapes)
 
     def evaluate(self, model: PixelMLP, split: int) -> MetricsReport:
         """``evaluate(model, *splits[split])``, bitwise, with no fork: each
@@ -412,8 +423,8 @@ def train(
     The steps and evaluations run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step
     or evaluated split, and each process runs a fixed share of every walk's
-    blocks (soft Dice and Tversky take a step as one block).  The rows are
-    folded in block order, so the trained model and log are bitwise those
+    blocks (a soft-Dice or Tversky step walks for its sums, then its
+    gradients), folded in block order: the model and log are bitwise those
     of a run in one process.  Every ``eval_every`` epochs the same team
     evaluates the training split and the val split (its train and val mIoU
     are bitwise ``evaluate``'s), forking nothing more.  Every helper is

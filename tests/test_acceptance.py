@@ -291,6 +291,12 @@ class TestAcceptance:
         The closed form eps_k = upsilon*sqrt(N-N_k) / (P_k*(tau/(4KF) - 1))
         = 0.05*7071.07 / (0.5*2385.3) = 0.296 for both classes, so the gap
         must be valid, below 1 and equal to the closed form to 1e-12.
+
+        A third check trains models where the gap is below 0.5 (K = 2,
+        ratios (0.5, 0.5), tau = 10, upsilon = 0.003, M = 256, eta = 0.05,
+        C = 0.05), so it can fail: the held-out inequality must hold in 95%
+        of trials, and break in every trial once the held-out labels are
+        swapped.
         """
         started = time.perf_counter()
         counts, tau, upsilon, m_pixels, eta, c_theta = (
@@ -340,11 +346,45 @@ class TestAcceptance:
             heldout = evaluate(model, hfeats, hmasks)
             if heldout.miou >= train_rep.miou_lower - result.eps:
                 successes += 1
+
+        # The trained-model check above holds for any model.  With balanced
+        # classes and upsilon = 0.003 (above max P_k / sqrt(N - N_k) = 0.0014,
+        # which compute_margins needs) the gap is below 0.5, so the check
+        # can fail; held-out labels 0 and 1 swapped must make it fail.
+        balanced_successes, swapped_successes, balanced_eps = 0, 0, []
+        split = dict(width=16, height=16, k_classes=2, target_ratios=(0.5, 0.5),
+                     noise_sigma=0.1)
+        for trial in range(trials):
+            feats, masks = generate_synthetic(SynthConfig(seed=1000 + trial, n_images=1000,
+                                                          **split))
+            stats = accumulate_stats(masks, 2)
+            margins = compute_margins(stats, tau=10.0, upsilon=0.003)
+            result = evaluate_epsilon(BoundConfig(stats=stats, margins=margins, m_pixels=256,
+                                                  eta=0.05, c_theta=0.05))
+            assert result.all_valid, f"trial {trial}: balanced gap must be non-vacuous"
+            assert result.eps < 0.5, f"trial {trial}: balanced gap {result.eps} must be below 0.5"
+            balanced_eps.append(result.eps)
+
+            tc = TrainConfig(loss_name="margin_calibration", epochs=5,
+                             batch_images=250, learning_rate=0.1, seed=trial,
+                             eval_every=0)
+            model = PixelMLP.init(FEATURE_DIM, 16, 2, seed=trial)
+            model, _ = train(model, feats, masks, tc, margins=margins)
+            floor = lower_bound_report(forward(model, feats), masks, margins,
+                                       stats).miou_lower - result.eps
+            hfeats, hmasks = generate_synthetic(SynthConfig(seed=5000 + trial, n_images=400,
+                                                            **split))
+            swapped = MaskBatch(labels=1 - hmasks.labels, width=16, height=16, n_images=400)
+            balanced_successes += evaluate(model, hfeats, hmasks).miou >= floor
+            swapped_successes += evaluate(model, hfeats, swapped).miou >= floor
         elapsed = time.perf_counter() - started
         report(
             10,
             "held-out mean IoU respects the train bound minus the gap",
-            successes >= int(np.ceil(0.95 * trials)),
-            f"({successes}/{trials} trials, eps {min(eps):.4g}..{max(eps):.4g}, "
-            f"label-count eps {large.eps:.3g}, {elapsed:.0f}s)",
+            successes >= int(np.ceil(0.95 * trials))
+            and balanced_successes >= int(np.ceil(0.95 * trials)) and swapped_successes == 0,
+            f"({successes}/{trials} trials, eps {min(eps):.4g}..{max(eps):.4g}; "
+            f"balanced {balanced_successes}/{trials}, eps "
+            f"{min(balanced_eps):.4g}..{max(balanced_eps):.4g}, swapped labels "
+            f"{swapped_successes}/{trials}; label-count eps {large.eps:.3g}, {elapsed:.0f}s)",
         )

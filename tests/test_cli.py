@@ -269,11 +269,14 @@ class TestTrainEvalFlow:
         run_ok(["margins", "--stats", str(stats_csv), "--tau", "2", "--upsilon", "1",
                 "--out", str(margins_csv)])
         metrics_path = tmp_path / "metrics.csv"
+        capsys.readouterr()
         run_ok(["eval", "--model", str(model_path), "--margins", str(margins_csv),
                 "--out", str(metrics_path)] + SMALL_DATASET)
-        capsys.readouterr()
+        out = capsys.readouterr().out
         want = lower_bound_report(forward(load_model(model_path), feats), masks,
                                   read_margins_csv(margins_csv))
+        assert out == (f"miou={want.miou:.6g} pixel_acc={want.pixel_accuracy:.6g} "
+                       f"miou_lower={want.miou_lower:.6g} bound_scope=batch -> {metrics_path}\n")
         with open(metrics_path) as fh:
             rows = {row["class_index"]: row for row in csv.DictReader(fh)}
         np.testing.assert_allclose([float(rows[str(k)]["iou_lower"]) for k in range(3)],

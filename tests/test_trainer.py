@@ -11,7 +11,7 @@ import margincal.team as team_module
 import margincal.trainer as trainer_module
 from margincal.errors import ConfigError, ShapeError, TrainError
 from margincal.losses import (
-    BLOCK_PX, ScoreBatch, calibrated_log_loss, cross_entropy, loss_by_name,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, calibrated_log_loss, cross_entropy, loss_by_name,
 )
 from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report
@@ -196,32 +196,39 @@ class TestTrain:
         with pytest.raises(TrainError, match=r"epoch 1, batch 1 \(cross_entropy\)"):
             train(model, feats, masks, cfg)
 
+    @pytest.mark.parametrize("loss_name", LOSS_NAMES)
     @pytest.mark.parametrize("ppi", [64, 2 * BLOCK_PX])
-    def test_non_finite_score_names_image_and_pixel(self, ppi):
-        """Images grouped into one block, and one image sliced into several."""
+    def test_non_finite_score_names_image_and_pixel(self, ppi, loss_name):
+        """Images grouped into one block, and one image sliced into several;
+        soft Dice and Tversky raise from their sums walk."""
         n_images, image, pixel = 3, 1, ppi - 5
         features = np.random.default_rng(2).normal(size=(n_images * ppi, FEATURE_DIM))
         feats = FeatureBatch(features=features)
         feats.features[image * ppi + pixel, 0] = np.nan  # past FeatureBatch's check
         masks = MaskBatch(labels=np.zeros(n_images * ppi, dtype=np.uint8),
                           width=ppi, height=1, n_images=n_images)
+        margins = compute_margins(LabelStats.from_counts([90, 7, 3]), tau=2.0, upsilon=1.0)
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
-        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=n_images)
-        with pytest.raises(TrainError, match=rf"at image {image}, pixel {pixel}, class 0 "
-                                             r"at epoch 1, batch 0 \(cross_entropy\)"):
-            train(model, feats, masks, cfg)
+        cfg = TrainConfig(loss_name=loss_name, epochs=1, batch_images=n_images)
+        with pytest.raises(TrainError, match=rf"^non-finite score at image {image}, "
+                                             rf"pixel {pixel}, class 0 at epoch 1, "
+                                             rf"batch 0 \({loss_name}\)$"):
+            train(model, feats, masks, cfg, margins=margins)
 
-    def test_batch_with_no_valid_pixel_names_epoch_and_batch(self):
+    @pytest.mark.parametrize("loss_name", LOSS_NAMES)
+    def test_batch_with_no_valid_pixel_names_epoch_and_batch(self, loss_name):
+        """Soft Dice and Tversky find the count in their sums walk."""
         feats, masks = tiny_dataset(n_images=4)
         labels = masks.labels.copy()
         labels[2 * 256 : 3 * 256] = 255  # image 2 is all ignored
         masks = MaskBatch(labels=labels, width=16, height=16, n_images=4)
+        margins = compute_margins(accumulate_stats(masks, 3), tau=2.0)
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
-        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=1, seed=0)
+        cfg = TrainConfig(loss_name=loss_name, epochs=1, batch_images=1, seed=0)
         batch = list(np.random.default_rng(0).permutation(4)).index(2)
         with pytest.raises(TrainError, match=rf"^no valid pixels in batch at epoch 1, "
-                                             rf"batch {batch} \(cross_entropy\)$"):
-            train(model, feats, masks, cfg)
+                                             rf"batch {batch} \({loss_name}\)$"):
+            train(model, feats, masks, cfg, margins=margins)
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ConfigError, match="unknown loss"):
@@ -261,9 +268,11 @@ def step_gradients(model, feats, masks, ids, loss_name, margins=None):
 class TestBlockedStep:
     """A training step (``_StepTeam.gradients``) walks a batch in pixel
     blocks; a block stitched in wrongly changes its value or gradients
-    against the whole batch at once."""
+    against the whole batch at once.  Soft Dice and Tversky take their value
+    from the folded sums of ``_blocks``' blocks, so it is bitwise the public
+    loss's where the step's blocks are those blocks, as here."""
 
-    @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
+    @pytest.mark.parametrize("loss_name", LOSS_NAMES)
     @pytest.mark.parametrize(
         "size, n_images",
         [(16, 40), (64, 4), (128, 3)],
@@ -293,6 +302,8 @@ class TestBlockedStep:
                           n_images=len(ids))
         scores, act = _forward_cache(model, x)
         whole = loss_by_name(loss_name)(ScoreBatch(scores=scores), batch, margins)
+        if loss_name in ("soft_dice", "tversky"):
+            assert value == whole.value
         assert value == pytest.approx(whole.value, rel=1e-12)
         for got, want in zip(grads, backward(model, x, act, whole.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -351,6 +362,22 @@ class TestBlockedStep:
         their mean, evaluation dropped it and the statistics raised numpy's
         ValueError."""
         self.assert_every_label_check_says(-1, "label -1 at image 1, pixel 37 is below 0")
+
+    def test_a_soft_dice_step_allocates_no_batch_sized_array(self, monkeypatch):
+        """A soft-Dice team and step at the toy ablation's shape: 50 images
+        of 64 x 64 per step, hidden 16.  Whole-batch scratch and scores took
+        75.6 MB here; block-sized ones take about 1.5 MB."""
+        use_cores(monkeypatch, 1)
+        feats, masks = tiny_dataset(n_images=60, size=64)
+        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=0)
+        tracemalloc.start()
+        try:
+            with trainer_module._StepTeam(model, feats, masks, "soft_dice", None, 50) as team:
+                team.gradients(model, np.arange(50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_a_step_allocates_no_block_activations(self, monkeypatch):
         """A block's (hidden, n) activations and their gradient go into
@@ -596,7 +623,7 @@ class TestSharedStep:
     step's blocks; the parent folds the block rows in block order, so the
     result is bitwise the one-process run's whoever computed which block."""
 
-    @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
+    @pytest.mark.parametrize("loss_name", LOSS_NAMES)
     @pytest.mark.parametrize(
         "size, n_images, batch_images",
         [(16, 40, 36), (64, 9, 6), (128, 5, 3)],
@@ -705,17 +732,19 @@ class TestSharedStep:
         assert_reaped(forks)
 
     @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
-    def test_whole_batch_losses_fork_nothing(self, monkeypatch, forks, loss_name):
-        """A step taken as one block, with no evaluation: no helper has a block."""
+    def test_tversky_losses_step_on_every_core(self, monkeypatch, forks, loss_name):
+        """With no evaluation, the team is sized by the step's 4 blocks: at 2
+        cores one helper runs a share of both of its walks."""
         use_cores(monkeypatch, 2)
         run_training(loss_name, 64, 4, 4, epochs=1, eval_every=0)
-        assert forks == []
+        assert len(forks) == 1
+        assert_reaped(forks)
 
     @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
     def test_whole_batch_losses_evaluate_on_every_core(self, monkeypatch, forks, loss_name):
-        """The step team is sized by its largest walk, here the 4-block
-        evaluation of the training split: one helper, and a model and log
-        bitwise those of one process."""
+        """Soft Dice and Tversky steps and evaluations of the 4-block
+        training split on one helper: a model and log bitwise those of one
+        process."""
         runs = []
         for cores in (1, 2):
             use_cores(monkeypatch, cores)
