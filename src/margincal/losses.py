@@ -12,7 +12,8 @@ batch class-major, in (K, BLOCK_PX) blocks whose temporaries stay in cache,
 with row-wise numpy operations only: the margin objectives, cross-entropy and
 focal sum per-pixel terms block by block, and soft Dice (Tversky at alpha =
 beta = 1/2) and Tversky walk the blocks twice, for their per-class sums and
-for the gradient.  A training step runs the same block kernels (``_pixel_kernel``).
+for the gradient.  A training step runs the same block kernels (``_pixel_kernel``),
+which write sums: only ``_pixelwise`` and ``_StepTeam.gradients`` normalise them.
 """
 from __future__ import annotations
 
@@ -181,31 +182,25 @@ def _require_valid(n_valid: int) -> int:
     return n_valid
 
 
-def _pixel_mean(loss, blocks, grad: np.ndarray, n_valid: int) -> LossResult:
-    """Mean of a pixel-wise loss's terms over ``n_valid`` valid pixels.
+def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, n_valid: int) -> LossResult:
+    """Mean of a pixel-wise loss's terms over the batch's ``n_valid`` valid pixels.
 
-    ``loss`` is a (kernel, args) pair from ``_pixel_kernel``.  ``blocks``
-    yields class-major blocks (cols, sc, onehot, valid) as ``_blocks`` does,
-    and ``kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)`` writes
-    d(sum of the block's terms)/d(scores) into its slice of the (K, n)
+    ``loss`` is a (kernel, args) pair from ``_pixel_kernel``.  On each block
+    of ``_blocks``, ``kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)``
+    writes d(sum of the block's terms)/d(scores) into its slice of the (K, n)
     ``grad`` and adds the per-class term sums to ``fg`` (label class) and
     ``bg`` (the others).  The normalization comes last.
     """
     kernel, args = loss
-    fg, bg = np.zeros(grad.shape[0]), np.zeros(grad.shape[0])
-    for cols, sc, onehot, valid in blocks:
+    grad = np.empty((s.k_classes, s.n_pixels))
+    scale = 1.0 / _require_valid(n_valid)
+    fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
+    for cols, sc, onehot, valid in _blocks(s, y):
         kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)
-    scale = 1.0 / n_valid
     grad *= scale
     fg *= scale
     bg *= scale
     return LossResult(float(fg.sum() + bg.sum()), grad.T, fg, bg)
-
-
-def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, n_valid: int) -> LossResult:
-    """``_pixel_mean`` of the whole batch, block by block, over ``n_valid`` pixels."""
-    grad = np.empty((s.k_classes, s.n_pixels))
-    return _pixel_mean(loss, _blocks(s, y), grad, _require_valid(n_valid))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,7 +455,7 @@ def tversky(
 
 def _pixel_kernel(name: str, margins: Optional[MarginOffsets], k_classes: int):
     """The (kernel, args) pair of the loss ``name`` at its default settings:
-    ``_pixel_mean``'s block kernel for a pixel-wise loss, and for soft Dice
+    a pixel-wise loss's block kernel (see ``_pixelwise``), and for soft Dice
     and Tversky, which couple every pixel of a batch, ``_tversky_slopes``
     with its weights (alpha, beta, eps).  The margin-offsets are checked
     against ``k_classes`` here, once; missing ones raise ConfigError."""

@@ -75,14 +75,13 @@ def _checked_block(masks: MaskBatch, k_classes: int, image_base: int, start: int
     return block, valid
 
 
-def check_labels(masks: MaskBatch, k_classes: int, image_base: int = 0) -> int:
+def check_labels(masks: MaskBatch, k_classes: int) -> int:
     """Raise ShapeError naming the first non-ignored label outside [0,
-    ``k_classes``) by its image, counted from ``image_base``, and pixel;
-    else return the count of labels that are not ignored.  Unsigned labels
-    skip the test for negatives."""
+    ``k_classes``) by its image and pixel; else return the count of labels
+    that are not ignored.  Unsigned labels skip the test for negatives."""
     n_valid = 0
     for start in range(0, masks.n_pixels, SCAN_BLOCK):
-        n_valid += np.count_nonzero(_checked_block(masks, k_classes, image_base, start)[1])
+        n_valid += np.count_nonzero(_checked_block(masks, k_classes, 0, start)[1])
     return n_valid
 
 

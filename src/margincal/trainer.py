@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _pixel_kernel, _pixel_mean,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _pixel_kernel,
     _softmax_block, _tversky_slopes, _tversky_sums, _tversky_vjp,
 )
 from .margins import MarginOffsets
@@ -199,9 +199,9 @@ class _Step:
     still in cache for its backward pass.  ``run(i, row)`` gathers block i,
     runs forward, checks the scores (a non-finite one raises NumericError
     naming its image and pixel) and applies ``loss``, a (kernel, args) pair:
-    a pixel-wise loss's kernel (``losses._pixel_mean``) and backward write
-    [n, n * value, n * gradients] of the mean over the block's n valid
-    pixels; ``_tversky_sums`` writes the block's [n, I, A, B]; and
+    a pixel-wise loss's block kernel and backward write the sums [n, value,
+    gradients] of its terms over the block's n valid pixels, which only
+    ``_StepTeam.gradients`` divides by n; ``_tversky_sums`` writes [n, I, A, B];
     ``_tversky_vjp`` at the slopes (u, v) in ``args`` and backward write
     [n, 0, gradients] of a batch's soft Dice or Tversky loss.  A block with
     no valid pixel writes zeros; ``scratch`` holds its (hidden, b), (K, b) arrays.
@@ -250,13 +250,13 @@ class _Step:
         if kernel is _tversky_vjp:
             _softmax_block(scores.T, grad, valid)
             _tversky_vjp(grad, onehot, *args)
-            scale, grad_scores = 1, grad.T
         else:
-            result = _pixel_mean(self.loss, ((slice(None), scores.T, onehot, valid),), grad, n)
-            row[1], scale, grad_scores = n * result.value, n, result.grad
-        grads = backward(model, x, act, grad_scores, gpre)
+            fg, bg = np.zeros(k_cls), np.zeros(k_cls)
+            kernel(scores.T, onehot, valid, grad, fg, bg, *args)
+            row[1] = fg.sum() + bg.sum()
+        grads = backward(model, x, act, grad.T, gpre)
         for out, g in zip(_unflatten(row[2:], self.shapes), grads):
-            np.multiply(g, scale, out=out)
+            out[...] = g
 
 
 class _StepTeam(_Team):
@@ -269,15 +269,17 @@ class _StepTeam(_Team):
     ``max_ids`` + 1 + j evaluates ``splits[j]``, the (features, masks) pairs
     ``evaluate`` takes.
 
-    Everything fixed for a run is checked here, once, before any fork:
-    ``_check_split`` of the training split and of each of ``splits``, and
-    margin-offsets for K for the margin-calibration loss, whose block kernel
-    is derived here too.
+    Everything fixed for a run is checked here, once, before any fork: that
+    the training split has an image, ``_check_split`` of it and of each of
+    ``splits``, and margin-offsets for K for the margin-calibration loss,
+    whose block kernel is derived here too.
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
                  loss_name: str, margins: Optional[MarginOffsets], max_ids: int,
                  splits: Sequence[tuple[FeatureBatch, MaskBatch]] = ()) -> None:
+        if masks.n_images == 0:
+            raise ShapeError("the training split has no images")
         for split in [(features, masks), *splits]:
             _check_split(model, *split)
         kernel, args = _pixel_kernel(loss_name, margins, model.k_classes)
@@ -415,10 +417,10 @@ def train(
     inputs are checked once, before any helper is forked: a val split with
     features but no masks, or masks but no features, and missing offsets
     raise ConfigError; the step team (``_StepTeam``) raises ShapeError for
-    offsets for another K, and for features that do not fit the masks or
-    the model or a label out of range in the training split or (if
-    ``eval_every``) the val split.  A non-finite score or loss, or a batch
-    with no valid pixel, raises TrainError naming the epoch, batch and loss.
+    an empty training split, offsets for another K, and features that do not
+    fit the masks or the model or a label out of range in the training split
+    or (if ``eval_every``) the val split.  A non-finite score or loss, or a
+    batch with no valid pixel, raises TrainError naming the epoch, batch and loss.
 
     The steps and evaluations run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step

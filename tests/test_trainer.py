@@ -308,6 +308,30 @@ class TestBlockedStep:
         for got, want in zip(grads, backward(model, x, act, whole.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
+    def test_one_full_block_step_is_the_public_loss_bitwise(self, monkeypatch, loss_name):
+        """A block's row holds sums and the step divides them by the valid
+        count once; with one block of 4,096 valid pixels (a power of two,
+        so the division is exact) the step is bitwise the public loss, whose
+        gradient is scaled before its backward pass.  Ties route through the
+        margin kernel's competitor rule."""
+        feats, masks = tiny_dataset(seed=3, n_images=1, size=64, noise=0.1)
+        assert np.all(masks.labels != masks.ignore_index)
+        margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
+        model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=2)
+        model.w2[:, 2] = model.w2[:, 1]  # classes 1 and 2 tie at every pixel
+        model.b2[2] = model.b2[1]
+        use_cores(monkeypatch, 1)
+
+        value, grads = step_gradients(model, feats, masks, np.arange(1), loss_name, margins)
+
+        x = feats.features
+        scores, act = _forward_cache(model, x)
+        whole = loss_by_name(loss_name)(ScoreBatch(scores=scores), masks, margins)
+        assert value == whole.value
+        for got, want in zip(grads, backward(model, x, act, whole.grad)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("size", [16, 128], ids=["grouped", "sliced"])
     def test_label_out_of_range_names_image_and_pixel(self, monkeypatch, forks, size):
         """``train`` checks every training label against K once, before it
@@ -821,6 +845,18 @@ class TestSharedStep:
         with pytest.raises(ConfigError, match="^give both val_features and val_masks, "
                                               "or neither$"):
             train(PixelMLP.init(FEATURE_DIM, 16, 3, seed=1), feats, masks, cfg, **val)
+        assert forks == []
+
+    @pytest.mark.parametrize("eval_every", [0, 1])
+    def test_an_empty_training_split_raises_before_any_fork(self, monkeypatch, forks,
+                                                            eval_every):
+        """Before, numpy's reshape of the training features raised ValueError."""
+        feats = FeatureBatch(np.zeros((0, FEATURE_DIM)))
+        masks = MaskBatch(labels=np.zeros(0, np.uint8), width=4, height=4, n_images=0)
+        use_cores(monkeypatch, 2)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=1, eval_every=eval_every)
+        with pytest.raises(ShapeError, match="^the training split has no images$"):
+            train(PixelMLP.init(FEATURE_DIM, 16, 3, seed=1), feats, masks, cfg)
         assert forks == []
 
     def test_features_of_another_width_raise_before_any_fork(self, monkeypatch, forks):
