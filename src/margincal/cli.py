@@ -185,8 +185,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     feats, masks = _split(args, args.split)
-    margins = read_margins_csv(args.margins) if args.margins else None
-    report = evaluate(model, feats, masks, margins)
+    margins, stats = (read_margins_csv(args.margins, with_stats=True) if args.margins
+                      else (None, None))
+    report = evaluate(model, feats, masks, margins, stats)
     write_metrics_csv(report, args.out)
     bound = (f" miou_lower={report.miou_lower:.6g} bound_scope={report.bound_scope}"
              if margins is not None else "")

@@ -74,7 +74,7 @@ def check_loss_gradient(loss_name: str, seed: int, n_batches: int = 50) -> GradC
         mask = MaskBatch(labels=labels, width=N_PIXELS, height=1, n_images=1)
 
         def value(arr: np.ndarray) -> float:
-            return loss_fn(ScoreBatch(scores=arr.copy()), mask, margins).value
+            return loss_fn(ScoreBatch(scores=arr), mask, margins).value
 
         analytic = loss_fn(ScoreBatch(scores=scores.copy()), mask, margins).grad
         # h by keyword: perfbench's self-test wraps fd_gradient as (value_fn, scores, h)

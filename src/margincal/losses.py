@@ -9,7 +9,8 @@ smooth upper bound log2(1 + 2^(-sbar)), whose gradient never vanishes.
 All losses are pure functions of (scores, labels); reductions run in a fixed
 order so repeated evaluations are bitwise identical.  Every loss reads the
 batch class-major, in (K, BLOCK_PX) blocks whose temporaries stay in cache,
-with row-wise numpy operations only: the margin objectives, cross-entropy and
+with row-wise numpy operations only (per-class sums over pixels are one
+``np.vecdot`` of two (K, b) arrays): the margin objectives, cross-entropy and
 focal sum per-pixel terms block by block, and soft Dice (Tversky at alpha =
 beta = 1/2) and Tversky walk the blocks twice, for their per-class sums and
 for the gradient.  A training step runs the same block kernels (``_pixel_kernel``),
@@ -188,8 +189,8 @@ def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, n_valid: int) -> LossResult:
     ``loss`` is a (kernel, args) pair from ``_pixel_kernel``.  On each block
     of ``_blocks``, ``kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)``
     writes d(sum of the block's terms)/d(scores) into its slice of the (K, n)
-    ``grad`` and adds the per-class term sums to ``fg`` (label class) and
-    ``bg`` (the others).  The normalization comes last.
+    ``grad`` and adds the per-class term sums, by ``np.vecdot``, to ``fg``
+    (label class) and ``bg`` (the others).  The normalization comes last.
     """
     kernel, args = loss
     grad = np.empty((s.k_classes, s.n_pixels))
@@ -203,27 +204,23 @@ def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, n_valid: int) -> LossResult:
     return LossResult(float(fg.sum() + bg.sum()), grad.T, fg, bg)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (K, n) arrays, as one batched matmul."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _route_to_competitors(sc: np.ndarray, best: np.ndarray, g: np.ndarray,
                           grad: np.ndarray) -> None:
     """grad[c(k)] -= g[k] for each class k, where c(k) is the lowest index
     j != k with sc[j] == best[k]: d lambda_k/d s_c(k) = -1."""
-    k_cls = sc.shape[0]
+    k_cls, rows = sc.shape[0], list(grad)  # grad's row views, taken once
     for k in range(k_cls):
-        others = [j for j in range(k_cls) if j != k]
+        last = k_cls - 1 - (k == k_cls - 1)  # the last class j != k
         rest = g[k]
-        for j in others[:-1]:
-            taken = rest * (sc[j] == best[k])
-            grad[j] -= taken
-            rest = rest - taken
-        grad[others[-1]] -= rest
+        for j in range(last):
+            if j != k:
+                taken = rest * (sc[j] == best[k])
+                rows[j] -= taken
+                rest = rest - taken
+        rows[last] -= rest
 
 
-def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_k0) -> None:
+def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_shift) -> None:
     """Calibrated log-loss terms of one class-major block (see _pixelwise)."""
     best = _best_other(sc)
     off_label = 1.0 - onehot
@@ -235,7 +232,7 @@ def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_k0) -> None:
     x = np.subtract(sc, best)
     x *= sign
     x += rho_0k
-    x += (rho_k0 - rho_0k) * onehot
+    x += rho_shift * onehot
     # term = log2(1 + 2^x) = max(x, 0) + log2(1 + 2^-|x|)
     t = np.abs(x)
     np.negative(t, out=t)
@@ -244,8 +241,8 @@ def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_k0) -> None:
     t *= 1.0 / _LN2
     term = np.maximum(x, 0.0)
     term += t
-    fg += _row_dots(term, onehot)
-    bg += _row_dots(term, off_label)
+    fg += np.vecdot(term, onehot)
+    bg += np.vecdot(term, off_label)
     # d term / d lambda = sign / (1 + 2^-x) = sign * 2^(x - term)
     g = np.subtract(x, term, out=x)
     np.exp2(g, out=g)
@@ -270,7 +267,8 @@ def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> int:
 
 
 def _margin_kernel(m: MarginOffsets):
-    return _margin_block, (m.rho_0k[:, None], m.rho_k0[:, None])
+    """``_margin_block`` with its (K, 1) columns rho_0k and rho_k0 - rho_0k."""
+    return _margin_block, (m.rho_0k[:, None], (m.rho_k0 - m.rho_0k)[:, None])
 
 
 def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -282,7 +280,8 @@ def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossRe
     elsewhere.  The gradient chains through the margin's max term, routed to
     the single lowest-indexed best competitor of each (pixel, class) entry.
     """
-    return _pixelwise(_margin_kernel(m), s, y, _check_margin_pair(s, y, m))
+    n_valid = _check_margin_pair(s, y, m)  # before _margin_kernel reads m
+    return _pixelwise(_margin_kernel(m), s, y, n_valid)
 
 
 def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -311,10 +310,10 @@ def _phi_sums(lam, onehot, valid, m: MarginOffsets, fg, bg) -> None:
         off_label *= valid
     t = lam / m.rho_k0[:, None]
     np.subtract(1.0, t, out=t)
-    fg += _row_dots(np.clip(t, 0.0, 1.0, out=t), onehot)
+    fg += np.vecdot(np.clip(t, 0.0, 1.0, out=t), onehot)
     t = np.divide(lam, m.rho_0k[:, None], out=t)
     t += 1.0
-    bg += _row_dots(np.clip(t, 0.0, 1.0, out=t), off_label)
+    bg += np.vecdot(np.clip(t, 0.0, 1.0, out=t), off_label)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
         grad *= valid
     # -log p_label = log(sum_j e^z_j) - z_label
     np.subtract(np.log(total), z, out=z)
-    fg += _row_dots(z, onehot)
+    fg += np.vecdot(z, onehot)
 
 
 def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
@@ -391,7 +390,7 @@ def _tversky_sums(sc, onehot, valid, p, inter, a, b) -> None:
     into ``p``, and its I_k = sum_i p_ik t_ik, A_k = sum_i p_ik and B_k =
     sum_i t_ik added to ``inter``, ``a`` and ``b``."""
     _softmax_block(sc, p, valid)
-    inter += _row_dots(p, onehot)
+    inter += np.vecdot(p, onehot)
     a += p.sum(axis=1)
     b += onehot.sum(axis=1)
 
@@ -399,11 +398,17 @@ def _tversky_sums(sc, onehot, valid, p, inter, a, b) -> None:
 def _tversky_slopes(inter, a, b, alpha: float, beta: float, eps: float):
     """The per-class losses (1 - index_k)/K of a batch's sums, and the (K, 1)
     slope columns u, v of dL/dp_ik = u_k + v_k t_ik (FP = A - I, FN = B - I)."""
-    denom = inter + alpha * (a - inter) + beta * (b - inter) + eps
-    index = (inter + eps) / denom
-    k_cls = inter.size
-    return ((1.0 - index) / k_cls, (alpha * index / denom / k_cls)[:, None],
-            ((index * (1.0 - alpha - beta) - 1.0) / denom / k_cls)[:, None])
+    k_cls, fn_weight = inter.size, 1.0 - alpha - beta
+    per_class, u, v = [], [], []
+    for k, (i_k, a_k, b_k) in enumerate(zip(inter.tolist(), a.tolist(), b.tolist())):
+        denom = i_k + alpha * (a_k - i_k) + beta * (b_k - i_k) + eps  # Python floats
+        if denom == 0.0:
+            raise NumericError(f"Tversky denominator of class {k} is 0")
+        index = (i_k + eps) / denom
+        per_class.append((1.0 - index) / k_cls)
+        u.append([alpha * index / denom / k_cls])
+        v.append([(index * fn_weight - 1.0) / denom / k_cls])
+    return np.array(per_class), np.array(u), np.array(v)
 
 
 def _tversky_vjp(p: np.ndarray, onehot: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:

@@ -25,7 +25,7 @@ from .margins import MarginOffsets
 from .metrics import MetricsReport, _Counts, _report
 # not called here, but perfbench's tracer wraps these names in this module
 from .metrics import confusion, iou_report, predict_labels  # noqa: F401
-from .segdata import FeatureBatch, MaskBatch, _non_finite_at, check_labels, write_csv
+from .segdata import FeatureBatch, LabelStats, MaskBatch, _non_finite_at, check_labels, write_csv
 from .team import _Team, process_count, run_walk, shared_arrays
 
 MODEL_MAGIC = b"PMC1"
@@ -133,16 +133,16 @@ def _model_scores(model: PixelMLP, x: np.ndarray):
     return scores
 
 
-def _check_split(model: PixelMLP, features: FeatureBatch, masks: MaskBatch) -> None:
-    """Raise ShapeError unless the features and masks cover the same pixels,
-    the features have the model's width and every label is in [0, K) or
-    ignored (naming the first bad one in image order)."""
+def _check_split(model: PixelMLP, features: FeatureBatch, masks: MaskBatch) -> int:
+    """The valid pixel count of ``masks``; raise ShapeError unless the features
+    and masks cover the same pixels, the features have the model's width and
+    every label is in [0, K) or ignored (naming the first bad one in image order)."""
     if features.n_pixels != masks.n_pixels:
         raise ShapeError(f"features cover {features.n_pixels} pixels but masks have "
                          f"{masks.n_pixels}")
     if features.d != model.d:
         raise ShapeError(f"feature dim {features.d} != model d={model.d}")
-    check_labels(masks, model.k_classes)
+    return check_labels(masks, model.k_classes)
 
 
 def backward(
@@ -271,8 +271,8 @@ class _StepTeam(_Team):
 
     Everything fixed for a run is checked here, once, before any fork: that
     the training split has an image, ``_check_split`` of it and of each of
-    ``splits``, and margin-offsets for K for the margin-calibration loss,
-    whose block kernel is derived here too.
+    ``splits``, a valid pixel in ``splits[1:]`` (``train``'s val split), and
+    margin-offsets for K for the margin-calibration loss (its kernel is made here).
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
@@ -280,8 +280,9 @@ class _StepTeam(_Team):
                  splits: Sequence[tuple[FeatureBatch, MaskBatch]] = ()) -> None:
         if masks.n_images == 0:
             raise ShapeError("the training split has no images")
-        for split in [(features, masks), *splits]:
-            _check_split(model, *split)
+        n_valid = [_check_split(model, *split) for split in [(features, masks), *splits]]
+        if 0 in n_valid[2:]:  # splits[1:]: train's val split
+            raise ShapeError("the val split has no valid pixels")
         kernel, args = _pixel_kernel(loss_name, margins, model.k_classes)
         self.shapes = [p.shape for p in model.params()]
         params, ids, slopes = shared_arrays(
@@ -384,9 +385,10 @@ class TrainLog:
 
 
 def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
-             margins: Optional[MarginOffsets] = None) -> MetricsReport:
-    """IoU metrics of the raw-score argmax, and with margin-offsets the
-    lower bounds on IoU: bitwise ``lower_bound_report(forward(...), ...)``.
+             margins: Optional[MarginOffsets] = None,
+             stats: Optional[LabelStats] = None) -> MetricsReport:
+    """IoU metrics of the raw-score argmax, and with margin-offsets (and
+    ``stats``) the lower bounds on IoU: bitwise ``lower_bound_report(forward(...), ...)``.
 
     One ``_Counts`` walk from features to counts on a team of its own
     (forking from FORK_MIN_BLOCKS blocks on), with no (K, n) score array.
@@ -397,7 +399,7 @@ def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
         _check_margins(margins, model.k_classes)
     walk = _Counts(_model_scores(model, features.features), model.k_classes, masks, margins,
                    "evaluate")
-    return _report(run_walk(walk), model.k_classes, margins)
+    return _report(run_walk(walk), model.k_classes, margins, stats)
 
 
 def train(
@@ -417,10 +419,11 @@ def train(
     inputs are checked once, before any helper is forked: a val split with
     features but no masks, or masks but no features, and missing offsets
     raise ConfigError; the step team (``_StepTeam``) raises ShapeError for
-    an empty training split, offsets for another K, and features that do not
-    fit the masks or the model or a label out of range in the training split
-    or (if ``eval_every``) the val split.  A non-finite score or loss, or a
-    batch with no valid pixel, raises TrainError naming the epoch, batch and loss.
+    an empty training split, offsets for another K, features that do not fit
+    the masks or the model or a label out of range in the training split or
+    (if ``eval_every``) the val split, and such a val split with no valid
+    pixel.  A non-finite score or loss, or a batch with no valid pixel,
+    raises TrainError naming the epoch, batch and loss.
 
     The steps and evaluations run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step

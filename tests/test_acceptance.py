@@ -33,7 +33,7 @@ from margincal.segdata import (
     accumulate_stats,
     generate_synthetic,
 )
-from margincal.trainer import PixelMLP, TrainConfig, evaluate, forward, train
+from margincal.trainer import PixelMLP, TrainConfig, evaluate, train
 
 from test_margins import margins_oracle
 
@@ -336,8 +336,7 @@ class TestAcceptance:
             model = PixelMLP.init(FEATURE_DIM, 16, 2, seed=trial)
             model, _ = train(model, feats, masks, tc, margins=margins)
 
-            train_rep = lower_bound_report(forward(model, feats), masks,
-                                           margins, stats)
+            train_rep = evaluate(model, feats, masks, margins, stats)
             heldout_cfg = SynthConfig(seed=5000 + trial, width=16, height=16,
                                       n_images=400, k_classes=2,
                                       target_ratios=(0.9, 0.1),
@@ -370,8 +369,7 @@ class TestAcceptance:
                              eval_every=0)
             model = PixelMLP.init(FEATURE_DIM, 16, 2, seed=trial)
             model, _ = train(model, feats, masks, tc, margins=margins)
-            floor = lower_bound_report(forward(model, feats), masks, margins,
-                                       stats).miou_lower - result.eps
+            floor = evaluate(model, feats, masks, margins, stats).miou_lower - result.eps
             hfeats, hmasks = generate_synthetic(SynthConfig(seed=5000 + trial, n_images=400,
                                                             **split))
             swapped = MaskBatch(labels=1 - hmasks.labels, width=16, height=16, n_images=400)

@@ -285,6 +285,31 @@ class TestTrainEvalFlow:
         assert (miou, miou_lower) == pytest.approx((want.miou, want.miou_lower), rel=1e-11)
         assert miou_lower <= miou
 
+    def test_eval_on_the_split_of_the_margins_statistics_reports_dataset_scope(
+            self, tmp_path, capsys):
+        """Margins made from the train split's statistics certify that whole
+        split, so ``eval --split train`` reports ``bound_scope=dataset``."""
+        model_path = tmp_path / "model.bin"
+        run_ok(["train", "--loss", "margin_calibration", "--out-model", str(model_path)]
+               + SMALL_TRAIN)
+        feats, masks = generate_synthetic(SynthConfig(
+            seed=3, n_images=8, width=24, height=24, k_classes=3,
+            target_ratios=(0.84, 0.10, 0.06), noise_sigma=0.05))
+        stats_csv, margins_csv = tmp_path / "stats.csv", tmp_path / "margins.csv"
+        write_stats_csv(accumulate_stats(masks, 3), stats_csv)
+        run_ok(["margins", "--stats", str(stats_csv), "--tau", "2", "--upsilon", "1",
+                "--out", str(margins_csv)])
+        metrics_path = tmp_path / "metrics.csv"
+        capsys.readouterr()
+        run_ok(["eval", "--model", str(model_path), "--split", "train", "--margins",
+                str(margins_csv), "--out", str(metrics_path)] + SMALL_DATASET)
+        want = lower_bound_report(forward(load_model(model_path), feats), masks,
+                                  *read_margins_csv(margins_csv, with_stats=True))
+        assert want.bound_scope == "dataset"
+        assert capsys.readouterr().out == (
+            f"miou={want.miou:.6g} pixel_acc={want.pixel_accuracy:.6g} "
+            f"miou_lower={want.miou_lower:.6g} bound_scope=dataset -> {metrics_path}\n")
+
     def test_eval_generates_only_its_split(self, tmp_path, capsys, generate_calls):
         model_path = tmp_path / "model.bin"
         run_ok(["train", "--out-model", str(model_path)] + SMALL_TRAIN)

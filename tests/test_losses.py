@@ -153,6 +153,14 @@ class TestComputeMarginsLambda:
             with pytest.raises(ConfigError, match="2 classes"):
                 loss(ScoreBatch(scores=[[1.0]]), make_mask([0]), one)
 
+    def test_missing_offsets_rejected(self):
+        """Before, calibrated_log_loss read the offsets before checking them
+        and raised AttributeError."""
+        for loss in (calibrated_log_loss, rho_margin_objective):
+            with pytest.raises(ConfigError, match="^the margin-calibration loss needs "
+                                                  "margin-offsets$"):
+                loss(ScoreBatch(scores=[[1.0, 0.0]]), make_mask([0]), None)
+
     def test_at_most_one_positive_margin_per_pixel(self):
         rng = np.random.default_rng(23)
         scores = rng.normal(size=(300, 6))
@@ -469,6 +477,15 @@ class TestBaselineLosses:
         scores = np.array([[40.0, 0.0], [0.0, 40.0], [40.0, 0.0]])
         res = soft_dice(ScoreBatch(scores=scores), make_mask([0, 1, 0]))
         assert res.value < 1e-5
+
+    def test_a_vanished_region_denominator_names_its_class(self):
+        """At eps = 0, class 2 absent from the labels with its softmax
+        probability underflowing to 0 leaves 0/0 in its Dice index."""
+        scores = ScoreBatch(scores=[[0.0, 0.0, -800.0], [0.0, 1.0, -800.0]])
+        for loss in (lambda s, y: soft_dice(s, y, eps=0.0),
+                     lambda s, y: tversky(s, y, eps=0.0)):
+            with pytest.raises(NumericError, match="^Tversky denominator of class 2 is 0$"):
+                loss(scores, make_mask([0, 1]))
 
     @pytest.mark.parametrize("region_loss", ["tversky", "tversky_weights", "soft_dice"])
     def test_region_losses_match_row_major_oracles(self, region_loss):

@@ -13,7 +13,8 @@ from margincal.metrics import (
     predict_labels,
     write_metrics_csv,
 )
-from margincal.segdata import LabelStats, MaskBatch, accumulate_stats
+from margincal.segdata import FeatureBatch, LabelStats, MaskBatch, accumulate_stats
+from margincal.trainer import PixelMLP, evaluate
 
 
 def make_mask(labels):
@@ -309,6 +310,16 @@ class TestLowerBoundReport:
         other = LabelStats.from_counts([10, 10, 10])
         assert lower_bound_report(sb, mask, margins, other).bound_scope == "batch"
         assert lower_bound_report(sb, mask, margins).bound_scope == "batch"
+
+    def test_evaluate_scope_labels(self):
+        """``trainer.evaluate`` passes ``stats`` on as ``lower_bound_report`` does."""
+        _, mask, margins, stats = self._random_case(1)
+        feats = FeatureBatch(np.random.default_rng(2).normal(size=(mask.n_pixels, 4)), d=4)
+        model = PixelMLP.init(4, 8, 3, seed=0)
+        assert evaluate(model, feats, mask, margins, stats).bound_scope == "dataset"
+        other = LabelStats.from_counts([10, 10, 10])
+        assert evaluate(model, feats, mask, margins, other).bound_scope == "batch"
+        assert evaluate(model, feats, mask, margins).bound_scope == "batch"
 
     def test_indicator_margin_smooth_chain_on_batches(self):
         """The per-class miss rates sit below the margin-loss sums, which sit

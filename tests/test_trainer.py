@@ -847,6 +847,26 @@ class TestSharedStep:
             train(PixelMLP.init(FEATURE_DIM, 16, 3, seed=1), feats, masks, cfg, **val)
         assert forks == []
 
+    @pytest.mark.parametrize("defect", ["no images", "all ignored"])
+    def test_a_val_split_with_no_valid_pixel_raises_before_any_fork(self, monkeypatch, forks,
+                                                                   defect):
+        """Before, training ran to the first evaluation (6 steps here) and
+        raised DegenerateError("no evaluated pixels"), naming no split."""
+        feats, masks = tiny_dataset(n_images=4, size=8)
+        if defect == "no images":
+            val_feats = FeatureBatch(np.zeros((0, FEATURE_DIM)))
+            val_masks = MaskBatch(labels=np.zeros(0, np.uint8), width=8, height=8, n_images=0)
+        else:
+            val_feats, val_masks = tiny_dataset(seed=6, n_images=2, size=8)
+            val_masks = MaskBatch(labels=np.full(val_masks.n_pixels, 255, np.uint8), width=8,
+                                  height=8, n_images=2)
+        use_cores(monkeypatch, 2)
+        cfg = TrainConfig(loss_name="cross_entropy", epochs=6, batch_images=2, eval_every=3)
+        with pytest.raises(ShapeError, match="^the val split has no valid pixels$"):
+            train(PixelMLP.init(FEATURE_DIM, 16, 3, seed=1), feats, masks, cfg,
+                  val_features=val_feats, val_masks=val_masks)
+        assert forks == []
+
     @pytest.mark.parametrize("eval_every", [0, 1])
     def test_an_empty_training_split_raises_before_any_fork(self, monkeypatch, forks,
                                                             eval_every):
