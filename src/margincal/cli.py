@@ -217,12 +217,12 @@ def _cmd_bound(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     names = LOSS_NAMES if args.loss == "all" else (args.loss,)
+    # every check runs before any row is written, so a failed one leaves stdout empty
+    results = gradcheck_mod.check_losses(names, args.seed, args.batches)
     writer = csv.writer(sys.stdout)
+    writer.writerow(["loss_name", "max_rel_err", "n_probes"])
     worst = 0.0
-    for i, name in enumerate(names):
-        result = gradcheck_mod.check_loss_gradient(name, args.seed, args.batches)
-        if i == 0:  # after the first check, so a failed one leaves stdout empty
-            writer.writerow(["loss_name", "max_rel_err", "n_probes"])
+    for result in results:
         writer.writerow([result.loss_name, f"{result.max_rel_err:.12g}", result.n_probes])
         worst = max(worst, result.max_rel_err)
     if worst > args.tol:

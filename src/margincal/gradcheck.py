@@ -5,10 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MarginCalError
 from .losses import ScoreBatch, loss_by_name
 from .margins import compute_margins
 from .segdata import LabelStats, MaskBatch
+from .team import _Team, process_count, shared_arrays
 
 FD_STEP = 1e-5
 #: each checked batch: one row of this many pixels over this many classes
@@ -58,27 +59,57 @@ def _random_case(rng: np.random.Generator):
     return scores, labels
 
 
-def check_loss_gradient(loss_name: str, seed: int, n_batches: int = 50) -> GradCheckResult:
-    """Max relative error between analytic and finite-difference gradients
-    (step FD_STEP) over ``n_batches`` seeded batches of N_PIXELS pixels and
-    K_CLASSES classes, with every class present in each batch."""
-    if n_batches < 1:
-        raise ConfigError(f"need at least one batch to check; got {n_batches}")
-    loss_fn = loss_by_name(loss_name)
-    rng = np.random.default_rng(seed)
-    margins = compute_margins(LabelStats.from_counts([90, 7, 3]), tau=2.0, upsilon=1.0)
-    worst = 0.0
-    probes = 0
-    for _ in range(n_batches):
-        scores, labels = _random_case(rng)
+class _Checks:
+    """``check_losses``' walk: block i checks batch i % n_batches of loss
+    i // n_batches and writes its largest relative error to ``errors[i]``,
+    in shared memory; its result row is empty."""
+
+    what, error, width = "a gradient check", MarginCalError, 0
+
+    def __init__(self, loss_fns: list, cases: list, margins) -> None:
+        self.loss_fns, self.cases, self.margins = loss_fns, cases, margins
+        self.n_blocks = len(loss_fns) * len(cases)
+        self.errors = shared_arrays((np.float64, (self.n_blocks,)))[0]
+
+    def run(self, i: int, row: np.ndarray) -> None:
+        loss_fn = self.loss_fns[i // len(self.cases)]
+        scores, labels = self.cases[i % len(self.cases)]
+        scores = scores.copy()  # a loss raising inside fd_gradient leaves an entry perturbed
         mask = MaskBatch(labels=labels, width=N_PIXELS, height=1, n_images=1)
 
         def value(arr: np.ndarray) -> float:
-            return loss_fn(ScoreBatch(scores=arr), mask, margins).value
+            return loss_fn(ScoreBatch(scores=arr), mask, self.margins).value
 
-        analytic = loss_fn(ScoreBatch(scores=scores.copy()), mask, margins).grad
+        analytic = loss_fn(ScoreBatch(scores=scores), mask, self.margins).grad
         # h by keyword: perfbench's self-test wraps fd_gradient as (value_fn, scores, h)
         numeric = fd_gradient(value, scores, h=FD_STEP)
-        worst = max(worst, float(relative_errors(analytic, numeric).max()))
-        probes += scores.size
-    return GradCheckResult(loss_name=loss_name, max_rel_err=worst, n_probes=probes)
+        self.errors[i] = relative_errors(analytic, numeric).max()
+
+
+def check_losses(names, seed: int, n_batches: int = 50) -> list[GradCheckResult]:
+    """Max relative error between analytic and finite-difference gradients
+    (step FD_STEP) of each named loss over the same ``n_batches`` seeded
+    batches of N_PIXELS pixels and K_CLASSES classes, with every class present
+    in each batch.  Each (loss, batch) check is one block of a walk on every
+    usable core (``team``); a failing check raises as it would in a run of
+    every check in order, and nothing is forked for fewer than two checks."""
+    if n_batches < 1:
+        raise ConfigError(f"need at least one batch to check; got {n_batches}")
+    loss_fns = [loss_by_name(name) for name in names]
+    rng = np.random.default_rng(seed)
+    cases = [_random_case(rng) for _ in range(n_batches)]
+    margins = compute_margins(LabelStats.from_counts([90, 7, 3]), tau=2.0, upsilon=1.0)
+    walk = _Checks(loss_fns, cases, margins)
+    with _Team(lambda job: walk, min(process_count(), walk.n_blocks) - 1,
+               walk.n_blocks, walk.width) as team:
+        team.map()
+    errors = walk.errors.reshape(len(loss_fns), n_batches).tolist()
+    # Python's max from 0.0 in batch order, so a NaN error folds as it always has
+    return [GradCheckResult(loss_name=name, max_rel_err=max([0.0, *errs]),
+                            n_probes=n_batches * N_PIXELS * K_CLASSES)
+            for name, errs in zip(names, errors)]
+
+
+def check_loss_gradient(loss_name: str, seed: int, n_batches: int = 50) -> GradCheckResult:
+    """``check_losses`` of one loss."""
+    return check_losses([loss_name], seed, n_batches)[0]

@@ -28,6 +28,11 @@ import numpy as np
 #: without re-tuning for `evaluate`.  CHANGES.md holds the timings.
 FORK_MIN_BLOCKS = 512
 
+#: the parent's ends of the pipes of every live team's helpers.  A new helper
+#: closes them all: one that kept another team's go pipe open would keep that
+#: team's helper from reading end of file, and its ``close`` waiting for ever.
+_PARENT_FDS: set[int] = set()
+
 
 def shared_arrays(*specs) -> list[np.ndarray]:
     """Zero-filled arrays of the given (dtype, shape) over one anonymous
@@ -130,7 +135,7 @@ class _Team:
                 if pid == 0:
                     code = 1
                     try:
-                        for fd in (go_w, done_r, *(fd for _, *fds in self.helpers for fd in fds)):
+                        for fd in (go_w, done_r, *_PARENT_FDS):
                             os.close(fd)
                         _pin_away_from(cpu)
                         self._serve(go_r, done_w, share, n_helpers + 1)
@@ -140,6 +145,7 @@ class _Team:
                 os.close(go_r)
                 os.close(done_w)
                 self.helpers.append((pid, go_w, done_r))
+                _PARENT_FDS.update((go_w, done_r))
         except BaseException:
             self.close()
             raise
@@ -170,6 +176,7 @@ class _Team:
         """Close the helpers' pipes and reap them."""
         while self.helpers:
             pid, go, done_pipe = self.helpers.pop()
+            _PARENT_FDS.difference_update((go, done_pipe))
             os.close(go)
             os.waitpid(pid, 0)
             os.close(done_pipe)

@@ -380,7 +380,8 @@ class TestGradcheckCommand:
                               f"need at least one batch to check; got {batches}")
 
     def test_failed_check_writes_no_csv_header(self, capsys):
-        """The header follows the first check, so an error leaves stdout empty."""
+        """Rows are written only after every check has finished, so any failed
+        check leaves stdout empty."""
         code = run(["gradcheck", "--batches", "0"])
         captured = capsys.readouterr()
         assert code == 1

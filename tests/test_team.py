@@ -1,6 +1,6 @@
 """Tests for block walks on several processes: evaluation on one and on two
-cores, standalone and inside ``train``, the fork threshold, a helper that
-dies, and where helpers run."""
+cores, standalone and inside ``train``, gradient checks, the fork threshold,
+a helper that dies, two teams alive at once, and where helpers run."""
 import gc
 import os
 import weakref
@@ -8,15 +8,18 @@ import weakref
 import numpy as np
 import pytest
 
+import margincal.losses as losses_module
 import margincal.metrics as metrics_module
 import margincal.team as team_module
 import margincal.trainer as trainer_module
-from margincal.errors import MarginCalError, NumericError
-from margincal.losses import BLOCK_PX, rho_margin_objective
+from margincal.cli import run
+from margincal.errors import ConfigError, MarginCalError, NumericError
+from margincal.gradcheck import _random_case, check_loss_gradient, check_losses
+from margincal.losses import BLOCK_PX, LOSS_NAMES, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report
 from margincal.segdata import FEATURE_DIM, FeatureBatch, MaskBatch, accumulate_stats
-from margincal.team import FORK_MIN_BLOCKS, run_walk
+from margincal.team import FORK_MIN_BLOCKS, _Team, run_walk
 from margincal.trainer import PixelMLP, TrainConfig, evaluate, forward, train
 from test_metrics import recount
 from test_trainer import (  # noqa: F401  (forks and deadline are fixtures)
@@ -260,6 +263,73 @@ class TestEvaluationInTrain:
                   val_features=val_feats, val_masks=val_masks)
         assert len(forks) == 1
         assert_reaped(forks)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestGradientChecks:
+    """``check_losses`` runs each (loss, batch) check as one block of a walk."""
+
+    @pytest.mark.parametrize("n_batches", [1, 3, 5])
+    def test_one_and_two_cores_agree_with_one_loss_at_a_time(self, monkeypatch, forks,
+                                                             n_batches):
+        results = []
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            forks.clear()
+            results.append(check_losses(LOSS_NAMES, 11, n_batches))
+            assert len(forks) == cores - 1
+            assert_reaped(forks)
+        forks.clear()
+        assert results[1] == results[0] == [check_loss_gradient(name, 11, n_batches)
+                                            for name in LOSS_NAMES]
+        # one team per loss, and a run of one block forks nothing
+        assert len(forks) == (len(LOSS_NAMES) if n_batches > 1 else 0)
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_failing_check_raises_from_its_first_block(self, monkeypatch, forks, capsys,
+                                                         cores):
+        """Every focal check raises, in the helper's share too: the error is
+        focal batch 0's, and the command writes no row."""
+        def failing_focal(s, y):
+            raise NumericError(f"focal at score {float(s.scores[0, 0])!r}")
+
+        monkeypatch.setattr(losses_module, "focal", failing_focal)
+        use_cores(monkeypatch, cores)
+        first = float(_random_case(np.random.default_rng(3))[0][0, 0])
+        with pytest.raises(NumericError) as caught:
+            check_losses(LOSS_NAMES, 3, 3)
+        assert str(caught.value) == f"focal at score {first!r}"
+        assert run(["gradcheck", "--loss", "all", "--seed", "3", "--batches", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: focal at score {first!r}\n")
+        assert len(forks) == 2 * (cores - 1)
+        assert_reaped(forks)
+
+    def test_no_batches_raises_before_any_fork(self, monkeypatch, forks):
+        use_cores(monkeypatch, 2)
+        with pytest.raises(ConfigError, match="^need at least one batch to check; got 0$"):
+            check_losses(LOSS_NAMES, 0, 0)
+        assert forks == []
+
+
+class _Idle:
+    what, error, width, n_blocks = "an idle walk", MarginCalError, 0, 0
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("first", ["older", "newer"])
+def test_two_live_teams_close_in_either_order(forks, first):
+    """A helper keeps no pipe of another live team open: one that kept the
+    older team's go pipe would keep its helper from reading end of file."""
+    older = _Team(lambda job: _Idle, 1, 1, 0)
+    newer = _Team(lambda job: _Idle, 1, 1, 0)
+    try:
+        (older if first == "older" else newer).close()
+    finally:
+        newer.close()
+        older.close()
+    assert len(forks) == 2
+    assert_reaped(forks)
 
 
 @pytest.fixture
