@@ -50,8 +50,7 @@ class BoundConfig:
             raise ConfigError("m_pixels must be at least 1")
         if self.c_theta < 0:
             raise ConfigError("c_theta must be non-negative")
-        if self.stats.k_classes != self.margins.k_classes:
-            raise ConfigError("stats and margins disagree on the number of classes")
+        self.margins.check_classes(self.stats)
 
     @property
     def k_classes(self) -> int:
@@ -184,16 +183,14 @@ class AllocationSearchResult:
 
 
 def _simplex_grid(k_classes: int, resolution: int) -> np.ndarray:
-    """Interior grid of positive weight vectors summing to 1."""
+    """Interior grid of positive weight vectors summing to 1, for K = 2 or 3."""
     ticks = (np.arange(resolution, dtype=np.float64) + 1.0) / (resolution + 1.0)
     if k_classes == 2:
         return np.stack([ticks, 1.0 - ticks], axis=1)
-    if k_classes == 3:
-        a, b = np.meshgrid(ticks, ticks, indexing="ij")
-        a, b = a.ravel(), b.ravel()
-        keep = a + b < 1.0
-        return np.stack([a[keep], b[keep], 1.0 - a[keep] - b[keep]], axis=1)
-    raise ConfigError("allocation search supports K in {2, 3} only")
+    a, b = np.meshgrid(ticks, ticks, indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    keep = a + b < 1.0
+    return np.stack([a[keep], b[keep], 1.0 - a[keep] - b[keep]], axis=1)
 
 
 def brute_force_allocation(

@@ -185,8 +185,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     feats, masks = _split(args, args.split)
-    margins, stats = (read_margins_csv(args.margins, with_stats=True) if args.margins
-                      else (None, None))
+    margins, stats = read_margins_csv(args.margins) if args.margins else (None, None)
     report = evaluate(model, feats, masks, margins, stats)
     write_metrics_csv(report, args.out)
     bound = (f" miou_lower={report.miou_lower:.6g} bound_scope={report.bound_scope}"
@@ -196,7 +195,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    margins, file_stats = read_margins_csv(args.margins, with_stats=True)
+    margins, file_stats = read_margins_csv(args.margins)
     stats = read_stats_csv(args.stats) if args.stats else file_stats
     cfg = bound_mod.BoundConfig(
         stats=stats,
@@ -221,12 +220,13 @@ def _cmd_gradcheck(args) -> int:
     results = gradcheck_mod.check_losses(names, args.seed, args.batches)
     writer = csv.writer(sys.stdout)
     writer.writerow(["loss_name", "max_rel_err", "n_probes"])
-    worst = 0.0
     for result in results:
         writer.writerow([result.loss_name, f"{result.max_rel_err:.12g}", result.n_probes])
-        worst = max(worst, result.max_rel_err)
-    if worst > args.tol:
-        print(f"gradient check failed: {worst:.3g} > tol {args.tol:g}", file=sys.stderr)
+    failed = [f"{r.loss_name} {r.max_rel_err:.3g}" for r in results
+              if not r.max_rel_err <= args.tol]
+    if failed:
+        print(f"gradient check failed: {', '.join(failed)} above tol {args.tol:g}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -92,7 +92,8 @@ def check_losses(names, seed: int, n_batches: int = 50) -> list[GradCheckResult]
     batches of N_PIXELS pixels and K_CLASSES classes, with every class present
     in each batch.  Each (loss, batch) check is one block of a walk on every
     usable core (``team``); a failing check raises as it would in a run of
-    every check in order, and nothing is forked for fewer than two checks."""
+    every check in order, and nothing is forked for fewer than two checks.
+    A NaN error in any batch makes its loss's error NaN."""
     if n_batches < 1:
         raise ConfigError(f"need at least one batch to check; got {n_batches}")
     loss_fns = [loss_by_name(name) for name in names]
@@ -103,11 +104,11 @@ def check_losses(names, seed: int, n_batches: int = 50) -> list[GradCheckResult]
     with _Team(lambda job: walk, min(process_count(), walk.n_blocks) - 1,
                walk.n_blocks, walk.width) as team:
         team.map()
-    errors = walk.errors.reshape(len(loss_fns), n_batches).tolist()
-    # Python's max from 0.0 in batch order, so a NaN error folds as it always has
-    return [GradCheckResult(loss_name=name, max_rel_err=max([0.0, *errs]),
+    # numpy's max keeps a NaN error, which Python's max would drop
+    errors = walk.errors.reshape(len(loss_fns), n_batches).max(axis=1)
+    return [GradCheckResult(loss_name=name, max_rel_err=float(err),
                             n_probes=n_batches * N_PIXELS * K_CLASSES)
-            for name, errs in zip(names, errors)]
+            for name, err in zip(names, errors)]
 
 
 def check_loss_gradient(loss_name: str, seed: int, n_batches: int = 50) -> GradCheckResult:

@@ -12,7 +12,6 @@ generalization-gap bound (see the bound module).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ RATIO_RTOL = 1e-10
 
 @dataclass
 class MarginOffsets:
-    """Per-class margin-offsets plus the hyper-parameters that produced them.
+    """Per-class margin-offsets.
 
     ``corollary_ok`` is False when the offsets were loaded from a hand-edited
     file that no longer satisfies the optimal pairwise ratios; such overrides
@@ -41,8 +40,6 @@ class MarginOffsets:
     rho_0k: np.ndarray
     rho_k0: np.ndarray
     mu_k: np.ndarray
-    tau: float
-    upsilon: float
     corollary_ok: bool = True
 
     def __post_init__(self) -> None:
@@ -67,6 +64,12 @@ class MarginOffsets:
     @property
     def rho_max(self) -> float:
         return float(max(self.rho_0k.max(), self.rho_k0.max()))
+
+    def check_classes(self, stats: LabelStats) -> None:
+        """Raise ConfigError unless ``stats`` counts as many classes as there are offsets."""
+        if self.k_classes != stats.k_classes:
+            raise ConfigError(f"margins and stats disagree on the number of classes "
+                              f"({self.k_classes} and {stats.k_classes})")
 
 
 def compute_margins(
@@ -104,7 +107,7 @@ def compute_margins(
     mu_k = p_k * np.sqrt(n_k) / mu_den
     rho_0k = tau * rest / n_k
     rho_k0 = mu_k * rho_0k
-    return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0, mu_k=mu_k, tau=tau, upsilon=upsilon)
+    return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0, mu_k=mu_k)
 
 
 def verify_corollary_ratios(m: MarginOffsets, stats: LabelStats) -> tuple[bool, float]:
@@ -114,8 +117,7 @@ def verify_corollary_ratios(m: MarginOffsets, stats: LabelStats) -> tuple[bool, 
     Two families are verified: rho_0i/rho_0j against the closed-form count
     ratio for every class pair, and rho_k0/rho_0k against mu_k.
     """
-    if m.k_classes != stats.k_classes:
-        raise ConfigError("margins and stats disagree on the number of classes")
+    m.check_classes(stats)
     n = float(stats.n_total)
     n_k = stats.n_per_class.astype(np.float64)
     weight = np.sqrt(n - n_k) / n_k  # rho_0k is proportional to this
@@ -135,24 +137,13 @@ MARGINS_CSV_HEADER = ["class_index", "n_pixels", "p_k", "mu_k", "rho_0k", "rho_k
 
 
 def write_margins_csv(m: MarginOffsets, stats: LabelStats, path) -> None:
-    if m.k_classes != stats.k_classes:
-        raise ConfigError("margins and stats disagree on the number of classes")
+    m.check_classes(stats)
     columns = (stats.n_per_class, stats.p_per_class, m.mu_k, m.rho_0k, m.rho_k0)
     write_csv(path, MARGINS_CSV_HEADER, ([k, *row] for k, row in enumerate(zip(*columns))))
 
 
-def _recover_scalar(per_class: np.ndarray) -> float:
-    """Collapse per-class hyper-parameter estimates; NaN when they disagree."""
-    ref = float(np.mean(per_class))
-    if ref <= 0 or not math.isfinite(ref):
-        return math.nan
-    if np.max(np.abs(per_class - ref)) > 1e-9 * abs(ref):
-        return math.nan
-    return ref
-
-
-def read_margins_csv(path, with_stats: bool = False):
-    """Load margin-offsets (and optionally the embedded stats) from CSV.
+def read_margins_csv(path) -> tuple[MarginOffsets, LabelStats]:
+    """Load margin-offsets and the label statistics they were computed from.
 
     Structural invariants (positivity, finiteness, rho_k0 = mu_k*rho_0k) are
     hard errors.  A violated optimal-ratio condition only clears the
@@ -168,28 +159,10 @@ def read_margins_csv(path, with_stats: bool = False):
                           "offsets must be strictly positive")
     # the file stores 12 significant digits, so the stored mu_k can miss
     # rho_k0/rho_0k by a few 1e-12; validate at format precision, then snap
-    ratio = rho_k0 / rho_0k
-    if np.max(np.abs(mu / ratio - 1.0)) > 1e-9:
+    if np.any(np.abs(rho_k0 - mu * rho_0k) > 1e-9 * rho_k0):
         raise FormatError(
             "margins CSV violates a structural invariant: mu_k != rho_k0/rho_0k"
         )
-    mu = ratio
-    n = float(stats.n_total)
-    n_k = stats.n_per_class.astype(np.float64)
-    rest = np.sqrt(n - n_k)
-    tau = _recover_scalar(rho_0k * n_k / rest)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upsilon = _recover_scalar(
-            (stats.p_per_class * np.sqrt(n_k) / mu + stats.p_per_class * rest) / (n - n_k)
-        )
-    try:
-        margins = MarginOffsets(
-            rho_0k=rho_0k, rho_k0=rho_k0, mu_k=mu, tau=tau, upsilon=upsilon
-        )
-    except ConfigError as exc:
-        raise FormatError(f"margins CSV violates a structural invariant: {exc}") from exc
-    ok, _ = verify_corollary_ratios(margins, stats)
-    margins.corollary_ok = ok
-    if with_stats:
-        return margins, stats
-    return margins
+    margins = MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0, mu_k=rho_k0 / rho_0k)
+    margins.corollary_ok = verify_corollary_ratios(margins, stats)[0]
+    return margins, stats

@@ -21,11 +21,11 @@ import numpy as np
 
 #: a walk on a team of its own (``run_walk``: `forward`, `lower_bound_report`,
 #: `evaluate`) forks helpers only from this many blocks (2,097,152 pixels).
-#: Forking, pinning and reaping a helper cost about 2 ms plus the helper's
-#: exit, which grows with the parent's memory (5-9 ms at 300 MB).  At K = 3,
-#: `forward` and `lower_bound_report` repay that from 64 and 256 blocks; 512 is
-#: where a since-deleted count walk without margin-offsets broke even, kept
-#: without re-tuning for `evaluate`.  CHANGES.md holds the timings.
+#: A helper costs its fork, pinning and reaping, and an exit that grows with
+#: the parent's memory.  `evaluate` at 64x64 px and K = 3, with the parent at
+#: 150 MB resident on a 2-core x86-64 host (medians of 25 runs): 16 blocks
+#: took 3.9-5.1 ms in one process and 8.7-9.4 ms with a helper, 50 blocks
+#: 12.6-15.0 ms and 13.9-15.8 ms.
 FORK_MIN_BLOCKS = 512
 
 #: the parent's ends of the pipes of every live team's helpers.  A new helper

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
     BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _pixel_kernel,
-    _softmax_block, _tversky_slopes, _tversky_sums, _tversky_vjp,
+    _require_valid, _softmax_block, _tversky_slopes, _tversky_sums, _tversky_vjp,
 )
 from .margins import MarginOffsets
 from .metrics import MetricsReport, _Counts, _report
@@ -120,14 +120,23 @@ def _forward_cache(model: PixelMLP, x: np.ndarray, out: Optional[np.ndarray] = N
     return scores.T, act
 
 
-def _model_scores(model: PixelMLP, x: np.ndarray):
-    """A ``_Counts`` score source: ``_forward_cache``'s scores of the rows
-    ``cols`` of ``x``.  A non-finite one raises NumericError naming its row."""
+def _check_scores(scores: np.ndarray, ids, start: int, ppi: int) -> None:
+    """Raise NumericError naming the image, pixel and class of the first
+    non-finite entry of ``scores``, the (n, K) scores of the pixels from
+    ``start`` on of the consecutive images ``ids`` of ``ppi`` pixels each."""
+    bad = _non_finite_at(scores)
+    if bad is not None:
+        image, pixel = divmod(start + bad[0], ppi)
+        raise NumericError(f"non-finite score at image {ids[image]}, pixel {pixel}, "
+                           f"class {bad[1]}")
+
+
+def _model_scores(model: PixelMLP, features: FeatureBatch, masks: MaskBatch):
+    """A ``_Counts`` score source: ``_forward_cache``'s scores of the pixels
+    ``cols`` of the split, checked by ``_check_scores``."""
     def scores(cols: slice) -> np.ndarray:
-        sc = _forward_cache(model, x[cols])[0]
-        bad = _non_finite_at(sc)
-        if bad is not None:
-            raise NumericError(f"non-finite score at pixel {cols.start + bad[0]}, class {bad[1]}")
+        sc = _forward_cache(model, features.features[cols])[0]
+        _check_scores(sc, range(masks.n_images), cols.start, masks.pixels_per_image)
         return sc.T
 
     return scores
@@ -237,11 +246,7 @@ class _Step:
         act, gpre, grad = (buf[: rows * size].reshape(rows, size) for buf, rows
                            in zip(self.scratch, (model.hidden, model.hidden, k_cls)))
         scores, act = _forward_cache(model, x, act)
-        bad = _non_finite_at(scores)
-        if bad is not None:
-            image, pixel = divmod(start + bad[0], self.masks.pixels_per_image)
-            raise NumericError(f"non-finite score at image {ids[image]}, pixel {pixel}, "
-                               f"class {bad[1]}")
+        _check_scores(scores, ids, start, self.masks.pixels_per_image)
         onehot, valid = _block_rows(labels, valid, k_cls)
         kernel, args = self.loss
         if kernel is _tversky_sums:
@@ -301,8 +306,7 @@ class _StepTeam(_Team):
                 return _Step(shared, features, masks, ids[:-job], (_tversky_sums, ()), scratch)
             if job > max_ids:
                 x, y = splits[job - max_ids - 1]
-                return _Counts(_model_scores(shared, x.features), shared.k_classes, y, None,
-                               "evaluate")
+                return _Counts(_model_scores(shared, x, y), shared.k_classes, y, None, "evaluate")
             return _Step(shared, features, masks, ids[:job], step, scratch)
 
         walks = [make_walk(job) for job in (-max_ids, *range(max_ids, max_ids + 1 + len(splits)))]
@@ -327,9 +331,7 @@ class _StepTeam(_Team):
         n_ids = len(image_ids)
         self.ids[:n_ids] = image_ids
         total = self.map(n_ids if self.weights is None else -n_ids)
-        n_valid = int(total[0])
-        if n_valid == 0:
-            raise ShapeError("no valid pixels in batch")
+        n_valid = _require_valid(int(total[0]))
         if self.weights is None:
             total /= n_valid
             return float(total[1]), _unflatten(total[2:], self.shapes)
@@ -397,7 +399,7 @@ def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
     _check_split(model, features, masks)
     if margins is not None:
         _check_margins(margins, model.k_classes)
-    walk = _Counts(_model_scores(model, features.features), model.k_classes, masks, margins,
+    walk = _Counts(_model_scores(model, features, masks), model.k_classes, masks, margins,
                    "evaluate")
     return _report(run_walk(walk), model.k_classes, margins, stats)
 

@@ -122,7 +122,6 @@ class TestEvaluateEpsilon:
             rho_0k=np.array([1.0, 0.001]),
             rho_k0=np.array([0.5, 0.0005]),
             mu_k=np.array([0.5, 0.5]),
-            tau=float("nan"), upsilon=float("nan"),
         )
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                           c_theta=1.0)

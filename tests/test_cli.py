@@ -159,7 +159,7 @@ class TestStatsMarginsFlow:
         run_ok(["margins", "--stats", str(stats_csv), "--tau", "10",
                 "--upsilon", "1", "--out", str(margins_csv)])
         capsys.readouterr()
-        m = read_margins_csv(margins_csv)
+        m, _ = read_margins_csv(margins_csv)
         np.testing.assert_allclose(m.rho_0k, [0.351364, 9.486833], atol=1e-5)
         np.testing.assert_allclose(m.mu_k, [1.193487, 0.003551], atol=1e-5)
         np.testing.assert_allclose(m.rho_k0, [0.419351, 0.033688], atol=1e-5)
@@ -178,6 +178,12 @@ class TestStatsMarginsFlow:
         capsys.readouterr()
         stats = read_stats_csv(stats_csv)
         assert stats.n_total == 6 * 24 * 24
+        # --masks takes files as well as directories
+        run_ok(["stats", "--masks", str(masks[0]), str(masks[2]), "--k-classes", "3",
+                "--out", str(stats_csv)])
+        assert capsys.readouterr().out == (
+            f"counted {2 * 24 * 24} pixels over 2 masks -> {stats_csv}\n")
+        assert read_stats_csv(stats_csv).n_total == 2 * 24 * 24
 
     @pytest.mark.parametrize("masks, k_classes, message", [
         ("data", "-1", "k_classes must be >= 1; got -1"),
@@ -274,7 +280,7 @@ class TestTrainEvalFlow:
                 "--out", str(metrics_path)] + SMALL_DATASET)
         out = capsys.readouterr().out
         want = lower_bound_report(forward(load_model(model_path), feats), masks,
-                                  read_margins_csv(margins_csv))
+                                  read_margins_csv(margins_csv)[0])
         assert out == (f"miou={want.miou:.6g} pixel_acc={want.pixel_accuracy:.6g} "
                        f"miou_lower={want.miou_lower:.6g} bound_scope=batch -> {metrics_path}\n")
         with open(metrics_path) as fh:
@@ -304,7 +310,7 @@ class TestTrainEvalFlow:
         run_ok(["eval", "--model", str(model_path), "--split", "train", "--margins",
                 str(margins_csv), "--out", str(metrics_path)] + SMALL_DATASET)
         want = lower_bound_report(forward(load_model(model_path), feats), masks,
-                                  *read_margins_csv(margins_csv, with_stats=True))
+                                  *read_margins_csv(margins_csv))
         assert want.bound_scope == "dataset"
         assert capsys.readouterr().out == (
             f"miou={want.miou:.6g} pixel_acc={want.pixel_accuracy:.6g} "
@@ -427,6 +433,20 @@ class TestBoundCommand:
         assert [str(w.message) for w in caught] == []
         assert_clean_exit_one(code, capsys.readouterr(),
                               "class 0 has a negative pixel count -5")
+        assert not out.exists()
+
+    def test_stats_of_another_class_count_is_clean_error(self, tmp_path, capsys):
+        stats_csv, margins_csv = tmp_path / "stats.csv", tmp_path / "margins.csv"
+        stats_csv.write_text("class_index,n_pixels,p_k\n0,80,0.8\n1,15,0.15\n2,5,0.05\n")
+        run_ok(["margins", "--stats", str(stats_csv), "--out", str(margins_csv)])
+        capsys.readouterr()
+        two_csv = tmp_path / "two.csv"
+        two_csv.write_text("class_index,n_pixels,p_k\n0,90,0.9\n1,10,0.1\n")
+        out = tmp_path / "bound.csv"
+        code = run(["bound", "--margins", str(margins_csv), "--stats", str(two_csv),
+                    "--m-pixels", "64", "--out", str(out)])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "margins and stats disagree on the number of classes (3 and 2)")
         assert not out.exists()
 
 

@@ -148,7 +148,7 @@ class TestComputeMarginsLambda:
 
     def test_single_class_rejected(self):
         """Margins need a competitor class: the margin losses reject K = 1."""
-        one = MarginOffsets(rho_0k=[1.0], rho_k0=[1.0], mu_k=[1.0], tau=1.0, upsilon=1.0)
+        one = MarginOffsets(rho_0k=[1.0], rho_k0=[1.0], mu_k=[1.0])
         for loss in (calibrated_log_loss, rho_margin_objective):
             with pytest.raises(ConfigError, match="2 classes"):
                 loss(ScoreBatch(scores=[[1.0]]), make_mask([0]), one)
@@ -195,7 +195,7 @@ class TestCalibrate:
         (shifted score -rho_k0), elsewhere rho_0k is added."""
         m = MarginOffsets(
             rho_0k=np.array([2.0, 2.0]), rho_k0=np.array([0.5, 0.5]),
-            mu_k=np.array([0.25, 0.25]), tau=1.0, upsilon=1.0,
+            mu_k=np.array([0.25, 0.25]),
         )
         res = calibrated_log_loss(ScoreBatch(scores=[[1.0, 1.0]]), make_mask([0]), m)
         # both margins are 0; a term is log2(1 + 2^-(shifted score))
@@ -532,6 +532,14 @@ class TestBaselineLosses:
     def test_loss_by_name_rejects_unknown(self):
         with pytest.raises(ConfigError, match="unknown loss"):
             loss_by_name("hinge")
+
+    @pytest.mark.parametrize("loss", [calibrated_log_loss, rho_margin_objective, cross_entropy,
+                                      focal, soft_dice, tversky], ids=lambda f: f.__name__)
+    def test_a_batch_with_every_pixel_ignored_raises(self, loss):
+        margins = (simple_margins(),) if loss in (calibrated_log_loss,
+                                                  rho_margin_objective) else ()
+        with pytest.raises(ShapeError, match="^no valid pixels in batch$"):
+            loss(ScoreBatch(scores=np.zeros((4, 3))), make_mask([255] * 4), *margins)
 
 
 class TestIgnoreLabelBelowK:

@@ -145,7 +145,7 @@ class TestVerifyCorollaryRatios:
         rho[0] *= 1.01
         perturbed = MarginOffsets(
             rho_0k=rho, rho_k0=m.rho_k0.copy(),
-            mu_k=m.rho_k0 / rho, tau=m.tau, upsilon=m.upsilon,
+            mu_k=m.rho_k0 / rho,
         )
         ok, dev = verify_corollary_ratios(perturbed, stats)
         assert not ok
@@ -164,12 +164,10 @@ class TestMarginsCsv:
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         path = tmp_path / "margins.csv"
         write_margins_csv(m, stats, path)
-        back, back_stats = read_margins_csv(path, with_stats=True)
+        back, back_stats = read_margins_csv(path)
         np.testing.assert_allclose(back.rho_0k, m.rho_0k, rtol=1e-10)
         np.testing.assert_allclose(back.rho_k0, m.rho_k0, rtol=1e-10)
         np.testing.assert_allclose(back.mu_k, m.mu_k, rtol=1e-10)
-        assert abs(back.tau - 10.0) < 1e-8
-        assert abs(back.upsilon - 1.0) < 1e-8
         assert back.corollary_ok
         np.testing.assert_array_equal(back_stats.n_per_class, stats.n_per_class)
 
@@ -194,14 +192,22 @@ class TestMarginsCsv:
             rho_0k=np.array([1.0, 1.0]),  # deliberately uniform
             rho_k0=m.mu_k * np.array([1.0, 1.0]),
             mu_k=m.mu_k.copy(),
-            tau=m.tau,
-            upsilon=m.upsilon,
         )
         path = tmp_path / "margins.csv"
         write_margins_csv(hand, stats, path)
-        back = read_margins_csv(path)
+        back, _ = read_margins_csv(path)
         assert not back.corollary_ok
         np.testing.assert_allclose(back.rho_0k, [1.0, 1.0], rtol=1e-10)
+
+    def test_offsets_whose_ratio_underflows_rejected(self, tmp_path):
+        """rho_k0/rho_0k = 1e-600 is 0 in float64, and so is the stored mu_k.
+        Before, 0/0 raised a RuntimeWarning and the check let the row pass."""
+        path = tmp_path / "m.csv"
+        path.write_text("class_index,n_pixels,p_k,mu_k,rho_0k,rho_k0\n"
+                        "0,90,0.9,0,1e+300,1e-300\n1,10,0.1,0,1e+300,1e-300\n")
+        with pytest.raises(FormatError, match="^margins CSV violates a structural invariant: "
+                                              "mu_k != rho_k0/rho_0k$"):
+            read_margins_csv(path)
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -231,12 +237,12 @@ class TestMarginOffsetsInvariants:
         with pytest.raises(ConfigError, match="positive"):
             MarginOffsets(
                 rho_0k=np.array([1.0, -1.0]), rho_k0=np.array([1.0, 1.0]),
-                mu_k=np.array([1.0, 1.0]), tau=1.0, upsilon=1.0,
+                mu_k=np.array([1.0, 1.0]),
             )
 
     def test_mu_consistency_enforced(self):
         with pytest.raises(ConfigError, match="mu_k"):
             MarginOffsets(
                 rho_0k=np.array([1.0, 1.0]), rho_k0=np.array([1.0, 1.0]),
-                mu_k=np.array([1.0, 2.0]), tau=1.0, upsilon=1.0,
+                mu_k=np.array([1.0, 2.0]),
             )

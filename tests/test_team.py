@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import margincal.gradcheck as gradcheck_module
 import margincal.losses as losses_module
 import margincal.metrics as metrics_module
 import margincal.team as team_module
@@ -183,8 +184,9 @@ class TestParallelEvaluation:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_non_finite_score_names_its_pixel(self, monkeypatch, forks, cores):
         """NaN features in block 1 (a helper's share at 2 cores) and block 4
-        (the parent's): evaluation names the first, by its pixel in the
-        split, as ``forward``'s ScoreBatch check does."""
+        (the parent's): evaluation names the first by its image and its pixel
+        in that image, as a training step does; ``forward``'s ScoreBatch
+        check names it by its pixel in the split."""
         feats, masks, margins, model = identity_case()
         monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", 2)
         feats.features[BLOCK_PX + 123, 1] = np.nan
@@ -192,11 +194,11 @@ class TestParallelEvaluation:
         use_cores(monkeypatch, cores)
         with pytest.raises(NumericError) as want:
             forward(model, feats)
-        assert str(want.value).startswith(f"non-finite score at pixel {BLOCK_PX + 123}, class ")
+        assert str(want.value) == f"non-finite score at pixel {BLOCK_PX + 123}, class 0"
         for margins_or_none in (None, margins):
             with pytest.raises(NumericError) as got:
                 evaluate(model, feats, masks, margins_or_none)
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"non-finite score at image 0, pixel {BLOCK_PX + 123}, class 0"
         assert len(forks) == 3 * (cores - 1)
         assert_reaped(forks)
 
@@ -258,7 +260,7 @@ class TestEvaluationInTrain:
         val_feats.features[BLOCK_PX + 9, 2] = np.nan
         use_cores(monkeypatch, 2)
         cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=6, eval_every=1)
-        with pytest.raises(NumericError, match=rf"^non-finite score at pixel {BLOCK_PX + 9}, "):
+        with pytest.raises(NumericError, match=r"^non-finite score at image 1, pixel 9, class 0$"):
             train(PixelMLP.init(FEATURE_DIM, 8, 3, seed=1), feats, masks, cfg,
                   val_features=val_feats, val_masks=val_masks)
         assert len(forks) == 1
@@ -303,6 +305,31 @@ class TestGradientChecks:
         assert run(["gradcheck", "--loss", "all", "--seed", "3", "--batches", "3"]) == 1
         assert capsys.readouterr() == ("", f"error: focal at score {first!r}\n")
         assert len(forks) == 2 * (cores - 1)
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_nan_error_fails_the_check(self, monkeypatch, forks, capsys, cores):
+        """One NaN in batch 1's finite-difference gradient (the helper's block
+        at 2 cores) makes the loss's error NaN, and the command exit 1.  Python's
+        max from 0.0 dropped it: batch 0's error was printed and the exit was 0."""
+        rng = np.random.default_rng(7)
+        _random_case(rng)
+        planted = _random_case(rng)[0]
+        fd_gradient = gradcheck_module.fd_gradient
+
+        def nan_fd_gradient(value_fn, scores, h):
+            grad = fd_gradient(value_fn, scores, h)
+            if np.array_equal(scores, planted):
+                grad[3, 1] = np.nan
+            return grad
+
+        monkeypatch.setattr(gradcheck_module, "fd_gradient", nan_fd_gradient)
+        use_cores(monkeypatch, cores)
+        assert run(["gradcheck", "--loss", "cross_entropy", "--seed", "7", "--batches", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["loss_name,max_rel_err,n_probes", "cross_entropy,nan,96"]
+        assert err == "gradient check failed: cross_entropy nan above tol 0.0001\n"
+        assert len(forks) == cores - 1
         assert_reaped(forks)
 
     def test_no_batches_raises_before_any_fork(self, monkeypatch, forks):

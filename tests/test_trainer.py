@@ -9,7 +9,7 @@ import pytest
 
 import margincal.team as team_module
 import margincal.trainer as trainer_module
-from margincal.errors import ConfigError, ShapeError, TrainError
+from margincal.errors import ConfigError, NumericError, ShapeError, TrainError
 from margincal.losses import (
     BLOCK_PX, LOSS_NAMES, ScoreBatch, calibrated_log_loss, cross_entropy, loss_by_name,
 )
@@ -237,6 +237,14 @@ class TestTrain:
     def test_negative_eval_every_rejected(self):
         with pytest.raises(ConfigError, match="^eval_every must be >= 0"):
             TrainConfig(eval_every=-2)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"epochs": 0}, r"^epochs and batch_images must be positive$"),
+        ({"momentum": 1.0}, r"^need learning_rate >= 0 and momentum in \[0, 1\)$"),
+    ], ids=["no-epochs", "momentum-one"])
+    def test_bad_schedule_rejected(self, field, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**field)
 
     def test_separable_task_drives_objective_low(self):
         """On a cleanly separable toy task the piecewise-linear objective
@@ -515,6 +523,26 @@ class TestEvaluate:
         )
         report = evaluate(model, feats, masks)
         assert report.miou == 1.0
+
+    def test_features_and_masks_of_other_pixel_counts_raise(self):
+        feats, masks = tiny_dataset(n_images=2)
+        short = FeatureBatch(features=feats.features[:-1])
+        with pytest.raises(ShapeError, match="^features cover 511 pixels but masks have 512$"):
+            evaluate(PixelMLP.init(FEATURE_DIM, 8, 3, seed=0), short, masks)
+
+    @pytest.mark.parametrize("ppi", [64, 2 * BLOCK_PX])
+    def test_non_finite_score_names_image_and_pixel(self, ppi):
+        """Images grouped into one block, and one image sliced into several:
+        the same message as a training step's."""
+        n_images, image, pixel = 3, 1, ppi - 5
+        features = np.random.default_rng(2).normal(size=(n_images * ppi, FEATURE_DIM))
+        feats = FeatureBatch(features=features)
+        feats.features[image * ppi + pixel, 0] = np.nan  # past FeatureBatch's check
+        masks = MaskBatch(labels=np.zeros(n_images * ppi, dtype=np.uint8),
+                          width=ppi, height=1, n_images=n_images)
+        with pytest.raises(NumericError, match=rf"^non-finite score at image {image}, "
+                                               rf"pixel {pixel}, class 0$"):
+            evaluate(PixelMLP.init(FEATURE_DIM, 8, 3, seed=0), feats, masks)
 
 
 class TestModelPersistence:
