@@ -43,10 +43,7 @@ from .margins import (
 from .metrics import (
     ConfusionCounts,
     MetricsReport,
-    confusion,
     iou_report,
-    lower_bound_report,
-    predict_labels,
 )
 from .segdata import (
     FeatureBatch,
@@ -61,7 +58,7 @@ from .segdata import (
     write_stats_csv,
 )
 from .trainer import (
-    PixelMLP, TrainConfig, TrainLog, evaluate, forward, load_model, save_model, train,
+    PixelMLP, TrainConfig, evaluate, load_model, save_model, train,
 )
 
 __version__ = "0.1.0"

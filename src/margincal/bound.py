@@ -77,10 +77,6 @@ class BoundResult:
     eps: float
     valid_per_class: np.ndarray
 
-    @property
-    def all_valid(self) -> bool:
-        return bool(self.valid_per_class.all())
-
 
 def confidence_term(rho_max: float, k_classes: int, m_pixels: int, eta: float) -> float:
     """sigma = rho_max/(4K) * sqrt(2*M*ln(2K/eta)); decreasing in eta, increasing in M."""

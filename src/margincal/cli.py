@@ -171,10 +171,10 @@ def _cmd_train(args) -> int:
         save_model(model, args.out_model)
     if args.log_csv:
         write_train_log_csv(log, args.log_csv)
-    if not log.records:
+    if not log:
         print(f"trained {args.epochs} epochs; no evaluation ran (--eval-every 0)")
         return 0
-    final = log.records[-1]
+    final = log[-1]
     print(
         f"epoch {final.epoch}: train_loss={final.train_loss:.6g} "
         f"train_miou={final.train_miou:.6g} val_miou={final.val_miou:.6g}"
@@ -240,7 +240,7 @@ def _cmd_sweep(args) -> int:
         for upsilon in args.upsilon_grid:
             try:
                 _, log = train_cell(tau, upsilon)
-                val_miou = log.records[-1].val_miou
+                val_miou = log[-1].val_miou
             except MarginCalError as exc:
                 print(f"cell tau={tau} upsilon={upsilon} failed: {exc}", file=sys.stderr)
                 val_miou = float("nan")

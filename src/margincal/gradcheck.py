@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MarginCalError
+from .errors import ConfigError
 from .losses import ScoreBatch, loss_by_name
 from .margins import compute_margins
 from .segdata import LabelStats, MaskBatch
@@ -64,7 +64,7 @@ class _Checks:
     i // n_batches and writes its largest relative error to ``errors[i]``,
     in shared memory; its result row is empty."""
 
-    what, error, width = "a gradient check", MarginCalError, 0
+    what, width = "a gradient check", 0
 
     def __init__(self, loss_fns: list, cases: list, margins) -> None:
         self.loss_fns, self.cases, self.margins = loss_fns, cases, margins

@@ -257,7 +257,8 @@ def _check_margins(m: Optional[MarginOffsets], k_classes: int) -> None:
     if k_classes < 2:
         raise ConfigError("margins need at least 2 classes")
     if m.k_classes != k_classes:
-        raise ShapeError("margin-offsets and scores disagree on the class count")
+        raise ShapeError(f"margin-offsets and scores disagree on the number of classes "
+                         f"({m.k_classes} and {k_classes})")
 
 
 def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> int:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateError, MarginCalError, NumericError, ShapeError
+from .errors import ConfigError, DataError, DegenerateError, NumericError, ShapeError
 from .losses import (
     BLOCK_PX, ScoreBatch, _block_rows, _blocks, _check_margin_pair, _first_max, _lambda,
     _phi_sums,
@@ -87,7 +87,7 @@ def confusion(pred: MaskBatch, truth: MaskBatch, k_classes: int) -> ConfusionCou
         truth.n_images,
     ):
         raise ShapeError("prediction and truth masks have different shapes")
-    valid = truth.valid_mask()
+    valid = truth.labels != truth.ignore_index
     t = truth.labels[valid]
     p = pred.labels[valid]
     if t.size and (int(t.max()) >= k_classes or int(p.max()) >= k_classes):
@@ -109,8 +109,6 @@ class _Counts:
     its valid row from its own labels.  Block i's row is its (truth, prediction)
     count matrix, K x K and exact in float64, then with margin-offsets its K
     sums of phi(lam / rho_k0) and its K sums of phi(-lam / rho_0k)."""
-
-    error = MarginCalError
 
     def __init__(self, scores, k_cls: int, y: MaskBatch, m: Optional[MarginOffsets],
                  what: str) -> None:

@@ -54,9 +54,6 @@ class MaskBatch:
     def n_pixels(self) -> int:
         return self.labels.size
 
-    def valid_mask(self) -> np.ndarray:
-        return self.labels != self.ignore_index
-
 
 def _checked_block(masks: MaskBatch, k_classes: int, image_base: int, start: int):
     """The SCAN_BLOCK labels from ``start`` and their valid row, once they
@@ -102,12 +99,11 @@ class FeatureBatch:
     """Per-pixel real feature vectors, aligned with a MaskBatch's flat order."""
 
     features: np.ndarray
-    d: int = FEATURE_DIM
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[1] != self.d:
-            raise DataError(f"features must have shape (n_pixels, {self.d})")
+        if self.features.ndim != 2:
+            raise DataError("features must be a 2-D (n_pixels, d) array")
         bad = _non_finite_at(self.features)
         if bad is not None:
             raise DataError(f"non-finite feature at pixel {bad[0]}, column {bad[1]}")

@@ -2,13 +2,13 @@
 fixed share of a walk's blocks, and the parent sums the blocks' rows in block
 order.
 
-A walk is an object with ``n_blocks``, ``width``, ``run(i, row)``, ``what``
-and ``error``.  ``run(i, row)`` computes block i and writes all ``width``
-entries of its result row (it may also write its own output, such as a
-column slice of a shared score array).  ``what`` names the walk in the
-message of ``error``, raised when a helper dies during it.  The result of a
-walk is the sum of its rows from zero in block order, so it is bitwise the
-same whichever process ran each block and however many there were.
+A walk is an object with ``n_blocks``, ``width``, ``run(i, row)`` and
+``what``.  ``run(i, row)`` computes block i and writes all ``width`` entries
+of its result row (it may also write its own output, such as a column slice
+of a shared score array).  ``what`` names the walk in the MarginCalError
+raised when a helper dies during it; ``train`` adds the epoch.  The result
+of a walk is the sum of its rows from zero in block order, so it is bitwise
+the same whichever process ran each block and however many there were.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ import os
 from typing import Optional
 
 import numpy as np
+
+from .errors import MarginCalError
 
 #: a walk on a team of its own (``run_walk``: `forward`, `lower_bound_report`,
 #: `evaluate`) forks helpers only from this many blocks (2,097,152 pixels).
@@ -117,7 +119,7 @@ class _Team:
     itself to the usable CPUs but the one the parent was on when it forked.
     A helper exits at the end of file of its go pipe: when the parent closes
     it, or dies.  A helper that has died, during a walk or before one, makes
-    ``map`` raise the walk's ``error`` naming the walk; ``close``, or leaving
+    ``map`` raise MarginCalError naming the walk; ``close``, or leaving
     a ``with`` block on the team, reaps every helper.
     """
 
@@ -169,7 +171,7 @@ class _Team:
         _run_share(walk, rows, done, 0, len(self.helpers) + 1)
         for pid, _, done_pipe in self.helpers:
             if os.read(done_pipe, 1) != b"\x01":
-                raise walk.error(f"block helper process {pid} exited during {walk.what}")
+                raise MarginCalError(f"block helper process {pid} exited during {walk.what}")
         return _fold(walk, rows, done)
 
     def close(self) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -45,8 +45,7 @@ class PixelMLP:
 
     @classmethod
     def init(cls, d: int, hidden: int, k_classes: int, seed: int) -> "PixelMLP":
-        if min(d, hidden, k_classes) < 1:
-            raise ConfigError(f"need d, hidden and k_classes >= 1; got {d}, {hidden}, {k_classes}")
+        _check_dims(d, hidden, k_classes)
         rng = np.random.default_rng(seed)
         w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
         w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, k_classes))
@@ -68,12 +67,17 @@ class PixelMLP:
         return (self.w1, self.b1, self.w2, self.b2)
 
 
+def _check_dims(d: int, hidden: int, k_classes: int) -> None:
+    if min(d, hidden, k_classes) < 1:
+        raise ConfigError(f"need d, hidden and k_classes >= 1; got {d}, {hidden}, {k_classes}")
+
+
 class _Forward:
     """``forward``'s walk: block i's class-major scores go to its columns of
     a (K, n) array in shared memory, which helpers can write whenever
     ``run_walk`` forks them; its result row is empty."""
 
-    what, error, width = "forward", MarginCalError, 0
+    what, width = "forward", 0
 
     def __init__(self, model: PixelMLP, x: np.ndarray) -> None:
         self.model, self.x = model, x
@@ -95,8 +99,8 @@ def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     in shared memory.  The blocks are a walk (``team.run_walk``), which
     decides whether helpers write a share of them.
     """
-    if features.d != model.d:
-        raise ShapeError(f"feature dim {features.d} != model d={model.d}")
+    if features.features.shape[1] != model.d:
+        raise ShapeError(f"feature dim {features.features.shape[1]} != model d={model.d}")
     walk = _Forward(model, features.features)
     run_walk(walk)
     return ScoreBatch(scores=walk.scores.T)
@@ -149,8 +153,8 @@ def _check_split(model: PixelMLP, features: FeatureBatch, masks: MaskBatch) -> i
     if features.n_pixels != masks.n_pixels:
         raise ShapeError(f"features cover {features.n_pixels} pixels but masks have "
                          f"{masks.n_pixels}")
-    if features.d != model.d:
-        raise ShapeError(f"feature dim {features.d} != model d={model.d}")
+    if features.features.shape[1] != model.d:
+        raise ShapeError(f"feature dim {features.features.shape[1]} != model d={model.d}")
     return check_labels(masks, model.k_classes)
 
 
@@ -216,7 +220,7 @@ class _Step:
     no valid pixel writes zeros; ``scratch`` holds its (hidden, b), (K, b) arrays.
     """
 
-    what, error = "a training step", TrainError
+    what = "a training step"
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
                  loss, scratch) -> None:
@@ -339,11 +343,14 @@ class _StepTeam(_Team):
         self.slopes[:] = u, v
         return float(per_class.sum()), _unflatten(self.map(n_ids)[2:], self.shapes)
 
-    def evaluate(self, model: PixelMLP, split: int) -> MetricsReport:
-        """``evaluate(model, *splits[split])``, bitwise, with no fork: each
-        process runs its share of the blocks."""
+    def evaluate(self, model: PixelMLP, split: int, epoch: int) -> MetricsReport:
+        """``evaluate(model, *splits[split])``, bitwise, with no fork; a failure
+        raises TrainError naming ``epoch`` and split 0 "train" or 1 "val"."""
         self._load(model)
-        return _report(self.map(self.max_ids + 1 + split), model.k_classes)
+        try:
+            return _report(self.map(self.max_ids + 1 + split), model.k_classes)
+        except MarginCalError as exc:
+            raise TrainError(f"{exc} at epoch {epoch}, {('train', 'val')[split]} split") from exc
 
 
 @dataclass
@@ -361,8 +368,8 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss_name!r}; expected {LOSS_NAMES}")
         if self.epochs < 1 or self.batch_images < 1:
             raise ConfigError("epochs and batch_images must be positive")
-        if self.learning_rate < 0 or not (0.0 <= self.momentum < 1.0):
-            raise ConfigError("need learning_rate >= 0 and momentum in [0, 1)")
+        if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.momentum < 1.0):
+            raise ConfigError("need a finite learning_rate >= 0 and momentum in [0, 1)")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0 (0 never evaluates); got {self.eval_every}")
 
@@ -374,16 +381,6 @@ class TrainLogRecord:
     train_miou: float
     val_miou: float
     seconds: float
-
-
-@dataclass
-class TrainLog:
-    records: list[TrainLogRecord] = field(default_factory=list)
-
-    def append(self, record: TrainLogRecord) -> None:
-        if self.records and record.epoch <= self.records[-1].epoch:
-            raise TrainError("log epochs must be strictly increasing")
-        self.records.append(record)
 
 
 def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
@@ -412,7 +409,7 @@ def train(
     margins: Optional[MarginOffsets] = None,
     val_features: Optional[FeatureBatch] = None,
     val_masks: Optional[MaskBatch] = None,
-) -> tuple[PixelMLP, TrainLog]:
+) -> tuple[PixelMLP, list[TrainLogRecord]]:
     """Mini-batch SGD with momentum on the configured loss.
 
     Batches are whole images; their order reshuffles every epoch from the
@@ -424,8 +421,8 @@ def train(
     an empty training split, offsets for another K, features that do not fit
     the masks or the model or a label out of range in the training split or
     (if ``eval_every``) the val split, and such a val split with no valid
-    pixel.  A non-finite score or loss, or a batch with no valid pixel,
-    raises TrainError naming the epoch, batch and loss.
+    pixel.  Whatever a step raises becomes TrainError naming the epoch, batch
+    and loss, and whatever an evaluation raises, naming the epoch and split.
 
     The steps and evaluations run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step
@@ -440,7 +437,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n_images = train_masks.n_images
     velocity = [np.zeros_like(p) for p in model.params()]
-    log = TrainLog()
+    log: list[TrainLogRecord] = []
     started = time.perf_counter()
     if (val_features is None) != (val_masks is None):
         raise ConfigError("give both val_features and val_masks, or neither")
@@ -456,7 +453,7 @@ def train(
                 where = f"at epoch {epoch}, batch {n_batches} ({cfg.loss_name})"
                 try:
                     value, grads = team.gradients(model, order[start : start + cfg.batch_images])
-                except (NumericError, ShapeError) as exc:
+                except MarginCalError as exc:
                     raise TrainError(f"{exc} {where}") from exc
                 if not np.isfinite(value):
                     raise TrainError(f"NaN loss {where}")
@@ -471,8 +468,8 @@ def train(
                     TrainLogRecord(
                         epoch=epoch,
                         train_loss=epoch_loss / n_batches,
-                        train_miou=team.evaluate(model, 0).miou,
-                        val_miou=team.evaluate(model, 1).miou if has_val else float("nan"),
+                        train_miou=team.evaluate(model, 0, epoch).miou,
+                        val_miou=team.evaluate(model, 1, epoch).miou if has_val else float("nan"),
                         seconds=time.perf_counter() - started,
                     )
                 )
@@ -499,6 +496,7 @@ def load_model(path) -> PixelMLP:
     if len(raw) < 16:
         raise ConfigError(f"model file has {len(raw)} bytes, shorter than its 16-byte header")
     d, hidden, k = struct.unpack("<III", raw[4:16])
+    _check_dims(d, hidden, k)
     expected = (d * hidden + hidden + hidden * k + k) * 8
     body = raw[16:]
     if len(body) != expected:
@@ -513,6 +511,6 @@ def load_model(path) -> PixelMLP:
 TRAIN_LOG_HEADER = ["epoch", "train_loss", "train_miou", "val_miou", "seconds"]
 
 
-def write_train_log_csv(log: TrainLog, path) -> None:
+def write_train_log_csv(log: list[TrainLogRecord], path) -> None:
     write_csv(path, TRAIN_LOG_HEADER,
-              ([getattr(rec, name) for name in TRAIN_LOG_HEADER] for rec in log.records))
+              ([getattr(rec, name) for name in TRAIN_LOG_HEADER] for rec in log))

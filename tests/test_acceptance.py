@@ -16,7 +16,7 @@ from margincal.bound import (
     reparam_identity_check,
     scaling_check,
 )
-from margincal.gradcheck import check_loss_gradient
+from margincal.gradcheck import check_losses
 from margincal.losses import (
     LOSS_NAMES,
     ScoreBatch,
@@ -90,7 +90,7 @@ class TestAcceptance:
         started = time.perf_counter()
         worst = {}
         for name in LOSS_NAMES:
-            result = check_loss_gradient(name, seed=7, n_batches=50)
+            result = check_losses([name], seed=7, n_batches=50)[0]
             worst[name] = result.max_rel_err
         elapsed = time.perf_counter() - started
         overall = max(worst.values())
@@ -310,7 +310,7 @@ class TestAcceptance:
             2 * m_pixels * math.log(2 * k / eta))
         closed = [upsilon * math.sqrt(n - nk) / (nk / n * (tau / (4 * k * f_cal) - 1.0))
                   for nk in counts]
-        assert large.all_valid, "label-count gap must be non-vacuous"
+        assert large.valid_per_class.all(), "label-count gap must be non-vacuous"
         assert large.eps < 1.0, f"label-count gap {large.eps} must be below 1"
         np.testing.assert_allclose(large.eps_per_class, closed, rtol=1e-12, atol=0)
 
@@ -327,7 +327,7 @@ class TestAcceptance:
             cfg = BoundConfig(stats=stats, margins=margins, m_pixels=256,
                               eta=0.05, c_theta=0.05)
             result = evaluate_epsilon(cfg)
-            assert result.all_valid, f"trial {trial}: gap must be non-vacuous"
+            assert result.valid_per_class.all(), f"trial {trial}: gap must be non-vacuous"
             eps.append(result.eps)
 
             tc = TrainConfig(loss_name="margin_calibration", epochs=5,
@@ -360,7 +360,7 @@ class TestAcceptance:
             margins = compute_margins(stats, tau=10.0, upsilon=0.003)
             result = evaluate_epsilon(BoundConfig(stats=stats, margins=margins, m_pixels=256,
                                                   eta=0.05, c_theta=0.05))
-            assert result.all_valid, f"trial {trial}: balanced gap must be non-vacuous"
+            assert result.valid_per_class.all(), f"trial {trial}: balanced gap must be non-vacuous"
             assert result.eps < 0.5, f"trial {trial}: balanced gap {result.eps} must be below 0.5"
             balanced_eps.append(result.eps)
 

@@ -8,18 +8,18 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_traced_name_exists_and_is_callable():
+def traced_attributes():
+    """(module object, attribute) of every name ``perfbench/tracing.py`` wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for module, attr in tracing.target_attributes():
-        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+    return tracing.target_attributes()
 
 
-def test_every_name_the_workloads_read_exists():
-    """Read from ``workloads.py``'s source, without running it: each name it
-    imports from a margincal module, and each attribute it reads from a
-    margincal module it imports (``trainer.forward``, ...)."""
+def workload_names():
+    """(module name, attribute) of each name ``workloads.py`` imports from a
+    margincal module, and each attribute it reads from a margincal module it
+    imports (``trainer.forward``, ...), read from its source without running it."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     modules, names = {}, []
     for node in ast.walk(tree):
@@ -32,6 +32,16 @@ def test_every_name_the_workloads_read_exists():
     names += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules]
+    return names
+
+
+def test_every_traced_name_exists_and_is_callable():
+    for module, attr in traced_attributes():
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+
+def test_every_name_the_workloads_read_exists():
+    names = workload_names()
     assert {("margincal.trainer", "forward"), ("margincal.metrics", "lower_bound_report"),
             ("margincal.trainer", "evaluate"), ("margincal.trainer", "train")} <= set(names)
     missing = [f"{module}.{attr}" for module, attr in names

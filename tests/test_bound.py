@@ -76,7 +76,7 @@ class TestEvaluateEpsilon:
         np.testing.assert_allclose(result.eps_per_class, REF_EPS_PER_CLASS,
                                    rtol=1e-12)
         assert result.eps == pytest.approx(REF_EPS, rel=1e-12)
-        assert result.all_valid
+        assert result.valid_per_class.all()
 
     def test_tiny_dataset_is_vacuous_for_every_class(self):
         """At N=100 the denominators are negative for both classes, so the
@@ -110,7 +110,7 @@ class TestEvaluateEpsilon:
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=2**16,
                           eta=0.05, c_theta=10.0)
         result = evaluate_epsilon(cfg)
-        assert result.all_valid
+        assert result.valid_per_class.all()
         assert result.eps > 0 and math.isfinite(result.eps)
         assert result.eps == pytest.approx(GOLDEN_TEN_CLASS_EPS, rel=1e-12)
 
@@ -244,7 +244,7 @@ class TestClosedForm:
         assert tau > 4 * len(counts) * f_cal
         result = evaluate_epsilon(cfg)
         want = closed_form_eps(counts, tau, upsilon, f_cal)
-        assert result.all_valid
+        assert result.valid_per_class.all()
         np.testing.assert_allclose(result.eps_per_class, want, rtol=1e-12, atol=0)
         assert result.eps == pytest.approx(sum(want) / len(counts), rel=1e-12, abs=0)
 
@@ -268,7 +268,7 @@ class TestClosedForm:
         sigma = f_cal - CLOSED_FORM_CASES[case][5]
         just_valid = tau / (4 * k) - sigma - 1e-6
         cfg, *_ = self.config(case, c_theta=just_valid)
-        assert evaluate_epsilon(cfg).all_valid
+        assert evaluate_epsilon(cfg).valid_per_class.all()
         cfg, *_ = self.config(case, c_theta=tau / (4 * k) - sigma + 1e-6)
         with pytest.raises(VacuousBoundError):
             evaluate_epsilon(cfg)

@@ -8,16 +8,29 @@ import pytest
 from margincal import cli
 from margincal.cli import run
 from margincal.margins import read_margins_csv
-from margincal.metrics import lower_bound_report
 from margincal.segdata import (
     FEATURE_DIM, SynthConfig, accumulate_stats, generate_synthetic, read_stats_csv,
     write_stats_csv,
 )
-from margincal.trainer import PixelMLP, forward, load_model, save_model
+from margincal.trainer import PixelMLP, evaluate, load_model, save_model
+from test_metrics import recount
 
 
 def run_ok(argv):
     assert run(argv) == 0, f"expected success for {argv}"
+
+
+def recounted_evaluate(model_path, feats, masks, *margins_and_stats):
+    """``evaluate``'s report of the saved model, once its counts match an
+    argmax/bincount recount of the model's scores by one numpy expression."""
+    model = load_model(model_path)
+    report = evaluate(model, feats, masks, *margins_and_stats)
+    scores = np.maximum(feats.features @ model.w1 + model.b1, 0.0) @ model.w2 + model.b2
+    tp, fp, fn, n = recount(scores, masks.labels, model.k_classes)
+    np.testing.assert_array_equal(report.p_k0, fn / n)
+    np.testing.assert_array_equal(report.p_0k, fp / n)
+    assert report.pixel_accuracy == tp.sum() / n
+    return report
 
 
 @pytest.fixture
@@ -262,7 +275,7 @@ class TestTrainEvalFlow:
 
     def test_eval_with_margins_reports_the_certified_lower_bound(self, tmp_path, capsys):
         """``eval --margins`` writes the IoU lower bound that the margins CSV's
-        offsets certify on the val split, as ``lower_bound_report`` computes it."""
+        offsets certify on the val split, as ``evaluate`` computes it."""
         model_path = tmp_path / "model.bin"
         run_ok(["train", "--loss", "margin_calibration", "--out-model", str(model_path)]
                + SMALL_TRAIN)
@@ -279,8 +292,7 @@ class TestTrainEvalFlow:
         run_ok(["eval", "--model", str(model_path), "--margins", str(margins_csv),
                 "--out", str(metrics_path)] + SMALL_DATASET)
         out = capsys.readouterr().out
-        want = lower_bound_report(forward(load_model(model_path), feats), masks,
-                                  read_margins_csv(margins_csv)[0])
+        want = recounted_evaluate(model_path, feats, masks, read_margins_csv(margins_csv)[0])
         assert out == (f"miou={want.miou:.6g} pixel_acc={want.pixel_accuracy:.6g} "
                        f"miou_lower={want.miou_lower:.6g} bound_scope=batch -> {metrics_path}\n")
         with open(metrics_path) as fh:
@@ -309,8 +321,7 @@ class TestTrainEvalFlow:
         capsys.readouterr()
         run_ok(["eval", "--model", str(model_path), "--split", "train", "--margins",
                 str(margins_csv), "--out", str(metrics_path)] + SMALL_DATASET)
-        want = lower_bound_report(forward(load_model(model_path), feats), masks,
-                                  *read_margins_csv(margins_csv))
+        want = recounted_evaluate(model_path, feats, masks, *read_margins_csv(margins_csv))
         assert want.bound_scope == "dataset"
         assert capsys.readouterr().out == (
             f"miou={want.miou:.6g} pixel_acc={want.pixel_accuracy:.6g} "
@@ -356,6 +367,28 @@ class TestTrainEvalFlow:
         assert_clean_exit_one(code, capsys.readouterr(),
                               f"need d, hidden and k_classes >= 1; got {FEATURE_DIM}, {hidden}, 3")
         assert not model.exists()
+
+    def test_a_hidden_0_init_model_is_refused_as_hidden_0_is(self, tmp_path, capsys):
+        """The model file's header obeys ``PixelMLP.init``'s rule: before,
+        ``--hidden 0 --init-from`` trained a hidden-0 model and exited 0."""
+        init, model = tmp_path / "h0.bin", tmp_path / "out.bin"
+        save_model(PixelMLP(w1=np.zeros((FEATURE_DIM, 0)), b1=np.zeros(0), w2=np.zeros((0, 3)),
+                            b2=np.zeros(3)), init)
+        code = run(["train", "--init-from", str(init), "--out-model", str(model)]
+                   + SMALL_TRAIN + ["--hidden", "0"])
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              f"need d, hidden and k_classes >= 1; got {FEATURE_DIM}, 0, 3")
+        assert not model.exists()
+
+    def test_eval_of_a_0_class_model_names_the_cause(self, tmp_path, capsys):
+        """Before, the first label was said to exceed k_classes=0."""
+        path, out = tmp_path / "k0.bin", tmp_path / "metrics.csv"
+        save_model(PixelMLP(w1=np.zeros((FEATURE_DIM, 4)), b1=np.zeros(4), w2=np.zeros((4, 0)),
+                            b2=np.zeros(0)), path)
+        code = run(["eval", "--model", str(path), "--out", str(out)] + SMALL_DATASET)
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              f"need d, hidden and k_classes >= 1; got {FEATURE_DIM}, 4, 0")
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from margincal.errors import ConfigError, NumericError, ShapeError
-from margincal.gradcheck import check_loss_gradient
+from margincal.gradcheck import check_losses
 from margincal.losses import (
     BLOCK_PX,
     LOSS_NAMES,
@@ -243,7 +243,7 @@ class TestCalibratedLogLoss:
         assert rho_calibrated_log_loss(1000.0, 1.0) == pytest.approx(tail, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        res = check_loss_gradient("margin_calibration", seed=3, n_batches=10)
+        res = check_losses(["margin_calibration"], seed=3, n_batches=10)[0]
         assert res.max_rel_err <= 1e-4
 
     def test_fast_and_reference_paths_agree(self):
@@ -470,7 +470,7 @@ class TestBaselineLosses:
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_all_gradients_pass_finite_differences(self, name):
-        res = check_loss_gradient(name, seed=11, n_batches=5)
+        res = check_losses([name], seed=11, n_batches=5)[0]
         assert res.max_rel_err <= 1e-4, f"{name}: {res.max_rel_err}"
 
     def test_dice_perfect_prediction_low_loss(self):

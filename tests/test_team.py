@@ -14,9 +14,9 @@ import margincal.metrics as metrics_module
 import margincal.team as team_module
 import margincal.trainer as trainer_module
 from margincal.cli import run
-from margincal.errors import ConfigError, MarginCalError, NumericError
-from margincal.gradcheck import _random_case, check_loss_gradient, check_losses
-from margincal.losses import BLOCK_PX, LOSS_NAMES, rho_margin_objective
+from margincal.errors import ConfigError, MarginCalError, NumericError, TrainError
+from margincal.gradcheck import _random_case, check_losses
+from margincal.losses import BLOCK_PX, LOSS_NAMES, ScoreBatch, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report
 from margincal.segdata import FEATURE_DIM, FeatureBatch, MaskBatch, accumulate_stats
@@ -106,7 +106,7 @@ class TestParallelEvaluation:
 
     def test_a_walk_forks_from_the_threshold_on(self, monkeypatch, forks):
         class Indices:
-            what, error, width = "a test walk", MarginCalError, 1
+            what, width = "a test walk", 1
 
             def __init__(self, n_blocks):
                 self.n_blocks = n_blocks
@@ -126,8 +126,9 @@ class TestParallelEvaluation:
                              ids=["at-threshold", "below-threshold"])
     def test_evaluate_with_margins_is_the_lower_bound_report_bitwise(self, monkeypatch, forks,
                                                                      k, threshold):
-        """One walk from features to counts gives every field of
-        ``lower_bound_report(forward(...))`` bitwise, forks at most once and
+        """One walk from features to counts gives the counts of an
+        argmax/bincount recount and the phi-sums of ``rho_margin_objective``,
+        bitwise the same on one and two cores; it forks at most once and
         builds no (K, n) score array: ``_Forward`` raises while it runs."""
         feats, masks, margins, model = identity_case(k)
         monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", threshold)
@@ -139,7 +140,16 @@ class TestParallelEvaluation:
             return [np.asarray(getattr(report, name)).tobytes() for name in fields]
 
         use_cores(monkeypatch, 1)
-        want = as_bytes(lower_bound_report(forward(model, feats), masks, margins))
+        report = evaluate(model, feats, masks, margins)
+        scores = feats.features[:, :k]  # the identity model's
+        tp, fp, fn, n = recount(scores, masks.labels, k)
+        np.testing.assert_array_equal(report.p_k0, fn / n)
+        np.testing.assert_array_equal(report.p_0k, fp / n)
+        assert report.pixel_accuracy == tp.sum() / n
+        objective = rho_margin_objective(ScoreBatch(scores), masks, margins)
+        np.testing.assert_array_equal(report.ell_k0, objective.per_class_fg)
+        np.testing.assert_array_equal(report.ell_0k, objective.per_class_bg)
+        want = as_bytes(report)
 
         def no_score_array(*args):
             raise AssertionError("evaluate built a (K, n) score array")
@@ -227,15 +237,16 @@ class TestEvaluationInTrain:
                                val_features=val_feats, val_masks=val_masks)
             assert len(forks) == cores - 1
             assert_reaped(forks)
-            assert [r.epoch for r in log.records] == [2, 3]
-            last = log.records[-1]
+            assert [r.epoch for r in log] == [2, 3]
+            last = log[-1]
             assert last.train_miou == evaluate(model, feats, masks).miou
             assert last.val_miou == evaluate(model, val_feats, val_masks).miou
-            runs.append([(r.train_miou, r.val_miou) for r in log.records])
+            runs.append([(r.train_miou, r.val_miou) for r in log])
         assert runs[1] == runs[0]
 
     def test_a_helper_dead_during_evaluation_raises_naming_it(self, monkeypatch, forks):
-        """The step does not use ``metrics._lambda``; only evaluation does."""
+        """The step does not use ``metrics._lambda``; only evaluation does, of
+        the train split first."""
         feats, masks, val_feats, val_masks = self.data()
         parent = os.getpid()
         real = metrics_module._lambda
@@ -248,10 +259,11 @@ class TestEvaluationInTrain:
         monkeypatch.setattr(metrics_module, "_lambda", die_in_helper)
         use_cores(monkeypatch, 2)
         cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=6, eval_every=1)
-        with pytest.raises(MarginCalError) as caught:
+        with pytest.raises(TrainError) as caught:
             train(PixelMLP.init(FEATURE_DIM, 8, 3, seed=1), feats, masks, cfg,
                   val_features=val_feats, val_masks=val_masks)
-        assert str(caught.value) == f"block helper process {forks[0]} exited during evaluate"
+        assert str(caught.value) == (f"block helper process {forks[0]} exited during evaluate "
+                                     f"at epoch 1, train split")
         assert len(forks) == 1
         assert_reaped(forks)
 
@@ -260,7 +272,8 @@ class TestEvaluationInTrain:
         val_feats.features[BLOCK_PX + 9, 2] = np.nan
         use_cores(monkeypatch, 2)
         cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=6, eval_every=1)
-        with pytest.raises(NumericError, match=r"^non-finite score at image 1, pixel 9, class 0$"):
+        with pytest.raises(TrainError, match=r"^non-finite score at image 1, pixel 9, class 0 "
+                                             r"at epoch 1, val split$"):
             train(PixelMLP.init(FEATURE_DIM, 8, 3, seed=1), feats, masks, cfg,
                   val_features=val_feats, val_masks=val_masks)
         assert len(forks) == 1
@@ -282,7 +295,7 @@ class TestGradientChecks:
             assert len(forks) == cores - 1
             assert_reaped(forks)
         forks.clear()
-        assert results[1] == results[0] == [check_loss_gradient(name, 11, n_batches)
+        assert results[1] == results[0] == [check_losses([name], 11, n_batches)[0]
                                             for name in LOSS_NAMES]
         # one team per loss, and a run of one block forks nothing
         assert len(forks) == (len(LOSS_NAMES) if n_batches > 1 else 0)
@@ -340,7 +353,7 @@ class TestGradientChecks:
 
 
 class _Idle:
-    what, error, width, n_blocks = "an idle walk", MarginCalError, 0, 0
+    what, width, n_blocks = "an idle walk", 0, 0
 
 
 @pytest.mark.usefixtures("deadline")

@@ -29,7 +29,6 @@ from margincal.segdata import (
 from margincal.trainer import (
     PixelMLP,
     TrainConfig,
-    TrainLog,
     TrainLogRecord,
     backward,
     evaluate,
@@ -119,7 +118,7 @@ class TestForward:
         """Checked once per call, before a walk of two blocks that would
         otherwise fork a helper."""
         model = PixelMLP.init(FEATURE_DIM, 4, 3, seed=0)
-        bad = FeatureBatch(features=np.zeros((2 * BLOCK_PX, 4)), d=4)
+        bad = FeatureBatch(features=np.zeros((2 * BLOCK_PX, 4)))
         use_cores(monkeypatch, 2)
         monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", 2)
         with pytest.raises(ShapeError, match=rf"^feature dim 4 != model d={FEATURE_DIM}$"):
@@ -141,7 +140,7 @@ class TestTrain:
         for p, q in zip(before, model.params()):
             np.testing.assert_array_equal(p, q)
         # the logged loss is constant up to batch-partition summation order
-        losses = [r.train_loss for r in log.records]
+        losses = [r.train_loss for r in log]
         np.testing.assert_allclose(losses, losses[0], rtol=1e-12)
 
     def test_loss_decreases_on_imbalanced_data(self):
@@ -157,7 +156,7 @@ class TestTrain:
                           batch_images=8, learning_rate=0.1, seed=0,
                           eval_every=1)
         model, log = train(model, feats, masks, cfg, margins=margins)
-        assert log.records[-1].train_loss < log.records[0].train_loss
+        assert log[-1].train_loss < log[0].train_loss
 
     def test_same_seed_identical_log(self):
         feats, masks = tiny_dataset()
@@ -171,7 +170,7 @@ class TestTrain:
                               eval_every=2)
             _, log = train(model, feats, masks, cfg, margins=margins)
             logs.append(log)
-        for a, b in zip(logs[0].records, logs[1].records):
+        for a, b in zip(logs[0], logs[1]):
             assert (a.epoch, a.train_loss, a.train_miou) == (
                 b.epoch, b.train_loss, b.train_miou
             )
@@ -240,8 +239,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("field, message", [
         ({"epochs": 0}, r"^epochs and batch_images must be positive$"),
-        ({"momentum": 1.0}, r"^need learning_rate >= 0 and momentum in \[0, 1\)$"),
-    ], ids=["no-epochs", "momentum-one"])
+        ({"momentum": 1.0}, r"^need a finite learning_rate >= 0 and momentum in \[0, 1\)$"),
+        ({"learning_rate": np.nan}, r"^need a finite learning_rate >= 0"),
+        ({"learning_rate": np.inf}, r"^need a finite learning_rate >= 0"),
+    ], ids=["no-epochs", "momentum-one", "nan-rate", "inf-rate"])
     def test_bad_schedule_rejected(self, field, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**field)
@@ -569,6 +570,20 @@ class TestModelPersistence:
         with pytest.raises(ConfigError, match="payload"):
             load_model(path)
 
+    @pytest.mark.parametrize("dims", [(0, 4, 3), (FEATURE_DIM, 0, 3), (FEATURE_DIM, 4, 0)],
+                             ids=["d-0", "hidden-0", "k-0"])
+    def test_a_zero_dimension_is_refused_as_init_refuses_it(self, tmp_path, dims):
+        """A header with a 0 and the payload it implies: one rule for both."""
+        d, hidden, k = dims
+        path = tmp_path / "model.bin"
+        save_model(PixelMLP(w1=np.zeros((d, hidden)), b1=np.zeros(hidden),
+                            w2=np.zeros((hidden, k)), b2=np.zeros(k)), path)
+        message = rf"^need d, hidden and k_classes >= 1; got {d}, {hidden}, {k}$"
+        with pytest.raises(ConfigError, match=message):
+            load_model(path)
+        with pytest.raises(ConfigError, match=message):
+            PixelMLP.init(d, hidden, k, seed=0)
+
     def test_short_header_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"PMC1\x01")
@@ -577,18 +592,9 @@ class TestModelPersistence:
 
 
 class TestTrainLog:
-    def test_epochs_strictly_increase(self):
-        log = TrainLog()
-        log.append(TrainLogRecord(1, 0.5, 0.1, 0.1, 0.2))
-        log.append(TrainLogRecord(2, 0.4, 0.2, 0.2, 0.4))
-        with pytest.raises(TrainError, match="strictly increasing"):
-            log.append(TrainLogRecord(2, 0.3, 0.3, 0.3, 0.6))
-
     def test_csv_schema(self, tmp_path):
-        log = TrainLog()
-        log.append(TrainLogRecord(1, 0.5, 0.1, 0.15, 0.2))
         path = tmp_path / "log.csv"
-        write_train_log_csv(log, path)
+        write_train_log_csv([TrainLogRecord(1, 0.5, 0.1, 0.15, 0.2)], path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_miou,val_miou,seconds"
         assert lines[1].startswith("1,0.5,0.1,0.15,")
@@ -666,7 +672,7 @@ def run_training(loss_name, size, n_images, batch_images, epochs=2, eval_every=1
                       learning_rate=0.1, seed=3, eval_every=eval_every)
     model, log = train(model, feats, masks, cfg, margins, *val)
     params = b"".join(p.tobytes() for p in model.params())
-    return params, [(r.epoch, r.train_loss, r.train_miou, r.val_miou) for r in log.records]
+    return params, [(r.epoch, r.train_loss, r.train_miou, r.val_miou) for r in log]
 
 
 @pytest.mark.usefixtures("deadline")
@@ -748,14 +754,15 @@ class TestSharedStep:
         use_cores(monkeypatch, 2)
         monkeypatch.setattr(trainer_module, "_forward_cache", die_in_helper)
         with pytest.raises(TrainError, match=r"^block helper process \d+ exited during a "
-                                             r"training step$"):
+                                             r"training step at epoch 1, batch 0 "
+                                             r"\(cross_entropy\)$"):
             run_training("cross_entropy", 64, 8, 8)
         assert len(forks) == 1
         assert_reaped(forks)
 
     def test_a_helper_dead_between_steps_raises_naming_it(self, monkeypatch, forks):
-        """A helper killed after the first step: the second step raises the
-        step's error naming it, not the job write's BrokenPipeError."""
+        """A helper killed after the first step: the second step raises
+        TrainError naming it and the step, not the job write's BrokenPipeError."""
         real = trainer_module._StepTeam.map
         steps = []
 
@@ -772,7 +779,7 @@ class TestSharedStep:
         with pytest.raises(TrainError) as caught:
             run_training("cross_entropy", 64, 8, 4)
         assert str(caught.value) == (f"block helper process {forks[0]} exited during a "
-                                     "training step")
+                                     "training step at epoch 1, batch 1 (cross_entropy)")
         assert len(steps) == 2 and len(forks) == 1
         assert_reaped(forks)
 
@@ -811,7 +818,7 @@ class TestSharedStep:
         4.2 million pixels small."""
         n_images, ppi = 1025, 64 * 64
         rng = np.random.default_rng(4)
-        feats = FeatureBatch(features=rng.normal(size=(n_images * ppi, 1)), d=1)
+        feats = FeatureBatch(features=rng.normal(size=(n_images * ppi, 1)))
         masks = MaskBatch(labels=rng.integers(0, 3, size=n_images * ppi, dtype=np.uint8),
                           width=64, height=64, n_images=n_images)
         cfg = TrainConfig(loss_name="cross_entropy", epochs=1, batch_images=n_images,
@@ -831,8 +838,8 @@ class TestSharedStep:
         use_cores(monkeypatch, 2)
         model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
         cfg = TrainConfig(loss_name="margin_calibration", epochs=1, batch_images=4)
-        with pytest.raises(ShapeError, match="^margin-offsets and scores disagree on the "
-                                             "class count$"):
+        with pytest.raises(ShapeError, match=r"^margin-offsets and scores disagree on the "
+                                             r"number of classes \(2 and 3\)$"):
             train(model, feats, masks, cfg, margins=two_class)
         assert forks == []
 
@@ -848,8 +855,7 @@ class TestSharedStep:
             val_masks = MaskBatch(labels=labels, width=64, height=64, n_images=2)
             message = "label 3 at image 1, pixel 37 exceeds k_classes=3"
         else:
-            val_feats = FeatureBatch(features=np.zeros((val_masks.n_pixels, FEATURE_DIM + 1)),
-                                     d=FEATURE_DIM + 1)
+            val_feats = FeatureBatch(features=np.zeros((val_masks.n_pixels, FEATURE_DIM + 1)))
             message = f"feature dim {FEATURE_DIM + 1} != model d={FEATURE_DIM}"
         use_cores(monkeypatch, 2)
         model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
