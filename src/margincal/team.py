@@ -1,6 +1,6 @@
-"""Block walks on every usable core: the parent and forked helpers each run a
-fixed share of a walk's blocks, and the parent sums the blocks' rows in block
-order.
+"""Block walks on every usable core: the parent and forked helpers claim a
+walk's blocks from one queue until it is empty, so none waits for a slower
+one, and the parent sums the blocks' rows in block order.
 
 A walk is an object with ``n_blocks``, ``width``, ``run(i, row)`` and
 ``what``.  ``run(i, row)`` computes block i and writes all ``width`` entries
@@ -26,9 +26,13 @@ from .errors import MarginCalError
 #: A helper costs its fork, pinning and reaping, and an exit that grows with
 #: the parent's memory.  `evaluate` at 64x64 px and K = 3, with the parent at
 #: 150 MB resident on a 2-core x86-64 host (medians of 25 runs): 16 blocks
-#: took 3.9-5.1 ms in one process and 8.7-9.4 ms with a helper, 50 blocks
-#: 12.6-15.0 ms and 13.9-15.8 ms.
+#: took 3.2-3.6 ms in one process and 7.0-7.9 ms with a helper, 50 blocks
+#: 9.5-11.0 ms and 11.5-12.2 ms.
 FORK_MIN_BLOCKS = 512
+
+#: most tokens in a walk's queue: an empty pipe takes a write of PIPE_BUF (4,096)
+#: bytes whole, so ``map`` never blocks.  Token t names blocks t, t + QUEUE_TOKENS, ...
+QUEUE_TOKENS = 1024
 
 #: the parent's ends of the pipes of every live team's helpers.  A new helper
 #: closes them all: one that kept another team's go pipe open would keep that
@@ -80,16 +84,20 @@ def _pin_away_from(cpu: Optional[int]) -> None:
         pass
 
 
-def _run_share(walk, rows: np.ndarray, done: np.ndarray, first: int, stride: int) -> None:
-    """Run blocks ``first, first + stride, ...`` in order, marking each in
-    ``done``.  At a block that raises the share ends; ``_fold`` recomputes
-    that block and the rest of the share."""
-    for i in range(first, walk.n_blocks, stride):
-        try:
-            walk.run(i, rows[i])
-        except Exception:  # any error: _fold re-raises it from the first failing block
-            return
-        done[i] = True
+def _claim(walk, rows: np.ndarray, done: np.ndarray, queue: int) -> None:
+    """Claim tokens from ``queue`` until it is empty, running each token's
+    blocks in order and marking each in ``done``.  A read of 4 bytes from a
+    pipe is atomic, so every token is claimed once.  At a block that raises
+    the process stops claiming; ``_fold`` recomputes every block not done."""
+    with contextlib.suppress(BlockingIOError):  # the queue is empty
+        while True:
+            token = int.from_bytes(os.read(queue, 4), "little")
+            for i in range(token, walk.n_blocks, QUEUE_TOKENS):
+                try:
+                    walk.run(i, rows[i])
+                except Exception:  # any error: _fold re-raises it from the first failing block
+                    return
+                done[i] = True
 
 
 def _fold(walk, rows: np.ndarray, done: np.ndarray) -> np.ndarray:
@@ -105,18 +113,19 @@ def _fold(walk, rows: np.ndarray, done: np.ndarray) -> np.ndarray:
 
 
 class _Team:
-    """The parent and ``n_helpers`` forked helper processes, each running a
-    fixed share of a walk's blocks: with P processes, share h is blocks h,
-    h + P, ...; the parent is share 0.
+    """The parent and ``n_helpers`` forked helper processes, which claim a
+    walk's blocks from the team's queue, a pipe whose read end does not
+    block, until it is empty.
 
     ``make_walk(job)`` builds the walk for a job number, in the parent and in
     every helper, from what the helpers can see: what existed when they were
     forked, and shared memory (``shared_arrays``).  One anonymous shared
     mapping holds each block's result row and done flag, for walks of at most
-    ``max_blocks`` blocks of at most ``width`` entries.  ``map(job)`` sends
-    the job number on each helper's go pipe, runs share 0, waits for each
-    helper's answer on its done pipe and folds the rows.  Each helper pins
-    itself to the usable CPUs but the one the parent was on when it forked.
+    ``max_blocks`` blocks of at most ``width`` entries.  ``map(job)`` writes
+    the walk's tokens into the queue, sends the job number on each helper's
+    go pipe, claims blocks, waits for each helper's answer on its done pipe,
+    reads the tokens a raising block left and folds the rows.  Each helper
+    pins itself to the usable CPUs but the one the parent was on when it forked.
     A helper exits at the end of file of its go pipe: when the parent closes
     it, or dies.  A helper that has died, during a walk or before one, makes
     ``map`` raise MarginCalError naming the walk; ``close``, or leaving
@@ -128,19 +137,21 @@ class _Team:
         self.rows, self.done = shared_arrays((np.float64, (max_blocks, width)),
                                              (np.bool_, max_blocks))
         self.helpers: list[tuple[int, int, int]] = []  # (pid, go pipe, done pipe)
+        self.queue = os.pipe()
+        os.set_blocking(self.queue[0], False)
         try:
             cpu = _current_cpu() if n_helpers > 0 else None
-            for share in range(1, n_helpers + 1):
+            for _ in range(n_helpers):
                 go_r, go_w = os.pipe()
                 done_r, done_w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
-                        for fd in (go_w, done_r, *_PARENT_FDS):
+                        for fd in (go_w, done_r, self.queue[1], *_PARENT_FDS):
                             os.close(fd)
                         _pin_away_from(cpu)
-                        self._serve(go_r, done_w, share, n_helpers + 1)
+                        self._serve(go_r, done_w)
                         code = 0
                     finally:
                         os._exit(code)
@@ -148,15 +159,16 @@ class _Team:
                 os.close(done_w)
                 self.helpers.append((pid, go_w, done_r))
                 _PARENT_FDS.update((go_w, done_r))
+            _PARENT_FDS.update(self.queue)  # after the forks: this team's helpers read it
         except BaseException:
             self.close()
             raise
 
-    def _serve(self, go: int, done_pipe: int, share: int, stride: int) -> None:
-        """A helper's life: its share of one walk per job number read from ``go``."""
+    def _serve(self, go: int, done_pipe: int) -> None:
+        """A helper's life: claiming blocks of one walk per job number read from ``go``."""
         while len(job := os.read(go, 4)) == 4:
             walk = self.make_walk(int.from_bytes(job, "little", signed=True))
-            _run_share(walk, self.rows[:, : walk.width], self.done, share, stride)
+            _claim(walk, self.rows[:, : walk.width], self.done, self.queue[0])
             os.write(done_pipe, b"\x01")
 
     def map(self, job: int = 0) -> np.ndarray:
@@ -164,24 +176,32 @@ class _Team:
         walk = self.make_walk(job)
         rows, done = self.rows[: walk.n_blocks, : walk.width], self.done[: walk.n_blocks]
         done[:] = False
+        os.write(self.queue[1], np.arange(min(walk.n_blocks, QUEUE_TOKENS), dtype="<u4"))
         message = job.to_bytes(4, "little", signed=True)
         for _, go, _ in self.helpers:
             with contextlib.suppress(BrokenPipeError):  # dead: reading its done pipe raises
                 os.write(go, message)
-        _run_share(walk, rows, done, 0, len(self.helpers) + 1)
-        for pid, _, done_pipe in self.helpers:
-            if os.read(done_pipe, 1) != b"\x01":
+        _claim(walk, rows, done, self.queue[0])
+        answers = [os.read(done_pipe, 1) for _, _, done_pipe in self.helpers]
+        with contextlib.suppress(BlockingIOError):  # left if every process stopped early
+            os.read(self.queue[0], 4 * QUEUE_TOKENS)
+        for (pid, _, _), answer in zip(self.helpers, answers):
+            if answer != b"\x01":
                 raise MarginCalError(f"block helper process {pid} exited during {walk.what}")
         return _fold(walk, rows, done)
 
     def close(self) -> None:
-        """Close the helpers' pipes and reap them."""
+        """Close the helpers' pipes and reap them, then close the queue."""
         while self.helpers:
             pid, go, done_pipe = self.helpers.pop()
             _PARENT_FDS.difference_update((go, done_pipe))
             os.close(go)
             os.waitpid(pid, 0)
             os.close(done_pipe)
+        _PARENT_FDS.difference_update(self.queue)
+        for fd in self.queue:
+            os.close(fd)
+        self.queue = ()
 
     def __enter__(self) -> "_Team":
         return self

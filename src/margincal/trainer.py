@@ -97,7 +97,7 @@ def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     exists for more than one block.  The scores are stored class-major: the
     returned (n, K) array is the transposed view of a C-ordered (K, n) array
     in shared memory.  The blocks are a walk (``team.run_walk``), which
-    decides whether helpers write a share of them.
+    decides whether helpers claim some of them.
     """
     if features.features.shape[1] != model.d:
         raise ShapeError(f"feature dim {features.features.shape[1]} != model d={model.d}")
@@ -271,12 +271,12 @@ class _Step:
 class _StepTeam(_Team):
     """The one way a training step runs, and ``train``'s evaluation: a team
     forked once after the data exists, so its helpers read the features and
-    masks through copy-on-write, with one helper per extra usable core, up
-    to one per block of the largest walk it will run.  In memory the helpers
-    share (``_load``), job n <= ``max_ids`` is the step over the first n
-    image ids, job -n its sums walk (soft Dice and Tversky), and job
-    ``max_ids`` + 1 + j evaluates ``splits[j]``, the (features, masks) pairs
-    ``evaluate`` takes.
+    masks through copy-on-write, with one helper per extra usable core, up to
+    one per block of the largest walk it will run; every process claims the
+    blocks of each walk from the team's queue.  In memory the helpers share
+    (``_load``), job n <= ``max_ids`` is the step over the first n image ids,
+    job -n its sums walk (soft Dice and Tversky), and job ``max_ids`` + 1 + j
+    evaluates ``splits[j]``, the (features, masks) pairs ``evaluate`` takes.
 
     Everything fixed for a run is checked here, once, before any fork: that
     the training split has an image, ``_check_split`` of it and of each of
@@ -426,8 +426,8 @@ def train(
 
     The steps and evaluations run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step
-    or evaluated split, and each process runs a fixed share of every walk's
-    blocks (a soft-Dice or Tversky step walks for its sums, then its
+    or evaluated split, and the processes claim every walk's blocks from one
+    queue (a soft-Dice or Tversky step walks for its sums, then its
     gradients), folded in block order: the model and log are bitwise those
     of a run in one process.  Every ``eval_every`` epochs the same team
     evaluates the training split and the val split (its train and val mIoU

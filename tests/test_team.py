@@ -3,6 +3,7 @@ cores, standalone and inside ``train``, gradient checks, the fork threshold,
 a helper that dies, two teams alive at once, and where helpers run."""
 import gc
 import os
+import time
 import weakref
 
 import numpy as np
@@ -20,11 +21,11 @@ from margincal.losses import BLOCK_PX, LOSS_NAMES, ScoreBatch, rho_margin_object
 from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report
 from margincal.segdata import FEATURE_DIM, FeatureBatch, MaskBatch, accumulate_stats
-from margincal.team import FORK_MIN_BLOCKS, _Team, run_walk
+from margincal.team import FORK_MIN_BLOCKS, _Team, run_walk, shared_arrays
 from margincal.trainer import PixelMLP, TrainConfig, evaluate, forward, train
 from test_metrics import recount
 from test_trainer import (  # noqa: F401  (forks and deadline are fixtures)
-    assert_reaped, deadline, forks, run_training, tiny_dataset, use_cores,
+    assert_reaped, deadline, forks, run_training, tiny_dataset, use_cores, wait_for_helper_exit,
 )
 
 #: 8 full blocks and a last one of 17 pixels: an odd block count
@@ -179,6 +180,7 @@ class TestParallelEvaluation:
         def die_in_helper(*args):
             if os.getpid() != parent:
                 os._exit(3)
+            wait_for_helper_exit(forks)  # so the helper surely claims a block
             return real(*args)
 
         monkeypatch.setattr(module, name, die_in_helper)
@@ -193,10 +195,10 @@ class TestParallelEvaluation:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_non_finite_score_names_its_pixel(self, monkeypatch, forks, cores):
-        """NaN features in block 1 (a helper's share at 2 cores) and block 4
-        (the parent's): evaluation names the first by its image and its pixel
-        in that image, as a training step does; ``forward``'s ScoreBatch
-        check names it by its pixel in the split."""
+        """NaN features in blocks 1 and 4, which either process may claim at
+        2 cores: evaluation names the first by its image and its pixel in
+        that image, as a training step does; ``forward``'s ScoreBatch check
+        names it by its pixel in the split."""
         feats, masks, margins, model = identity_case()
         monkeypatch.setattr(team_module, "FORK_MIN_BLOCKS", 2)
         feats.features[BLOCK_PX + 123, 1] = np.nan
@@ -254,6 +256,7 @@ class TestEvaluationInTrain:
         def die_in_helper(sc):
             if os.getpid() != parent:
                 os._exit(3)
+            wait_for_helper_exit(forks)  # so the helper surely claims a block
             return real(sc)
 
         monkeypatch.setattr(metrics_module, "_lambda", die_in_helper)
@@ -304,8 +307,8 @@ class TestGradientChecks:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_failing_check_raises_from_its_first_block(self, monkeypatch, forks, capsys,
                                                          cores):
-        """Every focal check raises, in the helper's share too: the error is
-        focal batch 0's, and the command writes no row."""
+        """Every focal check raises, whichever process claims it: the error
+        is focal batch 0's, and the command writes no row."""
         def failing_focal(s, y):
             raise NumericError(f"focal at score {float(s.scores[0, 0])!r}")
 
@@ -322,8 +325,8 @@ class TestGradientChecks:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_nan_error_fails_the_check(self, monkeypatch, forks, capsys, cores):
-        """One NaN in batch 1's finite-difference gradient (the helper's block
-        at 2 cores) makes the loss's error NaN, and the command exit 1.  Python's
+        """One NaN in batch 1's finite-difference gradient makes the loss's
+        error NaN, and the command exit 1, whichever process claims it.  Python's
         max from 0.0 dropped it: batch 0's error was printed and the exit was 0."""
         rng = np.random.default_rng(7)
         _random_case(rng)
@@ -350,6 +353,69 @@ class TestGradientChecks:
         with pytest.raises(ConfigError, match="^need at least one batch to check; got 0$"):
             check_losses(LOSS_NAMES, 0, 0)
         assert forks == []
+
+
+class _Counted:
+    """A walk whose block i writes i, counts its runs and records the pid
+    that ran it, in shared memory; with ``raises`` every block raises, and
+    with ``slow_helpers`` a block sleeps 1 ms in its maker and 20 ms elsewhere."""
+
+    what, width = "a counted walk", 1
+
+    def __init__(self, n_blocks, raises=False, slow_helpers=False):
+        self.n_blocks, self.raises, self.slow_helpers = n_blocks, raises, slow_helpers
+        self.parent = os.getpid()
+        self.runs, self.pids = shared_arrays((np.int64, n_blocks), (np.int64, n_blocks))
+
+    def run(self, i, row):
+        self.runs[i] += 1
+        self.pids[i] = os.getpid()
+        if self.raises:
+            raise NumericError(f"block {i}")
+        if self.slow_helpers:
+            time.sleep(0.001 if os.getpid() == self.parent else 0.02)
+        row[0] = i
+
+
+@pytest.mark.usefixtures("deadline")
+class TestQueue:
+    """Processes claim a walk's blocks from one queue until it is empty."""
+
+    def test_a_slow_helper_leaves_the_parent_most_blocks(self, forks):
+        """With a fixed share of every other block the parent ran exactly half."""
+        serial = _Counted(40)
+        with _Team(lambda job: serial, 0, 40, 1) as team:
+            want = team.map()
+        walk = _Counted(40, slow_helpers=True)
+        with _Team(lambda job: walk, 1, 40, 1) as team:
+            got = team.map()
+        assert got.tobytes() == want.tobytes()
+        assert list(walk.runs) == [1] * 40
+        assert np.count_nonzero(walk.pids == os.getpid()) >= 30
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_walk_longer_than_a_pipe_buffer_runs_every_block_once(self, forks, processes):
+        """20,000 blocks: more 4-byte tokens than a 64 KiB pipe holds."""
+        walk = _Counted(20_000)
+        with _Team(lambda job: walk, processes - 1, 20_000, 1) as team:
+            assert team.map()[0] == 20_000 * 19_999 // 2
+        assert list(walk.runs) == [1] * 20_000
+        assert len(forks) == processes - 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_no_token_outlives_a_raising_walk(self, forks, processes):
+        """Job 0's blocks all raise, so every process stops at its first
+        block and leaves the queue nearly full; job 1 then runs each of its
+        blocks once, claiming no token of job 0's."""
+        walks = [_Counted(1000, raises=True), _Counted(100)]
+        with _Team(lambda job: walks[job], processes - 1, 1000, 1) as team:
+            with pytest.raises(NumericError, match="^block 0$"):
+                team.map(0)
+            assert team.map(1)[0] == 100 * 99 // 2
+        assert list(walks[1].runs) == [1] * 100
+        assert_reaped(forks)
 
 
 class _Idle:

@@ -663,6 +663,13 @@ def slowed(monkeypatch, where, seconds):
     monkeypatch.setattr(trainer_module, "_forward_cache", slow_forward_cache)
 
 
+def wait_for_helper_exit(forks):
+    """Wait until the first forked helper has exited, without reaping it (the
+    team's close reaps it): a parent that waits here in its first block
+    leaves the helper the rest of the queue, so the helper surely claims one."""
+    os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+
+
 def run_training(loss_name, size, n_images, batch_images, epochs=2, eval_every=1):
     feats, masks = tiny_dataset(seed=5, n_images=n_images, size=size, noise=0.1)
     val = tiny_dataset(seed=6, n_images=2, size=size, noise=0.1)
@@ -677,9 +684,9 @@ def run_training(loss_name, size, n_images, batch_images, epochs=2, eval_every=1
 
 @pytest.mark.usefixtures("deadline")
 class TestSharedStep:
-    """``train`` forks helper processes that each run a fixed share of every
-    step's blocks; the parent folds the block rows in block order, so the
-    result is bitwise the one-process run's whoever computed which block."""
+    """``train`` forks helper processes that claim every step's blocks from
+    one queue with the parent; the parent folds the block rows in block order,
+    so the result is bitwise the one-process run's whoever computed which block."""
 
     @pytest.mark.parametrize("loss_name", LOSS_NAMES)
     @pytest.mark.parametrize(
@@ -701,8 +708,8 @@ class TestSharedStep:
 
     @pytest.mark.parametrize("where", ["helper", "parent"])
     def test_a_slow_process_changes_nothing(self, monkeypatch, forks, where):
-        """Slowed helpers finish their shares after the parent, a slowed
-        parent after the helpers; the parameters stay the same."""
+        """Slowed helpers claim fewer blocks than the parent, a slowed parent
+        fewer than the helpers; the parameters stay the same."""
         use_cores(monkeypatch, 1)
         serial = run_training("margin_calibration", 64, 8, 8)
         use_cores(monkeypatch, 3)
@@ -713,9 +720,9 @@ class TestSharedStep:
 
     def test_first_bad_block_is_reported_whoever_fails_first(self, monkeypatch, forks):
         """Two images of the first batch hold a NaN feature: the early one is
-        block 1, in a helper's share, and the late one block 6, in the
-        parent's.  The early one is held up, so the late one fails first;
-        training still names the early image and pixel."""
+        block 1 and the late one block 6.  The process that claims the early
+        one is held up, so another can fail first at the late one; training
+        still names the early image and pixel."""
         n_images, ppi = 8, 64 * 64
         feats, masks = tiny_dataset(seed=5, n_images=n_images, size=64, noise=0.1)
         order = np.random.default_rng(3).permutation(n_images)
@@ -749,6 +756,7 @@ class TestSharedStep:
         def die_in_helper(model, x, out=None):
             if os.getpid() != parent:
                 os._exit(3)
+            wait_for_helper_exit(forks)  # so the helper surely claims a block
             return _forward_cache(model, x, out)
 
         use_cores(monkeypatch, 2)
@@ -793,7 +801,7 @@ class TestSharedStep:
     @pytest.mark.parametrize("loss_name", ["soft_dice", "tversky"])
     def test_tversky_losses_step_on_every_core(self, monkeypatch, forks, loss_name):
         """With no evaluation, the team is sized by the step's 4 blocks: at 2
-        cores one helper runs a share of both of its walks."""
+        cores one helper serves both of its walks."""
         use_cores(monkeypatch, 2)
         run_training(loss_name, 64, 4, 4, epochs=1, eval_every=0)
         assert len(forks) == 1
