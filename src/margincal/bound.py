@@ -48,7 +48,7 @@ class BoundConfig:
             raise ConfigError("eta must lie in (0, 1)")
         if self.m_pixels < 1:
             raise ConfigError("m_pixels must be at least 1")
-        if self.c_theta < 0:
+        if not self.c_theta >= 0:
             raise ConfigError("c_theta must be non-negative")
         self.margins.check_classes(self.stats)
 

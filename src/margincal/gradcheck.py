@@ -99,7 +99,7 @@ def check_losses(names, seed: int, n_batches: int = 50) -> list[GradCheckResult]
     loss_fns = [loss_by_name(name) for name in names]
     rng = np.random.default_rng(seed)
     cases = [_random_case(rng) for _ in range(n_batches)]
-    margins = compute_margins(LabelStats.from_counts([90, 7, 3]), tau=2.0, upsilon=1.0)
+    margins = compute_margins(LabelStats([90, 7, 3]), tau=2.0, upsilon=1.0)
     walk = _Checks(loss_fns, cases, margins)
     with _Team(lambda job: walk, min(process_count(), walk.n_blocks) - 1,
                walk.n_blocks, walk.width) as team:

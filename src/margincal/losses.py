@@ -381,7 +381,7 @@ def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
 
 def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> LossResult:
     """Focal loss: NLL scaled by (1 - p_true)^gamma to emphasize hard pixels."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ConfigError("gamma must be non-negative")
     return _pixelwise((_focal_block, (gamma,)), s, y, _check_pair(s, y))
 

@@ -22,15 +22,13 @@ from .segdata import LabelStats, read_class_csv, write_csv
 DEFAULT_TAU = 10.0
 DEFAULT_UPSILON = 1.0
 
-#: relative tolerance for the structural invariant rho_k0 == mu_k * rho_0k
-MU_CONSISTENCY_RTOL = 1e-12
 #: relative tolerance for the optimal-ratio check
 RATIO_RTOL = 1e-10
 
 
 @dataclass
 class MarginOffsets:
-    """Per-class margin-offsets.
+    """Per-class margin-offsets rho_0k and rho_k0; mu_k = rho_k0/rho_0k.
 
     ``corollary_ok`` is False when the offsets were loaded from a hand-edited
     file that no longer satisfies the optimal pairwise ratios; such overrides
@@ -39,23 +37,22 @@ class MarginOffsets:
 
     rho_0k: np.ndarray
     rho_k0: np.ndarray
-    mu_k: np.ndarray
     corollary_ok: bool = True
 
     def __post_init__(self) -> None:
         self.rho_0k = np.asarray(self.rho_0k, dtype=np.float64)
         self.rho_k0 = np.asarray(self.rho_k0, dtype=np.float64)
-        self.mu_k = np.asarray(self.mu_k, dtype=np.float64)
-        if not (self.rho_0k.shape == self.rho_k0.shape == self.mu_k.shape):
+        if self.rho_0k.shape != self.rho_k0.shape:
             raise ConfigError("margin-offset arrays must share one shape")
         for name, arr in (("rho_0k", self.rho_0k), ("rho_k0", self.rho_k0)):
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"{name} contains non-finite values")
             if np.any(arr <= 0):
                 raise ConfigError(f"{name} must be strictly positive")
-        rel = np.abs(self.rho_k0 - self.mu_k * self.rho_0k) / np.abs(self.rho_k0)
-        if np.max(rel) > MU_CONSISTENCY_RTOL:
-            raise ConfigError("rho_k0 != mu_k * rho_0k beyond tolerance")
+
+    @property
+    def mu_k(self) -> np.ndarray:
+        return self.rho_k0 / self.rho_0k
 
     @property
     def k_classes(self) -> int:
@@ -72,6 +69,13 @@ class MarginOffsets:
                               f"({self.k_classes} and {stats.k_classes})")
 
 
+def _check_no_empty_class(stats: LabelStats) -> None:
+    """Raise StatsError naming the first class with no pixels: rho_0k divides by N_k."""
+    empty = np.flatnonzero(stats.n_per_class < 1)
+    if empty.size:
+        raise StatsError(f"empty class {int(empty[0])}: margin-offsets need N_k >= 1")
+
+
 def compute_margins(
     stats: LabelStats,
     tau: float = DEFAULT_TAU,
@@ -83,13 +87,11 @@ def compute_margins(
     offsets degenerate to zero), or when upsilon is too small to keep every
     mu_k denominator positive.
     """
-    if tau <= 0 or upsilon <= 0:
+    if not (tau > 0 and upsilon > 0):
         raise ConfigError("tau and upsilon must be positive")
+    _check_no_empty_class(stats)
     n = float(stats.n_total)
     n_k = stats.n_per_class.astype(np.float64)
-    if np.any(n_k < 1):
-        empty = int(np.flatnonzero(n_k < 1)[0])
-        raise StatsError(f"empty class {empty}: margin-offsets need N_k >= 1")
     if np.any(n_k == n):
         full = int(np.flatnonzero(n_k == n)[0])
         raise DegenerateError(
@@ -107,13 +109,13 @@ def compute_margins(
     mu_k = p_k * np.sqrt(n_k) / mu_den
     rho_0k = tau * rest / n_k
     rho_k0 = mu_k * rho_0k
-    return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0, mu_k=mu_k)
+    return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0)
 
 
 def verify_corollary_ratios(m: MarginOffsets, stats: LabelStats) -> tuple[bool, float]:
     """Check rho_0i/rho_0j against the closed-form count ratio for every
     class pair to RATIO_RTOL; return (ok, worst deviation).  The other
-    condition, rho_k0 = mu_k * rho_0k, is ``MarginOffsets``' own invariant.
+    condition, rho_k0 = mu_k * rho_0k, holds as ``MarginOffsets`` derives mu_k.
     """
     m.check_classes(stats)
     n = float(stats.n_total)
@@ -141,12 +143,14 @@ def write_margins_csv(m: MarginOffsets, stats: LabelStats, path) -> None:
 def read_margins_csv(path) -> tuple[MarginOffsets, LabelStats]:
     """Load margin-offsets and the label statistics they were computed from.
 
-    Structural invariants (positivity, finiteness, rho_k0 = mu_k*rho_0k) are
+    An empty class and a broken structural invariant (positivity, finiteness,
+    a ``mu_k`` column that misses rho_k0/rho_0k at the file's precision) are
     hard errors.  A violated optimal-ratio condition only clears the
     ``corollary_ok`` flag so hand-edited allocations stay loadable.
     """
     counts, (_, mu, rho_0k, rho_k0) = read_class_csv(path, MARGINS_CSV_HEADER, "margins")
-    stats = LabelStats.from_counts(counts)
+    stats = LabelStats(counts)
+    _check_no_empty_class(stats)
     for name, arr in (("mu_k", mu), ("rho_0k", rho_0k), ("rho_k0", rho_k0)):
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"margins CSV column {name} contains non-finite values")
@@ -154,11 +158,11 @@ def read_margins_csv(path) -> tuple[MarginOffsets, LabelStats]:
         raise FormatError("margins CSV violates a structural invariant: "
                           "offsets must be strictly positive")
     # the file stores 12 significant digits, so the stored mu_k can miss
-    # rho_k0/rho_0k by a few 1e-12; validate at format precision, then snap
+    # rho_k0/rho_0k by a few 1e-12; validate at format precision
     if np.any(np.abs(rho_k0 - mu * rho_0k) > 1e-9 * rho_k0):
         raise FormatError(
             "margins CSV violates a structural invariant: mu_k != rho_k0/rho_0k"
         )
-    margins = MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0, mu_k=rho_k0 / rho_0k)
+    margins = MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0)
     margins.corollary_ok = verify_corollary_ratios(margins, stats)[0]
     return margins, stats

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -115,39 +115,33 @@ class FeatureBatch:
 
 @dataclass
 class LabelStats:
-    """Exact per-class pixel counts and empirical frequencies over a dataset."""
+    """Exact per-class pixel counts N_k over a dataset, from which the total
+    N, the frequencies P_k = N_k/N and the class count K are computed."""
 
-    n_total: int
     n_per_class: np.ndarray
-    p_per_class: np.ndarray
-    k_classes: int
 
     def __post_init__(self) -> None:
-        self.n_per_class = np.asarray(self.n_per_class, dtype=np.int64)
-        self.p_per_class = np.asarray(self.p_per_class, dtype=np.float64)
-        if self.n_per_class.shape != (self.k_classes,):
-            raise StatsError("n_per_class must have one entry per class")
-        if int(self.n_per_class.sum()) != self.n_total:
-            raise StatsError("per-class counts do not sum to the total pixel count")
-        if abs(float(self.p_per_class.sum()) - 1.0) > 1e-12:
-            raise StatsError("per-class frequencies must sum to 1")
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "LabelStats":
-        counts = np.asarray(counts, dtype=np.int64)
+        self.n_per_class = counts = np.asarray(self.n_per_class, dtype=np.int64)
+        if counts.ndim != 1:
+            raise StatsError(f"label counts must be 1-D (one per class); got shape {counts.shape}")
         negative = np.flatnonzero(counts < 0)
         if negative.size:
             k = int(negative[0])
             raise StatsError(f"class {k} has a negative pixel count {int(counts[k])}")
-        total = int(counts.sum())
-        if total <= 0:
+        if self.n_total <= 0:
             raise StatsError("empty effective dataset (no counted pixels)")
-        return cls(
-            n_total=total,
-            n_per_class=counts,
-            p_per_class=counts / total,
-            k_classes=counts.size,
-        )
+
+    @property
+    def n_total(self) -> int:
+        return int(self.n_per_class.sum())
+
+    @property
+    def p_per_class(self) -> np.ndarray:
+        return self.n_per_class / self.n_total
+
+    @property
+    def k_classes(self) -> int:
+        return self.n_per_class.size
 
 
 @dataclass
@@ -168,14 +162,14 @@ class SynthConfig:
         ratios = np.asarray(self.target_ratios, dtype=np.float64)
         if ratios.size != self.k_classes:
             raise ConfigError("target_ratios must have one entry per class")
-        if np.any(ratios <= 0):
-            raise ConfigError("target_ratios must all be positive")
+        if not np.all(np.isfinite(ratios) & (ratios > 0)):
+            raise ConfigError("target_ratios must all be finite and positive")
         if abs(float(ratios.sum()) - 1.0) > 1e-9:
             raise ConfigError("target_ratios must sum to 1")
         if self.width < 2 or self.height < 2 or self.n_images < 1:
             raise ConfigError("width, height and n_images must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be finite and non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +346,7 @@ def accumulate_stats(masks, k_classes: int) -> LabelStats:
         image_base += batch.n_images
     if counts.sum() == 0:
         raise StatsError("empty effective dataset: every pixel carries the ignore index")
-    return LabelStats.from_counts(counts)
+    return LabelStats(counts)
 
 
 STATS_CSV_HEADER = ["class_index", "n_pixels", "p_k"]
@@ -408,7 +402,7 @@ def write_stats_csv(stats: LabelStats, path) -> None:
 
 def read_stats_csv(path) -> LabelStats:
     counts, (file_p,) = read_class_csv(path, STATS_CSV_HEADER, "stats")
-    stats = LabelStats.from_counts(counts)
+    stats = LabelStats(counts)
     # frequencies are recomputed exactly from counts; the file copy must agree
     if not np.all(np.abs(file_p - stats.p_per_class) <= 1e-9):
         raise FormatError("stats CSV p_k column inconsistent with counts")

@@ -47,7 +47,7 @@ def report(index, description, ok, detail=""):
 class TestAcceptance:
     def test_01_margin_offset_fidelity(self):
         started = time.perf_counter()
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         oracle = margins_oracle([90, 10], 10, 1)
         worst = 0.0
@@ -132,12 +132,12 @@ class TestAcceptance:
     def test_05_allocation_optimality(self):
         started = time.perf_counter()
         two = brute_force_allocation(
-            LabelStats.from_counts([90_000_000, 10_000_000]),
+            LabelStats([90_000_000, 10_000_000]),
             m_pixels=64, eta=0.05, c_theta=1.0, tau=10.0, upsilon=1.0,
             grid_resolution=1000,
         )
         three = brute_force_allocation(
-            LabelStats.from_counts([80_000_000, 15_000_000, 5_000_000]),
+            LabelStats([80_000_000, 15_000_000, 5_000_000]),
             m_pixels=64, eta=0.05, c_theta=1.0, tau=20.0, upsilon=1.0,
             grid_resolution=100,
         )
@@ -159,7 +159,7 @@ class TestAcceptance:
 
     def test_06_gap_shrinks_with_data(self):
         started = time.perf_counter()
-        stats = LabelStats.from_counts([90_000_000, 10_000_000])
+        stats = LabelStats([90_000_000, 10_000_000])
         margins = compute_margins(stats, tau=10.0, upsilon=1.0)
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                           c_theta=1.0)
@@ -185,7 +185,7 @@ class TestAcceptance:
             k = int(rng.integers(2, 9))
             counts = rng.integers(10, 2_000_000, size=k)
             upsilon = float(rng.uniform(0.3, 3.0))
-            ok &= reparam_identity_check(LabelStats.from_counts(counts), upsilon)
+            ok &= reparam_identity_check(LabelStats(counts), upsilon)
         elapsed = time.perf_counter() - started
         report(
             7,
@@ -198,7 +198,7 @@ class TestAcceptance:
         started = time.perf_counter()
         rng = np.random.default_rng(0)
         counts = [800, 40, 30, 25, 35, 25, 20, 25]
-        margins = compute_margins(LabelStats.from_counts(counts), tau=2.0)
+        margins = compute_margins(LabelStats(counts), tau=2.0)
         sizes = [2**p for p in range(12, 21)]
         cases = []
         for n in sizes:
@@ -301,7 +301,7 @@ class TestAcceptance:
         started = time.perf_counter()
         counts, tau, upsilon, m_pixels, eta, c_theta = (
             [50_000_000, 50_000_000], 1e6, 0.05, 1, 0.05, 0.05)
-        stats = LabelStats.from_counts(counts)
+        stats = LabelStats(counts)
         margins = compute_margins(stats, tau=tau, upsilon=upsilon)
         large = evaluate_epsilon(BoundConfig(stats=stats, margins=margins, m_pixels=m_pixels,
                                              eta=eta, c_theta=c_theta))

@@ -55,7 +55,7 @@ def eps_oracle(counts, tau, upsilon, m_pixels, eta, c_theta):
 
 
 def reference_config(c_theta=1.0):
-    stats = LabelStats.from_counts([90_000_000, 10_000_000])
+    stats = LabelStats([90_000_000, 10_000_000])
     margins = compute_margins(stats, tau=10.0, upsilon=1.0)
     return BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                        c_theta=c_theta)
@@ -81,7 +81,7 @@ class TestEvaluateEpsilon:
     def test_tiny_dataset_is_vacuous_for_every_class(self):
         """At N=100 the denominators are negative for both classes, so the
         bound is uninformative and evaluation refuses to average it."""
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         margins = compute_margins(stats, tau=10.0, upsilon=1.0)
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                           c_theta=1.0)
@@ -94,7 +94,7 @@ class TestEvaluateEpsilon:
     def test_ten_class_default_tau_is_vacuous(self):
         """Ten classes of 1e7 pixels with tau=10 and C=10: the complexity
         total swamps the offsets, so every denominator is negative."""
-        stats = LabelStats.from_counts([10_000_000] * 10)
+        stats = LabelStats([10_000_000] * 10)
         margins = compute_margins(stats, tau=10.0, upsilon=1.0)
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=2**16,
                           eta=0.05, c_theta=10.0)
@@ -105,7 +105,7 @@ class TestEvaluateEpsilon:
 
     def test_ten_class_golden_value(self):
         """The same shape with tau=3000 is valid; frozen golden gap value."""
-        stats = LabelStats.from_counts([10_000_000] * 10)
+        stats = LabelStats([10_000_000] * 10)
         margins = compute_margins(stats, tau=3000.0, upsilon=1.0)
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=2**16,
                           eta=0.05, c_theta=10.0)
@@ -117,11 +117,10 @@ class TestEvaluateEpsilon:
     def test_mixed_validity_flags(self):
         """A hand-built allocation can be valid for one class and vacuous for
         another; the vacuous class is flagged, not dropped silently."""
-        stats = LabelStats.from_counts([90_000_000, 10_000_000])
+        stats = LabelStats([90_000_000, 10_000_000])
         margins = MarginOffsets(
             rho_0k=np.array([1.0, 0.001]),
             rho_k0=np.array([0.5, 0.0005]),
-            mu_k=np.array([0.5, 0.5]),
         )
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                           c_theta=1.0)
@@ -133,7 +132,7 @@ class TestEvaluateEpsilon:
 
     def test_huge_mu_leaves_only_background_numerator(self):
         """As mu grows the sqrt(N_k)/mu term vanishes from the numerator."""
-        stats = LabelStats.from_counts([90_000_000, 10_000_000])
+        stats = LabelStats([90_000_000, 10_000_000])
         base = compute_margins(stats, tau=10.0, upsilon=1.0)
         f_cal = 1.0 + confidence_term(base.rho_max, 2, 64, 0.05)
         eps_k, valid = allocation_epsilon(stats, base.rho_0k, np.full(2, 1e12),
@@ -146,7 +145,7 @@ class TestEvaluateEpsilon:
         np.testing.assert_allclose(eps_k, rest / denom, rtol=1e-9)
 
     def test_config_validation(self):
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         margins = compute_margins(stats)
         with pytest.raises(ConfigError):
             BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=1.5,
@@ -154,9 +153,10 @@ class TestEvaluateEpsilon:
         with pytest.raises(ConfigError):
             BoundConfig(stats=stats, margins=margins, m_pixels=0, eta=0.05,
                         c_theta=1.0)
-        with pytest.raises(ConfigError):
-            BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
-                        c_theta=-1.0)
+        for c_theta in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match="^c_theta must be non-negative$"):
+                BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
+                            c_theta=c_theta)
 
 
 class TestConfidenceTerm:
@@ -195,7 +195,7 @@ class TestScalingCheck:
         assert np.all(np.diff(values) < 0)
 
     def test_vacuous_side_skips_comparison(self):
-        stats = LabelStats.from_counts([900, 100])
+        stats = LabelStats([900, 100])
         margins = compute_margins(stats, tau=10.0, upsilon=1.0)
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                           c_theta=1.0)
@@ -230,7 +230,7 @@ class TestClosedForm:
     @staticmethod
     def config(case, c_theta=None):
         counts, tau, upsilon, m_pixels, eta, c = CLOSED_FORM_CASES[case]
-        stats = LabelStats.from_counts(list(counts))
+        stats = LabelStats(list(counts))
         margins = compute_margins(stats, tau=tau, upsilon=upsilon)
         cfg = BoundConfig(stats=stats, margins=margins, m_pixels=m_pixels, eta=eta,
                           c_theta=c if c_theta is None else c_theta)
@@ -276,7 +276,7 @@ class TestClosedForm:
 
 class TestBruteForceAllocation:
     def test_two_class_grid_dominated_by_closed_form(self):
-        stats = LabelStats.from_counts([90_000_000, 10_000_000])
+        stats = LabelStats([90_000_000, 10_000_000])
         result = brute_force_allocation(stats, m_pixels=64, eta=0.05,
                                         c_theta=1.0, tau=10.0, upsilon=1.0,
                                         grid_resolution=1000)
@@ -285,7 +285,7 @@ class TestBruteForceAllocation:
         assert result.closed_eps <= result.grid_eps * (1 + 1e-9)
 
     def test_three_class_grid_dominated_by_closed_form(self):
-        stats = LabelStats.from_counts([80_000_000, 15_000_000, 5_000_000])
+        stats = LabelStats([80_000_000, 15_000_000, 5_000_000])
         result = brute_force_allocation(stats, m_pixels=64, eta=0.05,
                                         c_theta=1.0, tau=20.0, upsilon=1.0,
                                         grid_resolution=100)
@@ -294,7 +294,7 @@ class TestBruteForceAllocation:
     def test_exact_closed_form_point_self_consistency(self):
         """Evaluating the closed-form allocation directly reproduces the
         search's own closed-form value to 1e-12."""
-        stats = LabelStats.from_counts([90_000_000, 10_000_000])
+        stats = LabelStats([90_000_000, 10_000_000])
         result = brute_force_allocation(stats, m_pixels=64, eta=0.05,
                                         c_theta=1.0, tau=10.0, upsilon=1.0,
                                         grid_resolution=100)
@@ -309,13 +309,13 @@ class TestBruteForceAllocation:
     def test_all_grid_points_vacuous_raises(self):
         """An extreme split leaves the single midpoint grid allocation
         vacuous for the minority class even though the closed form is valid."""
-        stats = LabelStats.from_counts([99_900_000, 100_000])
+        stats = LabelStats([99_900_000, 100_000])
         with pytest.raises(VacuousBoundError, match="grid"):
             brute_force_allocation(stats, m_pixels=1, eta=0.05, c_theta=1.0,
                                    tau=39.0, upsilon=1.0, grid_resolution=1)
 
     def test_unsupported_k_rejected(self):
-        stats = LabelStats.from_counts([400, 300, 200, 100])
+        stats = LabelStats([400, 300, 200, 100])
         with pytest.raises(ConfigError, match="K in"):
             brute_force_allocation(stats, m_pixels=64, eta=0.05, c_theta=1.0,
                                    tau=100.0, upsilon=1.0, grid_resolution=3)
@@ -325,7 +325,7 @@ class TestEpsilonMonotonicity:
     def test_eps_k_decreasing_in_rho_while_valid(self):
         """With mu fixed and the denominator positive, a larger offset budget
         can only shrink the per-class gap."""
-        stats = LabelStats.from_counts([90_000_000, 10_000_000])
+        stats = LabelStats([90_000_000, 10_000_000])
         margins = compute_margins(stats, tau=10.0, upsilon=1.0)
         sigma = confidence_term(margins.rho_max, 2, 64, 0.05)
         f_cal = 1.0 + sigma
@@ -342,7 +342,7 @@ class TestEpsilonMonotonicity:
 
 class TestReparamIdentity:
     def test_worked_two_class_stats(self):
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         assert reparam_identity_check(stats, 1.0)
 
     def test_random_stats_and_upsilons(self):
@@ -351,15 +351,15 @@ class TestReparamIdentity:
             k = int(rng.integers(2, 8))
             counts = rng.integers(10, 1_000_000, size=k)
             upsilon = float(rng.uniform(0.5, 2.0))
-            stats = LabelStats.from_counts(counts)
+            stats = LabelStats(counts)
             assert reparam_identity_check(stats, upsilon), (counts, upsilon)
 
     def test_half_upsilon(self):
         rng = np.random.default_rng(56)
         counts = rng.integers(100, 10_000, size=5)
-        assert reparam_identity_check(LabelStats.from_counts(counts), 0.5)
+        assert reparam_identity_check(LabelStats(counts), 0.5)
 
     def test_deliberate_mismatch_detected(self):
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         r_wrong = stats.n_total * 1.0 + 1.0
         assert not reparam_identity_check(stats, 1.0, r=r_wrong)

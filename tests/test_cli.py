@@ -161,6 +161,42 @@ class TestMalformedCsvNumbers:
         assert not out.exists()
 
 
+class TestNanSettings:
+    """A NaN setting fails the check of the rule it breaks: exit 1 with that
+    rule's message, no numpy warning and no traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--n-images", "2", "--ratios", "nan,0.5,0.5"],
+         "target_ratios must all be finite and positive"),
+        (["gen", "--n-images", "2", "--ratios", "0.9,nan,0.1"],
+         "target_ratios must all be finite and positive"),
+        (["train", *SMALL_TRAIN, "--ratios", "nan,0.5,0.5"],
+         "target_ratios must all be finite and positive"),
+        (["gen", "--n-images", "2", "--noise-sigma", "nan"],
+         "noise_sigma must be finite and non-negative"),
+        (["margins", "--tau", "nan"], "tau and upsilon must be positive"),
+        (["margins", "--upsilon", "nan"], "tau and upsilon must be positive"),
+        (["train", *SMALL_TRAIN, "--tau", "nan"], "tau and upsilon must be positive"),
+        (["train", *SMALL_TRAIN, "--upsilon", "nan"], "tau and upsilon must be positive"),
+        (["bound", "--m-pixels", "1", "--c-theta", "nan"], "c_theta must be non-negative"),
+    ], ids=["gen-ratio-0", "gen-ratio-1", "train-ratio", "gen-noise-sigma", "margins-tau",
+            "margins-upsilon", "train-tau", "train-upsilon", "bound-c-theta"])
+    def test_nan_setting_is_clean_error(self, tmp_path, capsys, argv, message):
+        stats_csv, margins_csv = tmp_path / "stats.csv", tmp_path / "margins.csv"
+        stats_csv.write_text("class_index,n_pixels,p_k\n0,90,0.9\n1,10,0.1\n")
+        run_ok(["margins", "--stats", str(stats_csv), "--out", str(margins_csv)])
+        capsys.readouterr()
+        files = {"gen": ["--out-dir", str(tmp_path / "data")],
+                 "margins": ["--stats", str(stats_csv), "--out", str(tmp_path / "m.csv")],
+                 "train": [],
+                 "bound": ["--margins", str(margins_csv), "--out", str(tmp_path / "b.csv")]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + files[argv[0]])
+        assert [str(w.message) for w in caught] == []
+        assert_clean_exit_one(code, capsys.readouterr(), message)
+
+
 class TestStatsMarginsFlow:
     def test_worked_example_margins_csv(self, tmp_path, capsys):
         """The 90/10 stats file produces the worked-example offsets."""
@@ -466,6 +502,22 @@ class TestBoundCommand:
         assert [str(w.message) for w in caught] == []
         assert_clean_exit_one(code, capsys.readouterr(),
                               "class 0 has a negative pixel count -5")
+        assert not out.exists()
+
+    def test_margins_with_an_empty_class_is_clean_error(self, tmp_path, capsys):
+        """No ``margins`` run writes a class of 0 pixels; a hand-made one is
+        refused by ``compute_margins``' rule before any division by N_k."""
+        margins_csv = tmp_path / "margins.csv"
+        margins_csv.write_text("class_index,n_pixels,p_k,mu_k,rho_0k,rho_k0\n"
+                               "0,100,1,0.5,1,0.5\n1,0,0,0.5,1,0.5\n")
+        out = tmp_path / "bound.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["bound", "--margins", str(margins_csv), "--m-pixels", "1",
+                        "--c-theta", "0.05", "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert_clean_exit_one(code, capsys.readouterr(),
+                              "empty class 1: margin-offsets need N_k >= 1")
         assert not out.exists()
 
     def test_stats_of_another_class_count_is_clean_error(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Dead-code guard: every top-level function and class in ``src/margincal``,
-and every method and property of its classes, is referenced somewhere in
-``src/`` outside its own definition and the package's re-exports.
+"""Dead-code guard: every top-level function, class and constant in
+``src/margincal``, and every method and property of its classes, is
+referenced somewhere in ``src/`` outside its own definition.  The package's
+``__init__.py`` holds only its docstring and version, and is not searched.
 
 A reference is a name or an attribute with the definition's name, so this
 is a lower bound on liveness: it cannot see that ``x.run`` is another
 class's ``run``.  Two groups are exempt: the paper's oracles, which only the
-acceptance tests call, and the names the benchmark wraps or calls."""
+acceptance tests call, and the names the benchmark wraps, calls or reads."""
 import ast
 import importlib
 import inspect
@@ -21,11 +22,20 @@ ORACLES = {"rho_margin_loss", "rho_calibrated_log_loss", "rho_margin_objective",
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, node) of each top-level function and class, and of
-    each method and property of a top-level class but the dunder methods."""
+    """(qualified name, node) of each top-level function, class and constant,
+    and of each method and property of a top-level class but the dunder
+    methods.  A constant is each name a module-level assignment binds, plain
+    (``A = ...``), tuple (``A, B = ...``) or annotated (``A: int = ...``);
+    its node is the whole assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
@@ -34,13 +44,16 @@ def definitions(tree: ast.Module):
 
 def pinned():
     """(module name, qualified name) of every margincal function or class the
-    benchmark wraps or calls, wherever the benchmark reaches it from."""
+    benchmark wraps or calls, wherever the benchmark reaches it from, and of
+    every constant it reads from the module it names."""
     attributes = [(module.__name__, attr) for module, attr in traced_attributes()]
     out = set()
     for module, attr in attributes + workload_names():
         obj = getattr(importlib.import_module(module), attr)
         if inspect.isfunction(obj) or inspect.isclass(obj):
             out.add((obj.__module__, obj.__qualname__))
+        else:
+            out.add((module, attr))
     return out
 
 

@@ -35,7 +35,7 @@ def make_mask(labels):
 
 def simple_margins(k_classes=3, tau=2.0):
     counts = ([90, 7, 3, 5, 4] + [6] * k_classes)[:k_classes]
-    return compute_margins(LabelStats.from_counts(counts), tau=tau, upsilon=1.0)
+    return compute_margins(LabelStats(counts), tau=tau, upsilon=1.0)
 
 
 def margin_loss_oracle(scores, labels, m, ignore_index=255):
@@ -148,7 +148,7 @@ class TestComputeMarginsLambda:
 
     def test_single_class_rejected(self):
         """Margins need a competitor class: the margin losses reject K = 1."""
-        one = MarginOffsets(rho_0k=[1.0], rho_k0=[1.0], mu_k=[1.0])
+        one = MarginOffsets(rho_0k=[1.0], rho_k0=[1.0])
         for loss in (calibrated_log_loss, rho_margin_objective):
             with pytest.raises(ConfigError, match="2 classes"):
                 loss(ScoreBatch(scores=[[1.0]]), make_mask([0]), one)
@@ -195,7 +195,6 @@ class TestCalibrate:
         (shifted score -rho_k0), elsewhere rho_0k is added."""
         m = MarginOffsets(
             rho_0k=np.array([2.0, 2.0]), rho_k0=np.array([0.5, 0.5]),
-            mu_k=np.array([0.25, 0.25]),
         )
         res = calibrated_log_loss(ScoreBatch(scores=[[1.0, 1.0]]), make_mask([0]), m)
         # both margins are 0; a term is log2(1 + 2^-(shifted score))
@@ -440,6 +439,11 @@ class TestBaselineLosses:
             fo = focal(ScoreBatch(scores=scores), make_mask(labels), gamma=0.0)
             assert fo.value == pytest.approx(ce.value, rel=1e-10)
             np.testing.assert_allclose(fo.grad, ce.grad, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [-0.5, math.nan])
+    def test_focal_refuses_a_gamma_below_zero_or_nan(self, gamma):
+        with pytest.raises(ConfigError, match="^gamma must be non-negative$"):
+            focal(ScoreBatch(scores=[[1.0, 0.0]]), make_mask([0]), gamma=gamma)
 
     def test_focal_skips_ignored_pixels(self):
         """Ignored rows get a zero gradient and leave the value as if absent."""

@@ -1,4 +1,6 @@
 """Tests for margin-offset computation, ratio verification and CSV I/O."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf, sqrt as mpsqrt
@@ -32,7 +34,7 @@ def margins_oracle(counts, tau, upsilon):
 class TestComputeMargins:
     def test_worked_two_class_example(self):
         """N=100 split 90/10 with tau=10, upsilon=1 against the scalar oracle."""
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         oracle = margins_oracle([90, 10], 10, 1)
         for k, (mu, rho0, rhok0) in enumerate(oracle):
@@ -46,30 +48,30 @@ class TestComputeMargins:
 
     def test_worked_example_ratio_closed_form(self):
         """rho_01/rho_02 equals (N_2/N_1)*sqrt(N-N_1)/sqrt(N-N_2) = 1/27."""
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         assert abs(m.rho_0k[0] / m.rho_0k[1] - 1.0 / 27.0) < 1e-12
 
     def test_symmetric_classes_equal_offsets(self):
-        stats = LabelStats.from_counts([50, 50])
+        stats = LabelStats([50, 50])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         expected = 10.0 * np.sqrt(50.0) / 50.0
         np.testing.assert_allclose(m.rho_0k, expected, rtol=1e-12)
         assert m.rho_0k[0] == m.rho_0k[1]
 
     def test_empty_class_error(self):
-        stats = LabelStats.from_counts([100, 0, 50])
+        stats = LabelStats([100, 0, 50])
         with pytest.raises(StatsError, match="empty class 1"):
             compute_margins(stats)
 
     def test_single_class_degenerate(self):
-        stats = LabelStats.from_counts([100])
+        stats = LabelStats([100])
         with pytest.raises(DegenerateError, match="every pixel"):
             compute_margins(stats)
 
     def test_mu_underflow_reports_minimal_upsilon(self):
         """A too-small upsilon is rejected with the restoring threshold."""
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         # minimal workable upsilon is max_k P_k/sqrt(N-N_k) = 0.9/sqrt(10)
         upsilon_min = 0.9 / np.sqrt(10.0)
         with pytest.raises(ConfigError, match="mu underflow") as err:
@@ -80,17 +82,31 @@ class TestComputeMargins:
         assert np.all(m.mu_k > 0)
 
     def test_nonpositive_hyperparameters(self):
-        stats = LabelStats.from_counts([90, 10])
-        with pytest.raises(ConfigError):
-            compute_margins(stats, tau=0.0)
-        with pytest.raises(ConfigError):
-            compute_margins(stats, upsilon=-1.0)
+        """NaN is not positive either."""
+        stats = LabelStats([90, 10])
+        for tau, upsilon in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ConfigError, match="^tau and upsilon must be positive$"):
+                compute_margins(stats, tau=tau, upsilon=upsilon)
+
+    def test_mu_is_derived_from_the_offsets(self):
+        """mu_k is rho_k0/rho_0k bit for bit and the closed form to 1e-12;
+        the offsets are all that MarginOffsets stores."""
+        assert [f.name for f in fields(MarginOffsets)] == ["rho_0k", "rho_k0", "corollary_ok"]
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            counts = rng.integers(1, 100_000, size=5)
+            m = compute_margins(LabelStats(counts), tau=3.7, upsilon=0.8)
+            n, n_k = float(counts.sum()), counts.astype(float)
+            p_k = n_k / n
+            mu_k = p_k * np.sqrt(n_k) / (0.8 * (n - n_k) - p_k * np.sqrt(n - n_k))
+            np.testing.assert_array_equal(m.mu_k, m.rho_k0 / m.rho_0k)
+            np.testing.assert_allclose(m.mu_k, mu_k, rtol=1e-12)
 
 
 class TestMarginProperties:
     def test_tau_scales_offsets_linearly(self):
         """Scaling tau by c scales every offset by exactly c; mu is tau-free."""
-        stats = LabelStats.from_counts([500, 200, 300])
+        stats = LabelStats([500, 200, 300])
         base = compute_margins(stats, tau=10.0, upsilon=1.0)
         for c in (0.5, 2.0, 4.0, 16.0):
             scaled = compute_margins(stats, tau=10.0 * c, upsilon=1.0)
@@ -102,7 +118,7 @@ class TestMarginProperties:
         rng = np.random.default_rng(9)
         for _ in range(20):
             counts = rng.integers(10, 10_000, size=4)
-            stats = LabelStats.from_counts(counts)
+            stats = LabelStats(counts)
             grid = np.linspace(0.5, 4.0, 12)
             mus = np.array(
                 [compute_margins(stats, tau=10.0, upsilon=u).mu_k for u in grid]
@@ -111,7 +127,7 @@ class TestMarginProperties:
 
     def test_minority_class_has_small_return_offset(self):
         """For a minority class with upsilon=1, rho_k0 < rho_0k (mu < 1)."""
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         assert m.mu_k[1] < 1.0
         assert m.rho_k0[1] < m.rho_0k[1]
@@ -119,7 +135,7 @@ class TestMarginProperties:
     def test_doubled_counts_match_formula_exactly(self):
         """compute_margins on doubled stats equals the closed forms at 2N."""
         counts = np.array([700, 250, 50])
-        doubled = LabelStats.from_counts(2 * counts)
+        doubled = LabelStats(2 * counts)
         m = compute_margins(doubled, tau=10.0, upsilon=1.0)
         n = float(2 * counts.sum())
         n_k = (2 * counts).astype(float)
@@ -133,26 +149,23 @@ class TestMarginProperties:
 
 class TestVerifyCorollaryRatios:
     def test_computed_margins_pass(self):
-        stats = LabelStats.from_counts([888, 77, 35])
+        stats = LabelStats([888, 77, 35])
         m = compute_margins(stats, tau=3.0, upsilon=1.3)
         ok, dev = verify_corollary_ratios(m, stats)
         assert ok and dev < 1e-12
 
     def test_one_percent_perturbation_detected(self):
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         rho = m.rho_0k.copy()
         rho[0] *= 1.01
-        perturbed = MarginOffsets(
-            rho_0k=rho, rho_k0=m.rho_k0.copy(),
-            mu_k=m.rho_k0 / rho,
-        )
+        perturbed = MarginOffsets(rho_0k=rho, rho_k0=m.rho_k0.copy())
         ok, dev = verify_corollary_ratios(perturbed, stats)
         assert not ok
         assert 5e-3 < dev < 2e-2
 
     def test_uniform_stats_equal_offsets_pass(self):
-        stats = LabelStats.from_counts([400, 400, 400])
+        stats = LabelStats([400, 400, 400])
         m = compute_margins(stats, tau=1.0, upsilon=1.0)
         ok, dev = verify_corollary_ratios(m, stats)
         assert ok and m.rho_0k.std() == 0
@@ -160,7 +173,7 @@ class TestVerifyCorollaryRatios:
 
 class TestMarginsCsv:
     def test_round_trip(self, tmp_path):
-        stats = LabelStats.from_counts([9_000, 700, 300])
+        stats = LabelStats([9_000, 700, 300])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         path = tmp_path / "margins.csv"
         write_margins_csv(m, stats, path)
@@ -172,7 +185,7 @@ class TestMarginsCsv:
         np.testing.assert_array_equal(back_stats.n_per_class, stats.n_per_class)
 
     def test_negative_offset_rejected(self, tmp_path):
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats)
         path = tmp_path / "margins.csv"
         write_margins_csv(m, stats, path)
@@ -186,12 +199,11 @@ class TestMarginsCsv:
     def test_manual_override_loads_with_warning_flag(self, tmp_path):
         """Hand-edited allocations violating the optimal ratios stay loadable,
         flagged as non-optimal, so ablations can reuse the file format."""
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         hand = MarginOffsets(
             rho_0k=np.array([1.0, 1.0]),  # deliberately uniform
             rho_k0=m.mu_k * np.array([1.0, 1.0]),
-            mu_k=m.mu_k.copy(),
         )
         path = tmp_path / "margins.csv"
         write_margins_csv(hand, stats, path)
@@ -222,7 +234,7 @@ class TestMarginsCsv:
             read_margins_csv(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        stats = LabelStats.from_counts([90, 10])
+        stats = LabelStats([90, 10])
         m = compute_margins(stats)
         path = tmp_path / "margins.csv"
         write_margins_csv(m, stats, path)
@@ -235,14 +247,4 @@ class TestMarginsCsv:
 class TestMarginOffsetsInvariants:
     def test_positivity_enforced(self):
         with pytest.raises(ConfigError, match="positive"):
-            MarginOffsets(
-                rho_0k=np.array([1.0, -1.0]), rho_k0=np.array([1.0, 1.0]),
-                mu_k=np.array([1.0, 1.0]),
-            )
-
-    def test_mu_consistency_enforced(self):
-        with pytest.raises(ConfigError, match="mu_k"):
-            MarginOffsets(
-                rho_0k=np.array([1.0, 1.0]), rho_k0=np.array([1.0, 1.0]),
-                mu_k=np.array([1.0, 2.0]),
-            )
+            MarginOffsets(rho_0k=np.array([1.0, -1.0]), rho_k0=np.array([1.0, 1.0]))

@@ -110,7 +110,7 @@ class TestIgnoreLabelBelowK:
 
     def test_lower_bound_report_counts_agree_with_confusion(self):
         """Over the 2 valid pixels: tp [0, 1], fp [1, 0], fn [0, 1]."""
-        margins = compute_margins(LabelStats.from_counts([3, 5]), tau=1.0, upsilon=1.0)
+        margins = compute_margins(LabelStats([3, 5]), tau=1.0, upsilon=1.0)
         report = lower_bound_report(self.SCORES, self.MASK, margins)
         np.testing.assert_array_equal(report.p_k, [0.0, 1.0])  # (tp + fn) / 2
         np.testing.assert_array_equal(report.p_k0, [0.0, 0.5])  # fn / 2
@@ -120,7 +120,7 @@ class TestIgnoreLabelBelowK:
         assert (n, tp.tolist(), fp.tolist(), fn.tolist()) == (2, [0, 1], [1, 0], [0, 1])
 
     def test_lower_bound_as_if_the_pixel_were_absent(self):
-        margins = compute_margins(LabelStats.from_counts([3, 5]), tau=1.0, upsilon=1.0)
+        margins = compute_margins(LabelStats([3, 5]), tau=1.0, upsilon=1.0)
         got = lower_bound_report(self.SCORES, self.MASK, margins)
         want = lower_bound_report(ScoreBatch(scores=self.SCORES.scores[1:]),
                                   make_mask([1, 1]), margins)
@@ -232,7 +232,7 @@ class TestLowerBoundReport:
 
     def test_perfect_separation_reaches_iou(self):
         """Margins beyond every offset collapse the bound onto the exact IoU."""
-        stats = LabelStats.from_counts([3, 3])
+        stats = LabelStats([3, 3])
         margins = compute_margins(stats, tau=0.5, upsilon=1.0)
         big = 5.0 + margins.rho_max
         labels = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
@@ -298,7 +298,7 @@ class TestLowerBoundReport:
     def test_scope_labels(self):
         sb, mask, margins, stats = self._random_case(1)
         assert lower_bound_report(sb, mask, margins, stats).bound_scope == "dataset"
-        other = LabelStats.from_counts([10, 10, 10])
+        other = LabelStats([10, 10, 10])
         assert lower_bound_report(sb, mask, margins, other).bound_scope == "batch"
         assert lower_bound_report(sb, mask, margins).bound_scope == "batch"
 
@@ -308,7 +308,7 @@ class TestLowerBoundReport:
         feats = FeatureBatch(np.random.default_rng(2).normal(size=(mask.n_pixels, 4)))
         model = PixelMLP.init(4, 8, 3, seed=0)
         assert evaluate(model, feats, mask, margins, stats).bound_scope == "dataset"
-        other = LabelStats.from_counts([10, 10, 10])
+        other = LabelStats([10, 10, 10])
         assert evaluate(model, feats, mask, margins, other).bound_scope == "batch"
         assert evaluate(model, feats, mask, margins).bound_scope == "batch"
 

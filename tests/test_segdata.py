@@ -1,6 +1,7 @@
 """Tests for PGM I/O, synthetic generation and label statistics."""
 import hashlib
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_whole_split_scans_hold_one_block_of_scratch(large_split, scan):
     peak), where a pixel-length bool array alone is 2.1 MB."""
     masks, features, scores = large_split
     scores = ScoreBatch(scores)
-    margins = compute_margins(LabelStats.from_counts([9, 1]), tau=2.0, upsilon=1.0)
+    margins = compute_margins(LabelStats([9, 1]), tau=2.0, upsilon=1.0)
     call = {
         "FeatureBatch": lambda: FeatureBatch(features),
         "check_labels": lambda: check_labels(masks, 2),
@@ -293,9 +294,29 @@ def test_whole_split_scans_hold_one_block_of_scratch(large_split, scan):
     assert peak < 2_000_000
 
 
+class TestLabelStats:
+    def test_total_frequencies_and_classes_follow_from_the_counts(self):
+        stats = LabelStats([6, 3, 0, 1])
+        assert [f.name for f in fields(LabelStats)] == ["n_per_class"]
+        assert stats.n_per_class.dtype == np.int64
+        assert stats.n_total == 10 and type(stats.n_total) is int
+        np.testing.assert_array_equal(stats.p_per_class, [0.6, 0.3, 0.0, 0.1])
+        assert stats.k_classes == 4
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[6, 3], [0, 1]], r"^label counts must be 1-D \(one per class\); got shape \(2, 2\)$"),
+        (7, r"^label counts must be 1-D \(one per class\); got shape \(\)$"),
+        ([4, 3, -1], r"^class 2 has a negative pixel count -1$"),
+        ([0, 0], r"^empty effective dataset \(no counted pixels\)$"),
+    ], ids=["2-D", "scalar", "negative", "zero-sum"])
+    def test_refuses_counts_that_are_not_1d_negative_or_zero(self, counts, message):
+        with pytest.raises(StatsError, match=message):
+            LabelStats(counts)
+
+
 class TestStatsCsv:
     def test_round_trip(self, tmp_path):
-        stats = LabelStats.from_counts([912_000, 49_000, 14_000, 16_000, 8_000])
+        stats = LabelStats([912_000, 49_000, 14_000, 16_000, 8_000])
         path = tmp_path / "stats.csv"
         write_stats_csv(stats, path)
         back = read_stats_csv(path)
@@ -328,5 +349,3 @@ class TestStatsCsv:
         path.write_text("class_index,n_pixels,p_k\n0,-5,-1\n1,10,2\n")
         with pytest.raises(StatsError, match=r"^class 0 has a negative pixel count -5$"):
             read_stats_csv(path)
-        with pytest.raises(StatsError, match=r"^class 2 has a negative pixel count -1$"):
-            LabelStats.from_counts([4, 3, -1])

@@ -206,7 +206,7 @@ class TestTrain:
         feats.features[image * ppi + pixel, 0] = np.nan  # past FeatureBatch's check
         masks = MaskBatch(labels=np.zeros(n_images * ppi, dtype=np.uint8),
                           width=ppi, height=1, n_images=n_images)
-        margins = compute_margins(LabelStats.from_counts([90, 7, 3]), tau=2.0, upsilon=1.0)
+        margins = compute_margins(LabelStats([90, 7, 3]), tau=2.0, upsilon=1.0)
         model = PixelMLP.init(FEATURE_DIM, 8, 3, seed=0)
         cfg = TrainConfig(loss_name=loss_name, epochs=1, batch_images=n_images)
         with pytest.raises(TrainError, match=rf"^non-finite score at image {image}, "
@@ -842,7 +842,7 @@ class TestSharedStep:
 
     def test_margins_for_another_k_raise_before_any_fork(self, monkeypatch, forks):
         feats, masks = tiny_dataset(n_images=4, size=64)
-        two_class = compute_margins(LabelStats.from_counts([90, 10]), tau=10.0, upsilon=1.0)
+        two_class = compute_margins(LabelStats([90, 10]), tau=10.0, upsilon=1.0)
         use_cores(monkeypatch, 2)
         model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
         cfg = TrainConfig(loss_name="margin_calibration", epochs=1, batch_images=4)
