@@ -12,6 +12,7 @@ generalization-gap bound (see the bound module).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,13 @@ def compute_margins(
 ) -> MarginOffsets:
     """Compute per-class margin-offsets from exact label statistics.
 
-    Raises when a class is empty, when the dataset is single-class (the
-    offsets degenerate to zero), or when upsilon is too small to keep every
-    mu_k denominator positive.
+    Raises when tau or upsilon is not finite and positive, when a class is
+    empty, when the dataset is single-class (the offsets degenerate to
+    zero), or when upsilon is too small to keep every mu_k denominator
+    positive.
     """
-    if not (tau > 0 and upsilon > 0):
-        raise ConfigError("tau and upsilon must be positive")
+    if not (0 < tau < math.inf and 0 < upsilon < math.inf):
+        raise ConfigError("tau and upsilon must be finite and positive")
     _check_no_empty_class(stats)
     n = float(stats.n_total)
     n_k = stats.n_per_class.astype(np.float64)

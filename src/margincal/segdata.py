@@ -96,7 +96,8 @@ def _non_finite_at(values: np.ndarray) -> Optional[tuple[int, int]]:
 
 @dataclass
 class FeatureBatch:
-    """Per-pixel real feature vectors, aligned with a MaskBatch's flat order."""
+    """Per-pixel real feature vectors, aligned with a MaskBatch's flat order, in
+    any layout (never copied); feature-major, as ``generate_synthetic`` makes, reads fastest."""
 
     features: np.ndarray
 
@@ -121,9 +122,17 @@ class LabelStats:
     n_per_class: np.ndarray
 
     def __post_init__(self) -> None:
-        self.n_per_class = counts = np.asarray(self.n_per_class, dtype=np.int64)
+        counts = np.asarray(self.n_per_class)
         if counts.ndim != 1:
             raise StatsError(f"label counts must be 1-D (one per class); got shape {counts.shape}")
+        total = 0  # exact: the checks below see the counts before int64 can wrap them
+        for k, count in enumerate(counts.tolist()):
+            total += count
+            if not -2**63 <= count < 2**63:
+                raise StatsError(f"class {k} has a pixel count {count} that does not fit int64")
+            if total >= 2**63:
+                raise StatsError(f"the pixel counts overflow int64 at class {k}")
+        self.n_per_class = counts = counts.astype(np.int64)
         negative = np.flatnonzero(counts < 0)
         if negative.size:
             k = int(negative[0])
@@ -278,7 +287,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureBatch, MaskBatch]:
     painted in class order (later classes overwrite earlier ones on overlap).
     Per-pixel features: x/w, y/h, intensity, xy/(wh), (x/w)^2, (y/h)^2,
     normalized distance to image center, and a constant 1.  Intensity is the
-    class-specific mean 0.2 + 0.6*k/(K-1) plus Gaussian noise.
+    class-specific mean 0.2 + 0.6*k/(K-1) plus Gaussian noise.  The (n, d)
+    features are stored feature-major, as the view of a C-ordered (d, n) array.
     """
     radii = _disk_radii(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -301,13 +311,13 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureBatch, MaskBatch]:
             r_center,
             np.ones_like(xs),
         ],
-        axis=-1,
-    ).reshape(ppi, FEATURE_DIM)
+    ).reshape(FEATURE_DIM, 1, ppi)
 
     means = 0.2 + 0.6 * np.arange(k_cls, dtype=np.float64) / (k_cls - 1)
 
     labels = np.zeros(cfg.n_images * ppi, dtype=np.uint8)
-    features = np.tile(coord, (cfg.n_images, 1))
+    features = np.empty((FEATURE_DIM, cfg.n_images * ppi))  # feature-major
+    features.reshape(FEATURE_DIM, cfg.n_images, ppi)[...] = coord
     for i in range(cfg.n_images):
         img = np.zeros((h, w), dtype=np.uint8)
         for k in range(1, k_cls):
@@ -318,10 +328,10 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureBatch, MaskBatch]:
         noise = rng.normal(size=ppi)
         flat = img.reshape(ppi)
         labels[i * ppi : (i + 1) * ppi] = flat
-        features[i * ppi : (i + 1) * ppi, 2] = means[flat] + cfg.noise_sigma * noise
+        features[2, i * ppi : (i + 1) * ppi] = means[flat] + cfg.noise_sigma * noise
 
     mask = MaskBatch(labels=labels, width=w, height=h, n_images=cfg.n_images)
-    return FeatureBatch(features=features), mask
+    return FeatureBatch(features=features.T), mask
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ from .segdata import FeatureBatch, LabelStats, MaskBatch, _non_finite_at, check_
 from .team import _Team, process_count, run_walk, shared_arrays
 
 MODEL_MAGIC = b"PMC1"
-#: ``backward`` sums a block's rows as a product with ones, faster than a row sum
-_ONES = np.ones(BLOCK_PX)
-_ONES.flags.writeable = False
 
 
 @dataclass
@@ -66,6 +63,16 @@ class PixelMLP:
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
 
+    def layers(self) -> tuple[np.ndarray, np.ndarray]:
+        return _layers(np.concatenate([p.ravel() for p in self.params()]), self.d, self.hidden)
+
+
+def _layers(params: np.ndarray, d: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (d + 1, hidden) [w1; b1] and (hidden + 1, K) [w2; b2] views of a
+    flat (w1, b1, w2, b2) ``params``, such as a gradient row."""
+    split = (d + 1) * hidden
+    return params[:split].reshape(d + 1, hidden), params[split:].reshape(hidden + 1, -1)
+
 
 def _check_dims(d: int, hidden: int, k_classes: int) -> None:
     if min(d, hidden, k_classes) < 1:
@@ -80,13 +87,13 @@ class _Forward:
     what, width = "forward", 0
 
     def __init__(self, model: PixelMLP, x: np.ndarray) -> None:
-        self.model, self.x = model, x
+        self.layers, self.x = model.layers(), x
         self.n_blocks = -(-x.shape[0] // BLOCK_PX)
         self.scores = shared_arrays((np.float64, (model.k_classes, x.shape[0])))[0]
 
     def run(self, i: int, row: np.ndarray) -> None:
         block = slice(i * BLOCK_PX, (i + 1) * BLOCK_PX)
-        self.scores[:, block] = _forward_cache(self.model, self.x[block])[0].T
+        self.scores[:, block] = _forward_cache(self.layers, _block_input([self.x[block].T]))[0].T
 
 
 def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
@@ -106,21 +113,31 @@ def forward(model: PixelMLP, features: FeatureBatch) -> ScoreBatch:
     return ScoreBatch(scores=walk.scores.T)
 
 
-def _forward_cache(model: PixelMLP, x: np.ndarray, out: Optional[np.ndarray] = None):
-    """Scores of the rows of ``x`` and the hidden activations ``backward`` needs.
+def _block_input(parts, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (b, d + 1) view of ``out`` (made if None), a C-ordered (d + 1, b)
+    array holding the (d, b_j) ``parts`` side by side above a row of ones;
+    from feature-major memory each part is d contiguous copies."""
+    xa = np.empty((parts[0].shape[0] + 1, sum(p.shape[1] for p in parts))) if out is None else out
+    np.concatenate(parts, axis=1, out=xa[:-1])
+    xa[-1] = 1.0
+    return xa.T
 
-    Both are class-major: ``act`` is (hidden, n), written into ``out`` if
-    given, and the (n, K) scores are a view of a (K, n) array.  Overflow is
-    left silent: the caller's finiteness check names the first non-finite
-    score.  The caller has checked that ``x`` has the model's width.
+
+def _forward_cache(layers, x: np.ndarray, out: Optional[np.ndarray] = None):
+    """Scores of the rows of ``x`` (``_block_input``'s) and the hidden
+    activations ``backward`` needs: one product per layer of ``layers``.
+
+    Both are class-major: ``act`` is (hidden + 1, n) with a last row of ones,
+    written into ``out`` if given, and the (n, K) scores view a (K, n) array.
+    Overflow is left silent: the caller's finiteness check names the first
+    non-finite score.  The caller has checked that ``x`` has the model's width.
     """
+    act = np.empty((layers[0].shape[1] + 1, x.shape[0])) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
-        act = np.matmul(model.w1.T, x.T, out=out)
-        for row, bias in zip(act, model.b1):  # faster than a (hidden, 1) broadcast
-            row += bias
-        np.maximum(act, 0.0, out=act)
-        scores = model.w2.T @ act
-        scores += model.b2[:, None]
+        pre = np.matmul(layers[0].T, x.T, out=act[:-1])
+        np.maximum(pre, 0.0, out=pre)
+        act[-1] = 1.0
+        scores = layers[1].T @ act
     return scores.T, act
 
 
@@ -135,11 +152,11 @@ def _check_scores(scores: np.ndarray, ids, start: int, ppi: int) -> None:
                            f"class {bad[1]}")
 
 
-def _model_scores(model: PixelMLP, features: FeatureBatch, masks: MaskBatch):
-    """A ``_Counts`` score source: ``_forward_cache``'s scores of the pixels
-    ``cols`` of the split, checked by ``_check_scores``."""
+def _model_scores(layers, features: FeatureBatch, masks: MaskBatch):
+    """A ``_Counts`` score source: ``_forward_cache``'s scores at ``layers``
+    of the pixels ``cols`` of the split, checked by ``_check_scores``."""
     def scores(cols: slice) -> np.ndarray:
-        sc = _forward_cache(model, features.features[cols])[0]
+        sc = _forward_cache(layers, _block_input([features.features[cols].T]))[0]
         _check_scores(sc, range(masks.n_images), cols.start, masks.pixels_per_image)
         return sc.T
 
@@ -158,25 +175,20 @@ def _check_split(model: PixelMLP, features: FeatureBatch, masks: MaskBatch) -> i
     return check_labels(masks, model.k_classes)
 
 
-def backward(
-    model: PixelMLP, x: np.ndarray, act: np.ndarray, grad_scores: np.ndarray, out=None
-) -> tuple[np.ndarray, ...]:
-    """Parameter gradients for a given upstream d(loss)/d(scores).
+def backward(layers, x: np.ndarray, act: np.ndarray, grad_scores: np.ndarray,
+             gpre: Optional[np.ndarray] = None, out=(None, None)) -> tuple[np.ndarray, ...]:
+    """Gradients of [w1; b1] and [w2; b2] for a given upstream d(loss)/d(scores).
 
-    ``act`` is the (hidden, n) activation from ``_forward_cache``; ``out``, if
-    given, takes the (hidden, n) gradient at the hidden layer.  The relu mask
-    is act > 0 (identical to pre > 0 for the gradient convention that puts the
-    kink's subgradient at zero).
+    ``x`` and ``act`` are ``_forward_cache``'s: their rows of ones make each
+    bias gradient the last row of a product, written into ``out`` if given.
+    ``gpre``, if given, takes the (hidden, n) gradient at the hidden layer.
+    The relu mask act > 0 (pre > 0 under the convention that puts the kink's
+    subgradient at zero) overwrites the hidden rows of ``act``.
     """
-    g = grad_scores.T
-    gw2 = act @ grad_scores
-    gb2 = g.sum(axis=1)
-    gpre = np.matmul(model.w2, g, out=out)
-    gpre *= act > 0.0
-    gw1 = x.T @ gpre.T
-    n = gpre.shape[1]
-    gb1 = gpre @ (_ONES[:n] if n <= BLOCK_PX else np.ones(n))
-    return gw1, gb1, gw2, gb2
+    gw2 = np.matmul(act, grad_scores, out=out[1])
+    gpre = np.matmul(layers[1][:-1], grad_scores.T, out=gpre)
+    gpre *= np.greater(act[:-1], 0.0, out=act[:-1])
+    return np.matmul(x.T, gpre.T, out=out[0]), gw2
 
 
 def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -209,47 +221,45 @@ class _Step:
 
     A block holds at most BLOCK_PX pixels: whole images, grouped when they
     are small, or equal slices of one large image, so its activations are
-    still in cache for its backward pass.  ``run(i, row)`` gathers block i,
-    runs forward, checks the scores (a non-finite one raises NumericError
-    naming its image and pixel) and applies ``loss``, a (kernel, args) pair:
+    still in cache for its backward pass.  ``run(i, row)`` copies block i's
+    features above a row of ones (``_block_input``), runs forward, checks
+    the scores (a non-finite one raises NumericError naming its image and
+    pixel) and applies ``loss``, a (kernel, args) pair:
     a pixel-wise loss's block kernel and backward write the sums [n, value,
     gradients] of its terms over the block's n valid pixels, which only
     ``_StepTeam.gradients`` divides by n; ``_tversky_sums`` writes [n, I, A, B];
     ``_tversky_vjp`` at the slopes (u, v) in ``args`` and backward write
     [n, 0, gradients] of a batch's soft Dice or Tversky loss.  A block with
-    no valid pixel writes zeros; ``scratch`` holds its (hidden, b), (K, b) arrays.
+    no valid pixel writes zeros; ``scratch`` holds its (d + 1, b),
+    (hidden + 1, b), (hidden, b) and (K, b) arrays.
     """
 
     what = "a training step"
 
-    def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch, image_ids,
-                 loss, scratch) -> None:
-        self.model, self.masks, self.loss, self.scratch = model, masks, loss, scratch
-        self.shapes = [p.shape for p in model.params()]
-        self.width = (1 + 3 * model.k_classes if loss[0] is _tversky_sums
-                      else 2 + sum(p.size for p in model.params()))
+    def __init__(self, layers, features: FeatureBatch, masks: MaskBatch, image_ids, loss,
+                 scratch) -> None:
+        self.layers, self.masks, self.loss, self.scratch = layers, masks, loss, scratch
+        self.width = (1 + 3 * layers[1].shape[1] if loss[0] is _tversky_sums
+                      else 2 + layers[0].size + layers[1].size)
         ppi = masks.pixels_per_image
-        self.x_img = features.features.reshape(masks.n_images, ppi, -1)
+        self.xt = features.features.T.reshape(-1, masks.n_images, ppi)
         self.y_img = masks.labels.reshape(masks.n_images, ppi)
         self.plan = _block_plan(masks, image_ids)
         self.n_blocks = len(self.plan)
 
     def run(self, i: int, row: np.ndarray) -> None:
-        model = self.model
         ids, start, stop = self.plan[i]
-        if len(ids) == 1:
-            x, labels = self.x_img[ids[0], start:stop], self.y_img[ids[0], start:stop]
-        else:
-            x, labels = self.x_img[ids].reshape(-1, self.x_img.shape[2]), self.y_img[ids].reshape(-1)
+        labels = self.y_img[ids, start:stop].reshape(-1)
         valid = labels != self.masks.ignore_index
         n = row[0] = int(np.count_nonzero(valid))
         row[1:] = 0.0
         if n == 0:
             return
-        k_cls, size = model.k_classes, labels.size
-        act, gpre, grad = (buf[: rows * size].reshape(rows, size) for buf, rows
-                           in zip(self.scratch, (model.hidden, model.hidden, k_cls)))
-        scores, act = _forward_cache(model, x, act)
+        (d1, hidden), k_cls = self.layers[0].shape, self.layers[1].shape[1]
+        xa, act, gpre, grad = (buf[: rows * labels.size].reshape(rows, -1) for buf, rows
+                               in zip(self.scratch, (d1, hidden + 1, hidden, k_cls)))
+        x = _block_input([self.xt[:, j, start:stop] for j in ids], xa)
+        scores, act = _forward_cache(self.layers, x, act)
         _check_scores(scores, ids, start, self.masks.pixels_per_image)
         onehot, valid = _block_rows(labels, valid, k_cls)
         kernel, args = self.loss
@@ -263,9 +273,7 @@ class _Step:
             fg, bg = np.zeros(k_cls), np.zeros(k_cls)
             kernel(scores.T, onehot, valid, grad, fg, bg, *args)
             row[1] = fg.sum() + bg.sum()
-        grads = backward(model, x, act, grad.T, gpre)
-        for out, g in zip(_unflatten(row[2:], self.shapes), grads):
-            out[...] = g
+        backward(self.layers, x, act, grad.T, gpre, _layers(row[2:], d1 - 1, hidden))
 
 
 class _StepTeam(_Team):
@@ -297,21 +305,22 @@ class _StepTeam(_Team):
         params, ids, slopes = shared_arrays(
             (np.float64, sum(p.size for p in model.params())), (np.int64, max_ids),
             (np.float64, (2, model.k_classes, 1)))
-        shared = PixelMLP(*_unflatten(params, self.shapes))
-        self.model, self.ids, self.max_ids, self.slopes = shared, ids, max_ids, slopes
+        layers, k_cls = _layers(params, model.d, model.hidden), model.k_classes
+        self.params, self.ids, self.max_ids, self.slopes = params, ids, max_ids, slopes
         self.weights = args if kernel is _tversky_slopes else None
         step = (kernel, args) if self.weights is None else (_tversky_vjp, slopes)
-        # each process's block activations, their gradient and kernel rows, made once: made
-        # and freed per block, they let malloc return the heap and fault it in again
-        scratch = [np.empty(r * BLOCK_PX) for r in (model.hidden, model.hidden, model.k_classes)]
+        # each process's block input, activations, their gradient and kernel rows, made once:
+        # made and freed per block, they let malloc return the heap and fault it in again
+        scratch = [np.empty(r * BLOCK_PX)
+                   for r in (model.d + 1, model.hidden + 1, model.hidden, k_cls)]
 
         def make_walk(job: int):  # no reference to self: a cycle would keep the data
             if job < 0:
-                return _Step(shared, features, masks, ids[:-job], (_tversky_sums, ()), scratch)
+                return _Step(layers, features, masks, ids[:-job], (_tversky_sums, ()), scratch)
             if job > max_ids:
                 x, y = splits[job - max_ids - 1]
-                return _Counts(_model_scores(shared, x, y), shared.k_classes, y, None, "evaluate")
-            return _Step(shared, features, masks, ids[:job], step, scratch)
+                return _Counts(_model_scores(layers, x, y), k_cls, y, None, "evaluate")
+            return _Step(layers, features, masks, ids[:job], step, scratch)
 
         walks = [make_walk(job) for job in (-max_ids, *range(max_ids, max_ids + 1 + len(splits)))]
         n_blocks = max(w.n_blocks for w in walks)
@@ -320,8 +329,7 @@ class _StepTeam(_Team):
 
     def _load(self, model: PixelMLP) -> None:
         """Copy ``model``'s parameters into the helpers' shared memory."""
-        for shared, p in zip(self.model.params(), model.params()):
-            np.copyto(shared, p)
+        np.concatenate([p.reshape(-1) for p in model.params()], out=self.params)
 
     def gradients(self, model: PixelMLP, image_ids) -> tuple[float, list[np.ndarray]]:
         """Loss and parameter gradients of the batch of whole images
@@ -396,8 +404,8 @@ def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
     _check_split(model, features, masks)
     if margins is not None:
         _check_margins(margins, model.k_classes)
-    walk = _Counts(_model_scores(model, features, masks), model.k_classes, masks, margins,
-                   "evaluate")
+    walk = _Counts(_model_scores(model.layers(), features, masks), model.k_classes, masks,
+                   margins, "evaluate")
     return _report(run_walk(walk), model.k_classes, margins, stats)
 
 

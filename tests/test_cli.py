@@ -174,10 +174,10 @@ class TestNanSettings:
          "target_ratios must all be finite and positive"),
         (["gen", "--n-images", "2", "--noise-sigma", "nan"],
          "noise_sigma must be finite and non-negative"),
-        (["margins", "--tau", "nan"], "tau and upsilon must be positive"),
-        (["margins", "--upsilon", "nan"], "tau and upsilon must be positive"),
-        (["train", *SMALL_TRAIN, "--tau", "nan"], "tau and upsilon must be positive"),
-        (["train", *SMALL_TRAIN, "--upsilon", "nan"], "tau and upsilon must be positive"),
+        (["margins", "--tau", "nan"], "tau and upsilon must be finite and positive"),
+        (["margins", "--upsilon", "nan"], "tau and upsilon must be finite and positive"),
+        (["train", *SMALL_TRAIN, "--tau", "nan"], "tau and upsilon must be finite and positive"),
+        (["train", *SMALL_TRAIN, "--upsilon", "nan"], "tau and upsilon must be finite and positive"),
         (["bound", "--m-pixels", "1", "--c-theta", "nan"], "c_theta must be non-negative"),
     ], ids=["gen-ratio-0", "gen-ratio-1", "train-ratio", "gen-noise-sigma", "margins-tau",
             "margins-upsilon", "train-tau", "train-upsilon", "bound-c-theta"])

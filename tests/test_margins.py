@@ -85,7 +85,15 @@ class TestComputeMargins:
         """NaN is not positive either."""
         stats = LabelStats([90, 10])
         for tau, upsilon in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)):
-            with pytest.raises(ConfigError, match="^tau and upsilon must be positive$"):
+            with pytest.raises(ConfigError, match="^tau and upsilon must be finite and positive$"):
+                compute_margins(stats, tau=tau, upsilon=upsilon)
+
+    def test_infinite_hyperparameters_fail_their_own_rule(self):
+        """Not the offsets' later checks: an infinite tau made rho_0k
+        non-finite, an infinite upsilon made rho_k0 zero."""
+        stats = LabelStats([90, 10])
+        for tau, upsilon in ((np.inf, 1.0), (1.0, np.inf), (-np.inf, 1.0)):
+            with pytest.raises(ConfigError, match="^tau and upsilon must be finite and positive$"):
                 compute_margins(stats, tau=tau, upsilon=upsilon)
 
     def test_mu_is_derived_from_the_offsets(self):

@@ -123,6 +123,22 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(m1.labels, m2.labels)
         np.testing.assert_array_equal(f1.features, f2.features)
 
+    def test_features_are_feature_major_and_made_once(self):
+        """2,097,152 px (512 images of 64 x 64): the (n, d) features are the
+        transposed view of a C-ordered (d, n) array, and the call's peak
+        (``tracemalloc``) is its outputs plus under 2 MB, where a second
+        feature array would be 134 MB and one pixel-length row 16.8 MB."""
+        cfg = SynthConfig(seed=0, width=64, height=64, n_images=512)
+        tracemalloc.start()
+        try:
+            feats, masks = generate_synthetic(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats.features.shape == (2_097_152, FEATURE_DIM)
+        assert feats.features.T.flags.c_contiguous
+        assert peak - feats.features.nbytes - masks.labels.nbytes < 2_000_000
+
     def test_fractions_match_targets(self):
         """Measured class fractions stay within 20% relative of the targets."""
         cfg = SynthConfig(
@@ -312,6 +328,25 @@ class TestLabelStats:
     def test_refuses_counts_that_are_not_1d_negative_or_zero(self, counts, message):
         with pytest.raises(StatsError, match=message):
             LabelStats(counts)
+
+    @pytest.mark.parametrize("counts, message", [
+        ([1e20, 1], r"^class 0 has a pixel count 1e\+20 that does not fit int64$"),
+        ([5, 10**20], rf"^class 1 has a pixel count {10**20} that does not fit int64$"),
+        (np.array([3.0, -1e20]), r"^class 1 has a pixel count -1e\+20 that does not fit int64$"),
+        ([9e18, 1e18], r"^the pixel counts overflow int64 at class 1$"),
+        ([1, 2**62, 2**62], r"^the pixel counts overflow int64 at class 2$"),
+    ], ids=["float-too-large", "int-too-large", "float-array-too-small", "float-total",
+            "int-total"])
+    def test_refuses_counts_that_overflow_int64(self, counts, message):
+        """Before, a count beyond int64 raised numpy's OverflowError (or, from
+        a float array, became a negative count) and a total beyond it wrapped
+        to a negative total reported as an empty dataset."""
+        with pytest.raises(StatsError, match=message):
+            LabelStats(counts)
+
+    def test_the_largest_total_is_kept_exactly(self):
+        stats = LabelStats([2**62, 2**62 - 1])
+        assert stats.n_total == 2**63 - 1
 
 
 class TestStatsCsv:

@@ -37,9 +37,24 @@ from margincal.trainer import (
     save_model,
     train,
     write_train_log_csv,
+    _block_input,
     _forward_cache,
 )
 from test_metrics import recount, tied_case
+
+
+def dense_pass(model, x):
+    """``_forward_cache``'s (n, K) scores of the (n, d) features ``x`` at
+    ``model``, and a function from an upstream (n, K) gradient to
+    ``backward``'s gradients of (w1, b1, w2, b2)."""
+    layers, xa = model.layers(), _block_input([x.T])
+    scores, act = _forward_cache(layers, xa)
+
+    def grads(upstream):
+        flat = np.concatenate([g.reshape(-1) for g in backward(layers, xa, act, upstream)])
+        return trainer_module._unflatten(flat, [p.shape for p in model.params()])
+
+    return scores, grads
 
 
 def tiny_dataset(seed=0, n_images=8, size=16, noise=0.05):
@@ -76,12 +91,10 @@ class TestForward:
         def loss_at(params):
             w1, b1, w2, b2 = params
             probe = PixelMLP(w1=w1, b1=b1, w2=w2, b2=b2)
-            scores, _ = _forward_cache(probe, x)
-            return cross_entropy(ScoreBatch(scores=scores), mask).value
+            return cross_entropy(ScoreBatch(scores=dense_pass(probe, x)[0]), mask).value
 
-        scores, act = _forward_cache(model, x)
-        upstream = cross_entropy(ScoreBatch(scores=scores), mask).grad
-        analytic = backward(model, x, act, upstream)
+        scores, grads = dense_pass(model, x)
+        analytic = grads(cross_entropy(ScoreBatch(scores=scores), mask).grad)
 
         h = 1e-6
         params = [model.w1, model.b1, model.w2, model.b2]
@@ -109,7 +122,7 @@ class TestForward:
         x = rng.normal(size=(2 * BLOCK_PX + 17, FEATURE_DIM))
         model = PixelMLP.init(FEATURE_DIM, 16, 3, seed=5)
         scores = forward(model, FeatureBatch(features=x)).scores
-        reference = np.concatenate([_forward_cache(model, x[i : i + BLOCK_PX])[0]
+        reference = np.concatenate([dense_pass(model, x[i : i + BLOCK_PX])[0]
                                     for i in range(0, x.shape[0], BLOCK_PX)])
         np.testing.assert_array_equal(scores, reference)
         assert scores.T.flags.c_contiguous
@@ -309,12 +322,12 @@ class TestBlockedStep:
         x = feats.features[rows]
         batch = MaskBatch(labels=labels[rows], width=size, height=size,
                           n_images=len(ids))
-        scores, act = _forward_cache(model, x)
+        scores, dense_grads = dense_pass(model, x)
         whole = loss_by_name(loss_name)(ScoreBatch(scores=scores), batch, margins)
         if loss_name in ("soft_dice", "tversky"):
             assert value == whole.value
         assert value == pytest.approx(whole.value, rel=1e-12)
-        for got, want in zip(grads, backward(model, x, act, whole.grad)):
+        for got, want in zip(grads, dense_grads(whole.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
@@ -334,11 +347,10 @@ class TestBlockedStep:
 
         value, grads = step_gradients(model, feats, masks, np.arange(1), loss_name, margins)
 
-        x = feats.features
-        scores, act = _forward_cache(model, x)
+        scores, dense_grads = dense_pass(model, feats.features)
         whole = loss_by_name(loss_name)(ScoreBatch(scores=scores), masks, margins)
         assert value == whole.value
-        for got, want in zip(grads, backward(model, x, act, whole.grad)):
+        for got, want in zip(grads, dense_grads(whole.grad)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("size", [16, 128], ids=["grouped", "sliced"])
@@ -430,6 +442,31 @@ class TestBlockedStep:
                 tracemalloc.stop()
         assert peak < 64 * BLOCK_PX * 8
 
+    def test_a_warm_dense_pass_allocates_less_than_100_kb(self):
+        """On a full block at hidden 16 and K = 3, with the step's scratch,
+        forward allocates only its (K, b) scores (96 KB) and backward no
+        block-sized array: one (hidden, b) float64 array would be 512 KB,
+        its bool relu mask 64 KB, and a copy of the block's input 288 KB."""
+        feats, _ = tiny_dataset(n_images=1, size=64)
+        layers = PixelMLP.init(FEATURE_DIM, 16, 3, seed=0).layers()
+        xa, act, gpre = (np.empty((rows, BLOCK_PX)) for rows in (FEATURE_DIM + 1, 17, 16))
+        grads = (np.empty((FEATURE_DIM + 1, 16)), np.empty((17, 3)))
+        x = _block_input([feats.features.T], xa)
+        upstream = np.random.default_rng(0).normal(size=(3, BLOCK_PX)).T
+        backward(layers, x, _forward_cache(layers, x, act)[1], upstream, gpre, grads)  # warm
+        tracemalloc.start()
+        try:
+            _forward_cache(layers, x, act)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            backward(layers, x, act, upstream, gpre, grads)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 100 * 1024
+        assert backward_peak < 32 * 1024
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16], ids=["unsigned", "signed"])
     def test_first_bad_label_past_the_first_scan_block(self, monkeypatch, forks, dtype):
         """The label checks read SCAN_BLOCK labels at a time.  With ignore
@@ -477,6 +514,90 @@ class TestBlockedStep:
             runs.append(train(model, feats, masks, cfg, margins=margins)[0])
         for p, q in zip(runs[0].params(), runs[1].params()):
             np.testing.assert_array_equal(p, q)
+
+
+def oracle_step(model, x, labels, ignore_index=255):
+    """Cross-entropy and its gradients of (w1, b1, w2, b2) over the whole
+    batch at once, from the (n, d) features ``x``, in float64 numpy."""
+    pre = x @ model.w1 + model.b1
+    act = np.maximum(pre, 0.0)
+    scores = act @ model.w2 + model.b2
+    valid = labels != ignore_index
+    p = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(p)
+    onehot[np.flatnonzero(valid), labels[valid]] = 1.0
+    g = (p - onehot) * valid[:, None] / valid.sum()
+    value = -np.log(p[valid, labels[valid]]).mean()
+    gpre = (g @ model.w2.T) * (pre > 0.0)
+    return value, [x.T @ gpre, gpre.sum(axis=0), act.T @ g, g.sum(axis=0)]
+
+
+class TestFeatureLayout:
+    """The step and evaluation read features through ``_block_input``, which
+    puts a block's features above a row of ones, the row that multiplies the
+    bias rows of [w1; b1] and [w2; b2]."""
+
+    @pytest.mark.parametrize("size, n_images, batch", [(16, 24, 21), (128, 3, 2)],
+                             ids=["grouped", "sliced"])
+    def test_step_gradients_match_a_float64_oracle(self, monkeypatch, size, n_images, batch):
+        """d = 1, hidden = 1, K = 21, ignored pixels and a wholly ignored
+        image.  Grouped, the batch's last block holds 5 of 16 images, so a
+        ones row left where a full block put it is read as features."""
+        use_cores(monkeypatch, 1)
+        rng = np.random.default_rng(7)
+        ppi = size * size
+        labels = rng.integers(0, 21, size=n_images * ppi).astype(np.uint8)
+        labels[3::7] = 255
+        labels[ppi : 2 * ppi] = 255
+        masks = MaskBatch(labels=labels, width=size, height=size, n_images=n_images)
+        x = rng.normal(size=(labels.size, 1))
+        model = PixelMLP(w1=np.array([[1.3]]), b1=np.array([0.2]),
+                         w2=rng.normal(size=(1, 21)), b2=rng.normal(size=21))
+        ids = rng.permutation(n_images)[:batch]
+        feats = FeatureBatch(np.ascontiguousarray(x.T).T)  # feature-major
+        value, grads = step_gradients(model, feats, masks, ids, "cross_entropy")
+        rows = np.concatenate([np.arange(i * ppi, (i + 1) * ppi) for i in ids])
+        want_value, want = oracle_step(model, x[rows], labels[rows])
+        assert value == pytest.approx(want_value, rel=1e-12)
+        for got, w in zip(grads, want):
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("size, n_images", [(16, 21), (128, 3)], ids=["grouped", "sliced"])
+    def test_results_do_not_depend_on_the_feature_layout(self, size, n_images):
+        """The same values stored feature-major (``generate_synthetic``'s) and
+        C-ordered train byte-identical models and evaluate to identical
+        reports.  The initial model's biases split the val pixels between
+        the classes, so its report, which a whole-split numpy forward pass
+        recounts, shows a bias row left out."""
+        feats, masks = tiny_dataset(seed=5, n_images=n_images, size=size, noise=0.1)
+        val_feats, val_masks = tiny_dataset(seed=6, n_images=2, size=size, noise=0.1)
+        assert feats.features.T.flags.c_contiguous
+        layouts = {"feature-major": (feats, val_feats),
+                   "C-ordered": tuple(FeatureBatch(np.ascontiguousarray(f.features))
+                                      for f in (feats, val_feats))}
+        margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
+        cfg = TrainConfig(loss_name="margin_calibration", epochs=2, batch_images=n_images - 1,
+                          seed=3, eval_every=1)
+        init = PixelMLP.init(FEATURE_DIM, 16, 3, seed=1)
+        init.b1[:] = 0.1
+        init.b2[:] = -(np.maximum(val_feats.features @ init.w1 + init.b1, 0.0) @ init.w2).mean(0)
+        got = {}
+        for name, (f, vf) in layouts.items():
+            model, log = train(PixelMLP(*(p.copy() for p in init.params())), f, masks, cfg,
+                               margins, vf, val_masks)
+            reports = [evaluate(m, vf, val_masks, margins) for m in (init, model)]
+            got[name] = ([p.tobytes() for p in model.params()],
+                         [(r.epoch, r.train_loss, r.train_miou, r.val_miou) for r in log],
+                         [np.asarray(v).tobytes() for r in reports for v in vars(r).values()])
+        assert got["C-ordered"] == got["feature-major"]
+        w1, b1, w2, b2 = init.params()
+        scores = np.maximum(val_feats.features @ w1 + b1, 0.0) @ w2 + b2
+        tp, fp, fn, n = recount(scores, val_masks.labels, 3)
+        assert np.unique(scores.argmax(axis=1)).size == 3
+        assert reports[0].pixel_accuracy == tp.sum() / n
+        np.testing.assert_array_equal(reports[0].p_k0, fn / n)
+        np.testing.assert_array_equal(reports[0].p_0k, fp / n)
 
 
 class TestEvaluate:
