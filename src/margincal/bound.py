@@ -48,8 +48,8 @@ class BoundConfig:
             raise ConfigError("eta must lie in (0, 1)")
         if self.m_pixels < 1:
             raise ConfigError("m_pixels must be at least 1")
-        if not self.c_theta >= 0:
-            raise ConfigError("c_theta must be non-negative")
+        if not 0.0 <= self.c_theta < math.inf:
+            raise ConfigError("c_theta must be finite and non-negative")
         self.margins.check_classes(self.stats)
 
     @property

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 domain error (vacuous bound, NaN loss, bad data),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +55,13 @@ def _sweep_eval_every(text: str) -> int:
     if text.isdecimal() and int(text) > 0:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be positive (each row is a val mIoU), got {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0.0 <= (tol := float(text)) < math.inf:
+            return tol
+    raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
 
 
 def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
@@ -157,9 +166,8 @@ def _training_runs(args, loss_name: str):
     def train_once(tau: float, upsilon: float):
         margins = (compute_margins(stats, tau=tau, upsilon=upsilon)
                    if loss_name == "margin_calibration" else None)
-        # `train` updates parameters in place, so every run starts from a copy
-        model = PixelMLP(*(p.copy() for p in init.params()))
-        return train(model, train_feats, train_masks, cfg, margins=margins,
+        # `train` updates parameters in place; the constructor copies them
+        return train(PixelMLP(*init.params()), train_feats, train_masks, cfg, margins=margins,
                      val_features=val_feats, val_masks=val_masks)
 
     return train_once
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSS_NAMES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--batches", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 
     # no abbreviations: `--tau` would otherwise be taken as `--tau-grid`

@@ -29,16 +29,10 @@ RATIO_RTOL = 1e-10
 
 @dataclass
 class MarginOffsets:
-    """Per-class margin-offsets rho_0k and rho_k0; mu_k = rho_k0/rho_0k.
-
-    ``corollary_ok`` is False when the offsets were loaded from a hand-edited
-    file that no longer satisfies the optimal pairwise ratios; such overrides
-    are allowed for ablation experiments.
-    """
+    """Per-class margin-offsets rho_0k and rho_k0; mu_k = rho_k0/rho_0k."""
 
     rho_0k: np.ndarray
     rho_k0: np.ndarray
-    corollary_ok: bool = True
 
     def __post_init__(self) -> None:
         self.rho_0k = np.asarray(self.rho_0k, dtype=np.float64)
@@ -86,8 +80,9 @@ def compute_margins(
 
     Raises when tau or upsilon is not finite and positive, when a class is
     empty, when the dataset is single-class (the offsets degenerate to
-    zero), or when upsilon is too small to keep every mu_k denominator
-    positive.
+    zero), when upsilon is too small to keep every mu_k denominator
+    positive, or when tau and upsilon put an offset of some class outside
+    float64's normal range (naming the first such class).
     """
     if not (0 < tau < math.inf and 0 < upsilon < math.inf):
         raise ConfigError("tau and upsilon must be finite and positive")
@@ -101,16 +96,24 @@ def compute_margins(
         )
     p_k = n_k / n
     rest = np.sqrt(n - n_k)
-    mu_den = upsilon * (n - n_k) - p_k * rest
-    if np.any(mu_den <= 0):
-        upsilon_min = float(np.max(p_k / rest))
-        raise ConfigError(
-            f"mu underflow: upsilon={upsilon:g} makes a mu_k denominator "
-            f"non-positive; use upsilon > {upsilon_min:.6g}"
-        )
-    mu_k = p_k * np.sqrt(n_k) / mu_den
-    rho_0k = tau * rest / n_k
-    rho_k0 = mu_k * rho_0k
+    with np.errstate(all="ignore"):  # an offset out of range is named below
+        mu_den = upsilon * (n - n_k) - p_k * rest
+        if np.any(mu_den <= 0):
+            upsilon_min = float(np.max(p_k / rest))
+            raise ConfigError(
+                f"mu underflow: upsilon={upsilon:g} makes a mu_k denominator "
+                f"non-positive; use upsilon > {upsilon_min:.6g}"
+            )
+        mu_k = p_k * np.sqrt(n_k) / mu_den
+        rho_0k = tau * rest / n_k
+        rho_k0 = mu_k * rho_0k
+    # a subnormal offset has lost digits: its mu_k = rho_k0/rho_0k is off
+    normal = np.finfo(np.float64).tiny
+    in_range = (normal <= rho_0k) & (rho_0k < math.inf) & (normal <= rho_k0) & (rho_k0 < math.inf)
+    if not in_range.all():
+        raise ConfigError(f"tau={float(tau)!r} and upsilon={float(upsilon)!r} put the "
+                          f"margin-offsets of class {int(np.flatnonzero(~in_range)[0])} "
+                          "outside float64's normal range")
     return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0)
 
 
@@ -147,8 +150,9 @@ def read_margins_csv(path) -> tuple[MarginOffsets, LabelStats]:
 
     An empty class and a broken structural invariant (positivity, finiteness,
     a ``mu_k`` column that misses rho_k0/rho_0k at the file's precision) are
-    hard errors.  A violated optimal-ratio condition only clears the
-    ``corollary_ok`` flag so hand-edited allocations stay loadable.
+    hard errors.  Offsets that break the optimal pairwise ratios (a
+    hand-edited allocation for an ablation) load as they are;
+    ``verify_corollary_ratios`` tells them apart.
     """
     counts, (_, mu, rho_0k, rho_k0) = read_class_csv(path, MARGINS_CSV_HEADER, "margins")
     stats = LabelStats(counts)
@@ -165,6 +169,4 @@ def read_margins_csv(path) -> tuple[MarginOffsets, LabelStats]:
         raise FormatError(
             "margins CSV violates a structural invariant: mu_k != rho_k0/rho_0k"
         )
-    margins = MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0)
-    margins.corollary_ok = verify_corollary_ratios(margins, stats)[0]
-    return margins, stats
+    return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0), stats

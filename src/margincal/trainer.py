@@ -31,14 +31,22 @@ from .team import _Team, process_count, run_walk, shared_arrays
 MODEL_MAGIC = b"PMC1"
 
 
-@dataclass
 class PixelMLP:
-    """Two-layer per-pixel scorer: scores = relu(x @ w1 + b1) @ w2 + b2."""
+    """Two-layer per-pixel scorer: scores = relu(x @ w1 + b1) @ w2 + b2.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    The parameters live once, in ``flat``: a float64 vector of w1, b1, w2
+    and b2 in C order, the layout of the step team's shared parameters, a
+    step's gradient and a model file's payload.  ``layers`` are its stacked
+    [w1; b1] and [w2; b2] views (``_layers``), and w1, b1, w2 and b2 views
+    of those, so a write through any of them is a write to ``flat``.  The
+    constructor copies its arguments.
+    """
+
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> None:
+        (self.d, self.hidden), self.k_classes = np.shape(w1), np.shape(w2)[1]
+        self.flat = np.concatenate([np.ravel(p) for p in (w1, b1, w2, b2)], dtype=np.float64)
+        self.layers = _layers(self.flat, self.d, self.hidden, self.k_classes)
+        (self.w1, self.b1), (self.w2, self.b2) = ((m[:-1], m[-1]) for m in self.layers)
 
     @classmethod
     def init(cls, d: int, hidden: int, k_classes: int, seed: int) -> "PixelMLP":
@@ -48,30 +56,15 @@ class PixelMLP:
         w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, k_classes))
         return cls(w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(k_classes))
 
-    @property
-    def d(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def k_classes(self) -> int:
-        return self.w2.shape[1]
-
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
 
-    def layers(self) -> tuple[np.ndarray, np.ndarray]:
-        return _layers(np.concatenate([p.ravel() for p in self.params()]), self.d, self.hidden)
 
-
-def _layers(params: np.ndarray, d: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (d + 1, hidden) [w1; b1] and (hidden + 1, K) [w2; b2] views of a
+def _layers(params: np.ndarray, d: int, hidden: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (d + 1, hidden) [w1; b1] and (hidden + 1, k) [w2; b2] views of a
     flat (w1, b1, w2, b2) ``params``, such as a gradient row."""
     split = (d + 1) * hidden
-    return params[:split].reshape(d + 1, hidden), params[split:].reshape(hidden + 1, -1)
+    return params[:split].reshape(d + 1, hidden), params[split:].reshape(hidden + 1, k)
 
 
 def _check_dims(d: int, hidden: int, k_classes: int) -> None:
@@ -87,7 +80,7 @@ class _Forward:
     what, width = "forward", 0
 
     def __init__(self, model: PixelMLP, x: np.ndarray) -> None:
-        self.layers, self.x = model.layers(), x
+        self.layers, self.x = model.layers, x
         self.n_blocks = -(-x.shape[0] // BLOCK_PX)
         self.scores = shared_arrays((np.float64, (model.k_classes, x.shape[0])))[0]
 
@@ -191,16 +184,6 @@ def backward(layers, x: np.ndarray, act: np.ndarray, grad_scores: np.ndarray,
     return np.matmul(x.T, gpre.T, out=out[0]), gw2
 
 
-def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of consecutive stretches of ``flat`` with the given shapes."""
-    views, pos = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[pos : pos + size].reshape(shape))
-        pos += size
-    return views
-
-
 def _block_plan(masks: MaskBatch, image_ids: np.ndarray) -> list:
     """(ids, start, stop) of each block of at most BLOCK_PX pixels of the
     images ``image_ids`` (an index array), in order: whole images grouped
@@ -273,7 +256,7 @@ class _Step:
             fg, bg = np.zeros(k_cls), np.zeros(k_cls)
             kernel(scores.T, onehot, valid, grad, fg, bg, *args)
             row[1] = fg.sum() + bg.sum()
-        backward(self.layers, x, act, grad.T, gpre, _layers(row[2:], d1 - 1, hidden))
+        backward(self.layers, x, act, grad.T, gpre, _layers(row[2:], d1 - 1, hidden, k_cls))
 
 
 class _StepTeam(_Team):
@@ -300,12 +283,11 @@ class _StepTeam(_Team):
         n_valid = [_check_split(model, *split) for split in [(features, masks), *splits]]
         if 0 in n_valid[2:]:  # splits[1:]: train's val split
             raise ShapeError("the val split has no valid pixels")
-        kernel, args = _pixel_kernel(loss_name, margins, model.k_classes)
-        self.shapes = [p.shape for p in model.params()]
+        k_cls = model.k_classes
+        kernel, args = _pixel_kernel(loss_name, margins, k_cls)
         params, ids, slopes = shared_arrays(
-            (np.float64, sum(p.size for p in model.params())), (np.int64, max_ids),
-            (np.float64, (2, model.k_classes, 1)))
-        layers, k_cls = _layers(params, model.d, model.hidden), model.k_classes
+            (np.float64, model.flat.size), (np.int64, max_ids), (np.float64, (2, k_cls, 1)))
+        layers = _layers(params, model.d, model.hidden, k_cls)
         self.params, self.ids, self.max_ids, self.slopes = params, ids, max_ids, slopes
         self.weights = args if kernel is _tversky_slopes else None
         step = (kernel, args) if self.weights is None else (_tversky_vjp, slopes)
@@ -329,11 +311,12 @@ class _StepTeam(_Team):
 
     def _load(self, model: PixelMLP) -> None:
         """Copy ``model``'s parameters into the helpers' shared memory."""
-        np.concatenate([p.reshape(-1) for p in model.params()], out=self.params)
+        self.params[:] = model.flat
 
-    def gradients(self, model: PixelMLP, image_ids) -> tuple[float, list[np.ndarray]]:
-        """Loss and parameter gradients of the batch of whole images
-        ``image_ids`` at ``model``'s parameters.  The pixel-wise losses are
+    def gradients(self, model: PixelMLP, image_ids) -> tuple[float, np.ndarray]:
+        """Loss and gradient of the batch of whole images ``image_ids`` at
+        ``model``'s parameters; the gradient is a vector in ``PixelMLP.flat``'s
+        layout, a view of the walk's folded row.  The pixel-wise losses are
         means over valid pixels; soft Dice and Tversky take the loss and the
         slopes of the step's walk from the sums of a walk before it.  The
         blocks' rows are summed in block order, so the result is bitwise the
@@ -346,10 +329,10 @@ class _StepTeam(_Team):
         n_valid = _require_valid(int(total[0]))
         if self.weights is None:
             total /= n_valid
-            return float(total[1]), _unflatten(total[2:], self.shapes)
+            return float(total[1]), total[2:]
         per_class, u, v = _tversky_slopes(*total[1:].reshape(3, -1), *self.weights)
         self.slopes[:] = u, v
-        return float(per_class.sum()), _unflatten(self.map(n_ids)[2:], self.shapes)
+        return float(per_class.sum()), self.map(n_ids)[2:]
 
     def evaluate(self, model: PixelMLP, split: int, epoch: int) -> MetricsReport:
         """``evaluate(model, *splits[split])``, bitwise, with no fork; a failure
@@ -404,7 +387,7 @@ def evaluate(model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
     _check_split(model, features, masks)
     if margins is not None:
         _check_margins(margins, model.k_classes)
-    walk = _Counts(_model_scores(model.layers(), features, masks), model.k_classes, masks,
+    walk = _Counts(_model_scores(model.layers, features, masks), model.k_classes, masks,
                    margins, "evaluate")
     return _report(run_walk(walk), model.k_classes, margins, stats)
 
@@ -418,19 +401,20 @@ def train(
     val_features: Optional[FeatureBatch] = None,
     val_masks: Optional[MaskBatch] = None,
 ) -> tuple[PixelMLP, list[TrainLogRecord]]:
-    """Mini-batch SGD with momentum on the configured loss.
-
-    Batches are whole images; their order reshuffles every epoch from the
-    seeded generator.  For the margin-calibration loss the offsets must be
-    precomputed from training-split statistics and passed in.  The run's
-    inputs are checked once, before any helper is forked: a val split with
-    features but no masks, or masks but no features, and missing offsets
-    raise ConfigError; the step team (``_StepTeam``) raises ShapeError for
-    an empty training split, offsets for another K, features that do not fit
-    the masks or the model or a label out of range in the training split or
-    (if ``eval_every``) the val split, and such a val split with no valid
-    pixel.  Whatever a step raises becomes TrainError naming the epoch, batch
-    and loss, and whatever an evaluation raises, naming the epoch and split.
+    """Mini-batch SGD with momentum on the configured loss: each step
+    updates one velocity vector and ``model.flat`` in place, with three
+    vector operations.  Batches are whole images; their order reshuffles
+    every epoch from the seeded generator.  For the margin-calibration loss
+    the offsets must be precomputed from training-split statistics and
+    passed in.  The run's inputs are checked once, before any helper is
+    forked: a val split with features but no masks, or masks but no
+    features, and missing offsets raise ConfigError; the step team
+    (``_StepTeam``) raises ShapeError for an empty training split, offsets
+    for another K, features that do not fit the masks or the model or a
+    label out of range in the training split or (if ``eval_every``) the val
+    split, and such a val split with no valid pixel.  Whatever a step raises
+    becomes TrainError naming the epoch, batch and loss, and whatever an
+    evaluation raises, naming the epoch and split.
 
     The steps and evaluations run on every usable core: ``train`` forks one
     helper process per extra core, up to one per block of the largest step
@@ -444,7 +428,7 @@ def train(
     """
     rng = np.random.default_rng(cfg.seed)
     n_images = train_masks.n_images
-    velocity = [np.zeros_like(p) for p in model.params()]
+    velocity = np.zeros_like(model.flat)
     log: list[TrainLogRecord] = []
     started = time.perf_counter()
     if (val_features is None) != (val_masks is None):
@@ -460,15 +444,14 @@ def train(
             for start in range(0, n_images, cfg.batch_images):
                 where = f"at epoch {epoch}, batch {n_batches} ({cfg.loss_name})"
                 try:
-                    value, grads = team.gradients(model, order[start : start + cfg.batch_images])
+                    value, grad = team.gradients(model, order[start : start + cfg.batch_images])
                 except MarginCalError as exc:
                     raise TrainError(f"{exc} {where}") from exc
                 if not np.isfinite(value):
                     raise TrainError(f"NaN loss {where}")
-                for p, v, g in zip(model.params(), velocity, grads):
-                    v *= cfg.momentum
-                    v += g
-                    p -= cfg.learning_rate * v
+                velocity *= cfg.momentum
+                velocity += grad
+                model.flat -= cfg.learning_rate * velocity
                 epoch_loss += value
                 n_batches += 1
             if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
@@ -491,10 +474,7 @@ def train(
 
 def save_model(model: PixelMLP, path) -> None:
     header = MODEL_MAGIC + struct.pack("<III", model.d, model.hidden, model.k_classes)
-    blob = b"".join(
-        np.ascontiguousarray(p, dtype="<f8").tobytes() for p in model.params()
-    )
-    Path(path).write_bytes(header + blob)
+    Path(path).write_bytes(header + model.flat.astype("<f8").tobytes())
 
 
 def load_model(path) -> PixelMLP:
@@ -511,9 +491,8 @@ def load_model(path) -> PixelMLP:
         raise ConfigError(
             f"model payload has {len(body)} bytes, expected {expected}"
         )
-    shapes = ((d, hidden), (hidden,), (hidden, k), (k,))
-    flat = np.frombuffer(body, dtype="<f8")
-    return PixelMLP(*(p.astype(np.float64) for p in _unflatten(flat, shapes)))
+    layers = _layers(np.frombuffer(body, "<f8"), d, hidden, k)
+    return PixelMLP(layers[0][:-1], layers[0][-1], layers[1][:-1], layers[1][-1])
 
 
 TRAIN_LOG_HEADER = ["epoch", "train_loss", "train_miou", "val_miou", "seconds"]

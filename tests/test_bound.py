@@ -153,8 +153,8 @@ class TestEvaluateEpsilon:
         with pytest.raises(ConfigError):
             BoundConfig(stats=stats, margins=margins, m_pixels=0, eta=0.05,
                         c_theta=1.0)
-        for c_theta in (-1.0, float("nan")):
-            with pytest.raises(ConfigError, match="^c_theta must be non-negative$"):
+        for c_theta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="^c_theta must be finite and non-negative$"):
                 BoundConfig(stats=stats, margins=margins, m_pixels=64, eta=0.05,
                             c_theta=c_theta)
 

@@ -162,8 +162,11 @@ class TestMalformedCsvNumbers:
 
 
 class TestNanSettings:
-    """A NaN setting fails the check of the rule it breaks: exit 1 with that
-    rule's message, no numpy warning and no traceback."""
+    """A NaN setting, or a finite one out of its rule's range, fails the
+    check of the rule it breaks: exit 1 with that rule's message, no numpy
+    warning and no traceback.  Before, the out-of-range ones failed on a
+    later symptom, ``--tau 1e308`` and ``--upsilon 1e308`` after a numpy
+    overflow warning."""
 
     @pytest.mark.parametrize("argv, message", [
         (["gen", "--n-images", "2", "--ratios", "nan,0.5,0.5"],
@@ -178,9 +181,20 @@ class TestNanSettings:
         (["margins", "--upsilon", "nan"], "tau and upsilon must be finite and positive"),
         (["train", *SMALL_TRAIN, "--tau", "nan"], "tau and upsilon must be finite and positive"),
         (["train", *SMALL_TRAIN, "--upsilon", "nan"], "tau and upsilon must be finite and positive"),
-        (["bound", "--m-pixels", "1", "--c-theta", "nan"], "c_theta must be non-negative"),
+        (["bound", "--m-pixels", "1", "--c-theta", "nan"],
+         "c_theta must be finite and non-negative"),
+        (["margins", "--tau", "1e308"], "tau=1e+308 and upsilon=1.0 put the margin-offsets of "
+                                        "class 0 outside float64's normal range"),
+        (["margins", "--upsilon", "1e308"], "tau=10.0 and upsilon=1e+308 put the margin-offsets "
+                                            "of class 0 outside float64's normal range"),
+        (["margins", "--tau", "1e-320"], "tau=1e-320 and upsilon=1.0 put the margin-offsets of "
+                                         "class 0 outside float64's normal range"),
+        (["bound", "--m-pixels", "1", "--c-theta", "inf"],
+         "c_theta must be finite and non-negative"),
     ], ids=["gen-ratio-0", "gen-ratio-1", "train-ratio", "gen-noise-sigma", "margins-tau",
-            "margins-upsilon", "train-tau", "train-upsilon", "bound-c-theta"])
+            "margins-upsilon", "train-tau", "train-upsilon", "bound-c-theta",
+            "margins-tau-overflows", "margins-upsilon-overflows", "margins-tau-underflows",
+            "bound-c-theta-inf"])
     def test_nan_setting_is_clean_error(self, tmp_path, capsys, argv, message):
         stats_csv, margins_csv = tmp_path / "stats.csv", tmp_path / "margins.csv"
         stats_csv.write_text("class_index,n_pixels,p_k\n0,90,0.9\n1,10,0.1\n")
@@ -446,6 +460,16 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "failed" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+    def test_a_tolerance_not_finite_and_non_negative_is_a_usage_error(self, capsys, tol):
+        """Before, NaN and -1 ran every check and then failed every loss."""
+        code = run(["gradcheck", "--loss", "cross_entropy", "--batches", "1", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --tol: must be finite and >= 0, "
+                                     f"got {tol!r}\n")
 
     @pytest.mark.parametrize("batches", ["0", "-3"])
     def test_no_batches_is_exit_one(self, capsys, batches):

@@ -18,7 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "margincal"
 
 #: the paper's checks: closed forms and brute-force searches the tests compare against
 ORACLES = {"rho_margin_loss", "rho_calibrated_log_loss", "rho_margin_objective",
-           "brute_force_allocation", "reparam_identity_check", "scaling_check"}
+           "brute_force_allocation", "reparam_identity_check", "scaling_check",
+           "verify_corollary_ratios"}
 
 
 def definitions(tree: ast.Module):

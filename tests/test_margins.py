@@ -1,4 +1,5 @@
 """Tests for margin-offset computation, ratio verification and CSV I/O."""
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -96,10 +97,24 @@ class TestComputeMargins:
             with pytest.raises(ConfigError, match="^tau and upsilon must be finite and positive$"):
                 compute_margins(stats, tau=tau, upsilon=upsilon)
 
+    @pytest.mark.parametrize("tau, upsilon, k", [
+        (1e308, 1.0, 0), (3e307, 1.0, 1), (10.0, 1e308, 0), (1e-320, 1.0, 0), (1e-306, 1.0, 1),
+    ], ids=["tau-overflows", "tau-overflows-class-1", "upsilon-overflows", "tau-subnormal",
+            "tau-subnormal-class-1"])
+    def test_offsets_outside_float64_fail_their_own_rule(self, tau, upsilon, k):
+        """Finite settings whose offsets overflow, or underflow to subnormal
+        numbers or 0, name the first such class, with no numpy warning.
+        Before, they failed as "rho_0k contains non-finite values" or
+        "rho_k0 must be strictly positive", or passed with a subnormal mu_k."""
+        message = (f"tau={tau!r} and upsilon={upsilon!r} put the margin-offsets of class {k} "
+                   "outside float64's normal range")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            compute_margins(LabelStats([90, 10]), tau=tau, upsilon=upsilon)
+
     def test_mu_is_derived_from_the_offsets(self):
         """mu_k is rho_k0/rho_0k bit for bit and the closed form to 1e-12;
         the offsets are all that MarginOffsets stores."""
-        assert [f.name for f in fields(MarginOffsets)] == ["rho_0k", "rho_k0", "corollary_ok"]
+        assert [f.name for f in fields(MarginOffsets)] == ["rho_0k", "rho_k0"]
         rng = np.random.default_rng(4)
         for _ in range(20):
             counts = rng.integers(1, 100_000, size=5)
@@ -189,7 +204,7 @@ class TestMarginsCsv:
         np.testing.assert_allclose(back.rho_0k, m.rho_0k, rtol=1e-10)
         np.testing.assert_allclose(back.rho_k0, m.rho_k0, rtol=1e-10)
         np.testing.assert_allclose(back.mu_k, m.mu_k, rtol=1e-10)
-        assert back.corollary_ok
+        assert verify_corollary_ratios(back, back_stats)[0]
         np.testing.assert_array_equal(back_stats.n_per_class, stats.n_per_class)
 
     def test_negative_offset_rejected(self, tmp_path):
@@ -206,7 +221,8 @@ class TestMarginsCsv:
 
     def test_manual_override_loads_with_warning_flag(self, tmp_path):
         """Hand-edited allocations violating the optimal ratios stay loadable,
-        flagged as non-optimal, so ablations can reuse the file format."""
+        so ablations can reuse the file format; the ratio check finds them
+        non-optimal."""
         stats = LabelStats([90, 10])
         m = compute_margins(stats, tau=10.0, upsilon=1.0)
         hand = MarginOffsets(
@@ -215,8 +231,8 @@ class TestMarginsCsv:
         )
         path = tmp_path / "margins.csv"
         write_margins_csv(hand, stats, path)
-        back, _ = read_margins_csv(path)
-        assert not back.corollary_ok
+        back, back_stats = read_margins_csv(path)
+        assert not verify_corollary_ratios(back, back_stats)[0]
         np.testing.assert_allclose(back.rho_0k, [1.0, 1.0], rtol=1e-10)
 
     def test_offsets_whose_ratio_underflows_rejected(self, tmp_path):

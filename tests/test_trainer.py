@@ -43,18 +43,23 @@ from margincal.trainer import (
 from test_metrics import recount, tied_case
 
 
+def split_layers(layers):
+    """(w1, b1, w2, b2) of stacked [w1; b1] and [w2; b2], such as ``backward``'s."""
+    return [p for stacked in layers for p in (stacked[:-1], stacked[-1])]
+
+
+def split_flat(flat, model):
+    """(w1, b1, w2, b2) views of a vector in ``model.flat``'s layout."""
+    return split_layers(trainer_module._layers(flat, model.d, model.hidden, model.k_classes))
+
+
 def dense_pass(model, x):
     """``_forward_cache``'s (n, K) scores of the (n, d) features ``x`` at
     ``model``, and a function from an upstream (n, K) gradient to
     ``backward``'s gradients of (w1, b1, w2, b2)."""
-    layers, xa = model.layers(), _block_input([x.T])
+    layers, xa = model.layers, _block_input([x.T])
     scores, act = _forward_cache(layers, xa)
-
-    def grads(upstream):
-        flat = np.concatenate([g.reshape(-1) for g in backward(layers, xa, act, upstream)])
-        return trainer_module._unflatten(flat, [p.shape for p in model.params()])
-
-    return scores, grads
+    return scores, lambda upstream: split_layers(backward(layers, xa, act, upstream))
 
 
 def tiny_dataset(seed=0, n_images=8, size=16, noise=0.05):
@@ -282,9 +287,10 @@ class TestTrain:
 
 
 def step_gradients(model, feats, masks, ids, loss_name, margins=None):
-    """Loss and gradients of one training step over the images ``ids``."""
+    """Loss and gradients of (w1, b1, w2, b2) of one training step over the images ``ids``."""
     with trainer_module._StepTeam(model, feats, masks, loss_name, margins, len(ids)) as team:
-        return team.gradients(model, ids)
+        value, grad = team.gradients(model, ids)
+    return value, split_flat(grad, model)
 
 
 class TestBlockedStep:
@@ -448,7 +454,7 @@ class TestBlockedStep:
         block-sized array: one (hidden, b) float64 array would be 512 KB,
         its bool relu mask 64 KB, and a copy of the block's input 288 KB."""
         feats, _ = tiny_dataset(n_images=1, size=64)
-        layers = PixelMLP.init(FEATURE_DIM, 16, 3, seed=0).layers()
+        layers = PixelMLP.init(FEATURE_DIM, 16, 3, seed=0).layers
         xa, act, gpre = (np.empty((rows, BLOCK_PX)) for rows in (FEATURE_DIM + 1, 17, 16))
         grads = (np.empty((FEATURE_DIM + 1, 16)), np.empty((17, 3)))
         x = _block_input([feats.features.T], xa)
@@ -514,6 +520,34 @@ class TestBlockedStep:
             runs.append(train(model, feats, masks, cfg, margins=margins)[0])
         for p, q in zip(runs[0].params(), runs[1].params()):
             np.testing.assert_array_equal(p, q)
+
+    @pytest.mark.parametrize("loss_name", ["margin_calibration", "tversky"])
+    def test_train_is_sgd_over_four_separate_arrays(self, loss_name):
+        """A reference loop keeps w1, b1, w2 and b2 and their velocities as
+        separate arrays and updates each from the step team's gradients in
+        ``train``'s image order; after 3 epochs (batches of 3, 3 and 1
+        images) ``train``'s one-vector update gives the same bits.  Tversky
+        takes two walks per step."""
+        feats, masks = tiny_dataset(seed=5, n_images=7)
+        margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
+        cfg = TrainConfig(loss_name=loss_name, epochs=3, batch_images=3, learning_rate=0.1,
+                          momentum=0.9, seed=3, eval_every=0)
+        init = PixelMLP.init(FEATURE_DIM, 8, 3, seed=1)
+        params = [p.copy() for p in init.params()]
+        velocity = [np.zeros_like(p) for p in params]
+        rng = np.random.default_rng(cfg.seed)
+        with trainer_module._StepTeam(init, feats, masks, loss_name, margins, 3) as team:
+            for _ in range(cfg.epochs):
+                order = rng.permutation(masks.n_images)
+                for start in range(0, masks.n_images, cfg.batch_images):
+                    probe = PixelMLP(*params)
+                    _, grad = team.gradients(probe, order[start : start + cfg.batch_images])
+                    for p, v, g in zip(params, velocity, split_flat(grad, probe)):
+                        v *= cfg.momentum
+                        v += g
+                        p -= cfg.learning_rate * v
+        model, _ = train(PixelMLP(*init.params()), feats, masks, cfg, margins)
+        assert [p.tobytes() for p in model.params()] == [p.tobytes() for p in params]
 
 
 def oracle_step(model, x, labels, ignore_index=255):
@@ -676,6 +710,22 @@ class TestModelPersistence:
         for p, q in zip(model.params(), back.params()):
             np.testing.assert_array_equal(p, q)
         assert (back.d, back.hidden, back.k_classes) == (FEATURE_DIM, 16, 5)
+
+    def test_the_payload_is_the_flat_vector_the_views_write_to(self, tmp_path):
+        """``save_model`` writes ``model.flat``; a write through ``w2`` shows
+        in ``layers[1]`` and in the file; the constructor copies its arguments."""
+        rng = np.random.default_rng(0)
+        w1, b1, w2, b2 = (rng.normal(size=s) for s in ((FEATURE_DIM, 4), (4,), (4, 3), (3,)))
+        want = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+        model = PixelMLP(w1, b1, w2, b2)
+        w1[0, 0] = b2[1] = 99.0  # after the constructor: not the model's
+        model.w2[1, 2] = want[(FEATURE_DIM + 1) * 4 + 1 * 3 + 2] = 7.5
+        assert model.layers[1][1, 2] == 7.5
+        np.testing.assert_array_equal(model.flat, want)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in model.params()]), want)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert path.read_bytes()[16:] == model.flat.astype("<f8").tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
