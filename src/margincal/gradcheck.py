@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .losses import ScoreBatch, loss_by_name
+from .losses import _block_rows, _walk, loss_of
 from .margins import compute_margins
-from .segdata import LabelStats, MaskBatch
+from .segdata import LabelStats
 from .team import _Team, process_count, shared_arrays
 
 FD_STEP = 1e-5
@@ -61,28 +61,30 @@ def _random_case(rng: np.random.Generator):
 
 class _Checks:
     """``check_losses``' walk: block i checks batch i % n_batches of loss
-    i // n_batches and writes its largest relative error to ``errors[i]``,
-    in shared memory; its result row is empty."""
+    i // n_batches as one class-major block (``losses._walk``) and writes
+    its largest relative error to ``errors[i]``, in shared memory; its
+    result row is empty."""
 
     what, width = "a gradient check", 0
 
-    def __init__(self, loss_fns: list, cases: list, margins) -> None:
-        self.loss_fns, self.cases, self.margins = loss_fns, cases, margins
-        self.n_blocks = len(loss_fns) * len(cases)
+    def __init__(self, losses: list, cases: list) -> None:
+        self.losses, self.cases = losses, cases
+        self.n_blocks = len(losses) * len(cases)
         self.errors = shared_arrays((np.float64, (self.n_blocks,)))[0]
 
     def run(self, i: int, row: np.ndarray) -> None:
-        loss_fn = self.loss_fns[i // len(self.cases)]
+        loss = self.losses[i // len(self.cases)]
         scores, labels = self.cases[i % len(self.cases)]
         scores = scores.copy()  # a loss raising inside fd_gradient leaves an entry perturbed
-        mask = MaskBatch(labels=labels, width=N_PIXELS, height=1, n_images=1)
+        onehot = _block_rows(labels, np.ones(N_PIXELS, bool), K_CLASSES)[0]
 
-        def value(arr: np.ndarray) -> float:
-            return loss_fn(ScoreBatch(scores=arr), mask, self.margins).value
+        def result(arr: np.ndarray):
+            block = (slice(None), np.ascontiguousarray(arr.T), onehot, None)
+            return _walk(loss, lambda: [block], K_CLASSES, N_PIXELS)
 
-        analytic = loss_fn(ScoreBatch(scores=scores), mask, self.margins).grad
+        analytic = result(scores).grad
         # h by keyword: perfbench's self-test wraps fd_gradient as (value_fn, scores, h)
-        numeric = fd_gradient(value, scores, h=FD_STEP)
+        numeric = fd_gradient(lambda arr: result(arr).value, scores, h=FD_STEP)
         self.errors[i] = relative_errors(analytic, numeric).max()
 
 
@@ -92,20 +94,20 @@ def check_losses(names, seed: int, n_batches: int = 50) -> list[GradCheckResult]
     batches of N_PIXELS pixels and K_CLASSES classes, with every class present
     in each batch.  Each (loss, batch) check is one block of a walk on every
     usable core (``team``); a failing check raises as it would in a run of
-    every check in order, and nothing is forked for fewer than two checks.
-    A NaN error in any batch makes its loss's error NaN."""
+    every check in order, and nothing is forked for fewer than two checks or
+    an unknown name.  A NaN error in any batch makes its loss's error NaN."""
     if n_batches < 1:
         raise ConfigError(f"need at least one batch to check; got {n_batches}")
-    loss_fns = [loss_by_name(name) for name in names]
+    margins = compute_margins(LabelStats([90, 7, 3]), tau=2.0, upsilon=1.0)
+    losses = [loss_of(name, margins, K_CLASSES) for name in names]
     rng = np.random.default_rng(seed)
     cases = [_random_case(rng) for _ in range(n_batches)]
-    margins = compute_margins(LabelStats([90, 7, 3]), tau=2.0, upsilon=1.0)
-    walk = _Checks(loss_fns, cases, margins)
+    walk = _Checks(losses, cases)
     with _Team(lambda job: walk, min(process_count(), walk.n_blocks) - 1,
                walk.n_blocks, walk.width) as team:
         team.map()
     # numpy's max keeps a NaN error, which Python's max would drop
-    errors = walk.errors.reshape(len(loss_fns), n_batches).max(axis=1)
+    errors = walk.errors.reshape(len(losses), n_batches).max(axis=1)
     return [GradCheckResult(loss_name=name, max_rel_err=float(err),
                             n_probes=n_batches * N_PIXELS * K_CLASSES)
             for name, err in zip(names, errors)]

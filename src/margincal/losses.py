@@ -10,11 +10,13 @@ All losses are pure functions of (scores, labels); reductions run in a fixed
 order so repeated evaluations are bitwise identical.  Every loss reads the
 batch class-major, in (K, BLOCK_PX) blocks whose temporaries stay in cache,
 with row-wise numpy operations only (per-class sums over pixels are one
-``np.vecdot`` of two (K, b) arrays): the margin objectives, cross-entropy and
-focal sum per-pixel terms block by block, and soft Dice (Tversky at alpha =
-beta = 1/2) and Tversky walk the blocks twice, for their per-class sums and
-for the gradient.  A training step runs the same block kernels (``_pixel_kernel``),
-which write sums: only ``_pixelwise`` and ``_StepTeam.gradients`` normalise them.
+``np.vecdot`` of two (K, b) arrays).  ``loss_of`` describes a loss once;
+``block_loss`` runs one block of a walk into the block's row of sums, and
+``batch_loss`` runs a batch's walks and normalises their folded row: one walk
+for the margin objective, cross-entropy and focal, two for soft Dice (Tversky
+at alpha = beta = 1/2) and Tversky, for their per-class sums and then the
+gradient.  A training step (``trainer._StepTeam``), ``gradcheck`` and the
+public loss functions (through ``_walk``) all take this one path.
 """
 from __future__ import annotations
 
@@ -159,22 +161,20 @@ def _block_rows(labels: np.ndarray, valid: np.ndarray, k_classes: int):
     return onehot, valid
 
 
-def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None, scores: bool = True):
+def _blocks(s: ScoreBatch, y: Optional[MaskBatch] = None):
     """The batch in class-major blocks of at most BLOCK_PX pixels, in pixel order.
 
     Yields (cols, sc, onehot, valid): the block's pixel slice, its (K, b)
-    scores (None unless ``scores``) and the ``_block_rows`` of its labels in
-    ``y``; without ``y`` the last two are None.
+    scores and the ``_block_rows`` of its labels in ``y``; without ``y`` the
+    last two are None.
     """
     for start in range(0, s.n_pixels, BLOCK_PX):
         cols = slice(start, start + BLOCK_PX)
-        onehot = block_valid = block_sc = None
+        onehot = block_valid = None
         if y is not None:
             labels = y.labels[cols]
             onehot, block_valid = _block_rows(labels, labels != y.ignore_index, s.k_classes)
-        if scores:
-            block_sc = np.ascontiguousarray(s.scores.T[:, cols])
-        yield cols, block_sc, onehot, block_valid
+        yield cols, np.ascontiguousarray(s.scores.T[:, cols]), onehot, block_valid
 
 
 def _require_valid(n_valid: int) -> int:
@@ -183,25 +183,69 @@ def _require_valid(n_valid: int) -> int:
     return n_valid
 
 
-def _pixelwise(loss, s: ScoreBatch, y: MaskBatch, n_valid: int) -> LossResult:
-    """Mean of a pixel-wise loss's terms over the batch's ``n_valid`` valid pixels.
+def block_loss(loss, sc, onehot, valid, grad, row, slopes=()) -> None:
+    """Block ``sc`` (class-major (K, b) scores, with its ``_block_rows``) of a walk
+    of ``loss`` (``loss_of``'s) into its zeroed ``row``, whose row[0] holds its
+    valid count n: the kernel writes d(sum of its terms)/d(sc) into ``grad``, and
+    the row becomes [n, value, fg(K), bg(K)], the terms' sum and per-class sums
+    on and off the label.  Soft Dice and Tversky take the ``slopes`` (u, v) of
+    their batch's sums, or with None run their sums walk, into [n, I, A, B]."""
+    kernel, args, _ = loss
+    k_cls = sc.shape[0]
+    if slopes is None:
+        _tversky_sums(sc, onehot, valid, grad, *row[1 : 1 + 3 * k_cls].reshape(3, k_cls))
+        return
+    fg, bg = row[2 : 2 + k_cls], row[2 + k_cls : 2 + 2 * k_cls]
+    kernel(sc, onehot, valid, grad, fg, bg, *args, *slopes)
+    row[1] = fg.sum() + bg.sum()
 
-    ``loss`` is a (kernel, args) pair from ``_pixel_kernel``.  On each block
-    of ``_blocks``, ``kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)``
-    writes d(sum of the block's terms)/d(scores) into its slice of the (K, n)
-    ``grad`` and adds the per-class term sums, by ``np.vecdot``, to ``fg``
-    (label class) and ``bg`` (the others).  The normalization comes last.
+
+def batch_loss(loss, walk) -> tuple[float, np.ndarray]:
+    """The value of ``loss`` (``loss_of``'s) over a batch, and its folded row.
+
+    ``walk(slopes)`` returns the sum, in block order, of ``block_loss``'s rows at
+    ``slopes`` over the batch.  A pixel-wise loss walks once and divides the row,
+    gradients included, by its valid count; soft Dice and Tversky walk for their
+    sums, take their per-class losses (the row's fg and value) and slopes from
+    those and walk for the gradient.  No valid pixel raises ShapeError.
     """
-    kernel, args = loss
-    grad = np.empty((s.k_classes, s.n_pixels))
-    scale = 1.0 / _require_valid(n_valid)
-    fg, bg = np.zeros(s.k_classes), np.zeros(s.k_classes)
-    for cols, sc, onehot, valid in _blocks(s, y):
-        kernel(sc, onehot, valid, grad[:, cols], fg, bg, *args)
-    grad *= scale
-    fg *= scale
-    bg *= scale
-    return LossResult(float(fg.sum() + bg.sum()), grad.T, fg, bg)
+    if loss[2] is None:
+        total = walk(())
+        total /= _require_valid(int(total[0]))
+        return float(total[1]), total
+    sums = walk(None)
+    _require_valid(int(sums[0]))
+    per_class, u, v = _tversky_slopes(*sums[1:].reshape(3, -1), *loss[2])
+    total = walk((u, v))
+    total[1], total[2 : 2 + per_class.size] = per_class.sum(), per_class
+    return float(total[1]), total
+
+
+def _walk(loss, blocks, k_cls: int, n_px: int) -> LossResult:
+    """``batch_loss`` of ``loss`` in one process over ``blocks()``, the (cols,
+    sc, onehot, valid) of a batch of ``n_px`` pixels (see ``_blocks``); the
+    folded row's tail is the (K, n_px) score gradient, written by columns."""
+    out = np.zeros(2 + 2 * k_cls + k_cls * n_px)
+    grad = out[2 + 2 * k_cls :].reshape(k_cls, n_px)
+
+    def walk(slopes):  # called once per kind of walk: a sums walk folds into its own row
+        width = 1 + 3 * k_cls if slopes is None else 2 + 2 * k_cls
+        total = np.zeros(width) if slopes is None else out
+        for cols, sc, onehot, valid in blocks():
+            row = np.zeros(width)
+            row[0] = np.count_nonzero(onehot)  # a valid pixel has one 1, an ignored one none
+            block_loss(loss, sc, onehot, valid, grad[:, cols], row, slopes)
+            total[:width] += row
+        return total
+
+    value, total = batch_loss(loss, walk)
+    return LossResult(value, grad.T, total[2 : 2 + k_cls], total[2 + k_cls : 2 + 2 * k_cls])
+
+
+def _public(name: str, s: ScoreBatch, y: MaskBatch, m: Optional[MarginOffsets] = None):
+    """The loss ``name`` of ``s`` and ``y``, by ``_walk`` over ``_blocks``."""
+    _check_pair(s, y)
+    return _walk(loss_of(name, m, s.k_classes), lambda: _blocks(s, y), s.k_classes, s.n_pixels)
 
 
 def _route_to_competitors(sc: np.ndarray, best: np.ndarray, g: np.ndarray,
@@ -221,7 +265,8 @@ def _route_to_competitors(sc: np.ndarray, best: np.ndarray, g: np.ndarray,
 
 
 def _margin_block(sc, onehot, valid, grad, fg, bg, rho_0k, rho_shift) -> None:
-    """Calibrated log-loss terms of one class-major block (see _pixelwise)."""
+    """Calibrated log-loss terms of one class-major block (see ``block_loss``),
+    at the (K, 1) columns rho_0k and rho_k0 - rho_0k."""
     best = _best_other(sc)
     off_label = 1.0 - onehot
     if valid is not None:
@@ -267,11 +312,6 @@ def _check_margin_pair(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> int:
     return n_valid
 
 
-def _margin_kernel(m: MarginOffsets):
-    """``_margin_block`` with its (K, 1) columns rho_0k and rho_k0 - rho_0k."""
-    return _margin_block, (m.rho_0k[:, None], (m.rho_k0 - m.rho_0k)[:, None])
-
-
 def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
     """Smoothed margin objective with its full analytic gradient.
 
@@ -281,8 +321,7 @@ def calibrated_log_loss(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossRe
     elsewhere.  The gradient chains through the margin's max term, routed to
     the single lowest-indexed best competitor of each (pixel, class) entry.
     """
-    n_valid = _check_margin_pair(s, y, m)  # before _margin_kernel reads m
-    return _pixelwise(_margin_kernel(m), s, y, n_valid)
+    return _public("margin_calibration", s, y, m)
 
 
 def rho_margin_objective(s: ScoreBatch, y: MaskBatch, m: MarginOffsets) -> LossResult:
@@ -350,7 +389,7 @@ def _cross_entropy_block(sc, onehot, valid, grad, fg, bg) -> None:
 
 def cross_entropy(s: ScoreBatch, y: MaskBatch) -> LossResult:
     """Mean softmax negative log-likelihood over non-ignored pixels."""
-    return _pixelwise((_cross_entropy_block, ()), s, y, _check_pair(s, y))
+    return _public("cross_entropy", s, y)
 
 
 def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
@@ -363,15 +402,12 @@ def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
     q = np.exp(log_q)  # at most 1, as log_q <= 0
     one_minus = 1.0 - q
     fg += onehot @ (-(one_minus ** gamma) * log_q)
-    # slope = q dL/dq = gamma q (1 - q)^(gamma - 1) log q - (1 - q)^gamma
-    if gamma > 0:
-        # 0 where 1 - q underflows (the limit of both terms is 0 there)
-        safe = one_minus > 1e-12
-        one_minus = np.where(safe, one_minus, 1.0)
-        slope = gamma * q * one_minus ** (gamma - 1.0) * log_q - one_minus ** gamma
-        slope *= safe
-    else:
-        slope = -1.0
+    # slope = q dL/dq = gamma q (1 - q)^(gamma - 1) log q - (1 - q)^gamma,
+    # 0 where 1 - q underflows (for gamma > 0 the limit of both terms is 0 there)
+    safe = one_minus > 1e-12
+    one_minus = np.where(safe, one_minus, 1.0)
+    slope = gamma * q * one_minus ** (gamma - 1.0) * log_q - one_minus ** gamma
+    slope *= safe
     # chain rule through softmax: dq/ds_j = q * (1[j = label] - p_j)
     grad *= -slope
     grad += onehot * slope
@@ -379,11 +415,9 @@ def _focal_block(sc, onehot, valid, grad, fg, bg, gamma) -> None:
         grad *= valid
 
 
-def focal(s: ScoreBatch, y: MaskBatch, gamma: float = BASELINE_FOCAL_GAMMA) -> LossResult:
+def focal(s: ScoreBatch, y: MaskBatch) -> LossResult:
     """Focal loss: NLL scaled by (1 - p_true)^gamma to emphasize hard pixels."""
-    if not gamma >= 0:
-        raise ConfigError("gamma must be non-negative")
-    return _pixelwise((_focal_block, (gamma,)), s, y, _check_pair(s, y))
+    return _public("focal", s, y)
 
 
 def _tversky_sums(sc, onehot, valid, p, inter, a, b) -> None:
@@ -401,10 +435,8 @@ def _tversky_slopes(inter, a, b, alpha: float, beta: float, eps: float):
     slope columns u, v of dL/dp_ik = u_k + v_k t_ik (FP = A - I, FN = B - I)."""
     k_cls, fn_weight = inter.size, 1.0 - alpha - beta
     per_class, u, v = [], [], []
-    for k, (i_k, a_k, b_k) in enumerate(zip(inter.tolist(), a.tolist(), b.tolist())):
+    for i_k, a_k, b_k in zip(inter.tolist(), a.tolist(), b.tolist()):
         denom = i_k + alpha * (a_k - i_k) + beta * (b_k - i_k) + eps  # Python floats
-        if denom == 0.0:
-            raise NumericError(f"Tversky denominator of class {k} is 0")
         index = (i_k + eps) / denom
         per_class.append((1.0 - index) / k_cls)
         u.append([alpha * index / denom / k_cls])
@@ -412,85 +444,45 @@ def _tversky_slopes(inter, a, b, alpha: float, beta: float, eps: float):
     return np.array(per_class), np.array(u), np.array(v)
 
 
-def _tversky_vjp(p: np.ndarray, onehot: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Tversky's VJP pass over one block: its p becomes dL/ds in place."""
+def _tversky_block(sc, onehot, valid, grad, fg, bg, u, v) -> None:
+    """Soft Dice's and Tversky's gradient pass at the slopes (u, v) of their
+    batch's sums: the block's softmax p into ``grad``, then dL/ds in place."""
+    _softmax_block(sc, grad, valid)
     dp = onehot * v
     dp += u
-    dp -= (dp * p).sum(axis=0)  # softmax VJP: p_j (dp_j - sum_k dp_k p_k)
-    p *= dp
+    dp -= (dp * grad).sum(axis=0)  # softmax VJP: p_j (dp_j - sum_k dp_k p_k)
+    grad *= dp
 
 
-def _tversky(s: ScoreBatch, y: MaskBatch, alpha: float, beta: float,
-             eps: float) -> LossResult:
-    """Tversky loss 1 - mean_k (I_k + eps)/(I_k + alpha FP_k + beta FN_k + eps)
-    in two passes over the blocks: ``_tversky_sums`` leaves p in the
-    gradient buffer, and ``_tversky_vjp`` turns it into the gradient."""
-    _require_valid(_check_pair(s, y))
-    k_cls = s.k_classes
-    grad = np.empty((k_cls, s.n_pixels))
-    inter, a, b = np.zeros(k_cls), np.zeros(k_cls), np.zeros(k_cls)
-    for cols, sc, onehot, block_valid in _blocks(s, y):
-        _tversky_sums(sc, onehot, block_valid, grad[:, cols], inter, a, b)
-    per_class, u, v = _tversky_slopes(inter, a, b, alpha, beta, eps)
-    for cols, _, onehot, _ in _blocks(s, y, scores=False):
-        _tversky_vjp(grad[:, cols], onehot, u, v)
-    return LossResult(float(per_class.sum()), grad.T, per_class, np.zeros(k_cls))
+def soft_dice(s: ScoreBatch, y: MaskBatch) -> LossResult:
+    """Soft Dice loss 1 - mean_k (2 I_k + eps)/(A_k + B_k + eps) on softmax scores:
+    Tversky at alpha = beta = 1/2 with half the eps, (I + eps/2)/(I + FP/2 + FN/2 + eps/2)."""
+    return _public("soft_dice", s, y)
 
 
-def _dice(eps: float) -> tuple[float, float, float]:
-    """Soft Dice as Tversky: (2I + eps)/(A + B + eps) = (I + eps/2)/(I + FP/2 + FN/2 + eps/2)."""
-    return 0.5, 0.5, 0.5 * eps
+def tversky(s: ScoreBatch, y: MaskBatch) -> LossResult:
+    """Tversky loss 1 - mean_k (I_k + eps)/(I_k + alpha FP_k + beta FN_k + eps):
+    soft Dice with separate false-positive/negative weights."""
+    return _public("tversky", s, y)
 
 
-def soft_dice(s: ScoreBatch, y: MaskBatch, eps: float = BASELINE_DICE_EPS) -> LossResult:
-    """Soft Dice loss 1 - mean_k (2 I_k + eps)/(A_k + B_k + eps) on softmax
-    scores: Tversky at ``_dice(eps)``."""
-    return _tversky(s, y, *_dice(eps))
-
-
-def tversky(
-    s: ScoreBatch,
-    y: MaskBatch,
-    alpha: float = BASELINE_TVERSKY_ALPHA,
-    beta: float = BASELINE_TVERSKY_BETA,
-    eps: float = BASELINE_DICE_EPS,
-) -> LossResult:
-    """Tversky loss: soft Dice with separate false-positive/negative weights."""
-    return _tversky(s, y, alpha, beta, eps)
-
-
-def _pixel_kernel(name: str, margins: Optional[MarginOffsets], k_classes: int):
-    """The (kernel, args) pair of the loss ``name`` at its default settings:
-    a pixel-wise loss's block kernel (see ``_pixelwise``), and for soft Dice
-    and Tversky, which couple every pixel of a batch, ``_tversky_slopes``
-    with its weights (alpha, beta, eps).  The margin-offsets are checked
-    against ``k_classes`` here, once; missing ones raise ConfigError."""
+def loss_of(name: str, margins: Optional[MarginOffsets], k_classes: int):
+    """The (kernel, args, weights) of the loss ``name`` at its settings: its
+    block kernel, the kernel's arguments and, for soft Dice and Tversky, which
+    couple every pixel of a batch, the (alpha, beta, eps) of ``_tversky_slopes``
+    (None for a pixel-wise loss).  The margin-offsets are checked against
+    ``k_classes`` here, once; missing ones and an unknown name raise ConfigError."""
     if name == "margin_calibration":
         _check_margins(margins, k_classes)
-        return _margin_kernel(margins)
+        return _margin_block, (margins.rho_0k[:, None],
+                               (margins.rho_k0 - margins.rho_0k)[:, None]), None
     if name == "cross_entropy":
-        return _cross_entropy_block, ()
+        return _cross_entropy_block, (), None
     if name == "focal":
-        return _focal_block, (BASELINE_FOCAL_GAMMA,)
+        return _focal_block, (BASELINE_FOCAL_GAMMA,), None
     if name == "soft_dice":
-        return _tversky_slopes, _dice(BASELINE_DICE_EPS)
-    return _tversky_slopes, (BASELINE_TVERSKY_ALPHA, BASELINE_TVERSKY_BETA, BASELINE_DICE_EPS)
-
-
-def loss_by_name(name: str):
-    """Map a loss name to a (scores, mask, margins) -> LossResult callable.
-
-    Baselines ignore the margins argument; it keeps one calling convention
-    for the gradient check.
-    """
-    if name == "margin_calibration":
-        return calibrated_log_loss
-    if name == "cross_entropy":
-        return lambda s, y, m: cross_entropy(s, y)
-    if name == "focal":
-        return lambda s, y, m: focal(s, y)
-    if name == "soft_dice":
-        return lambda s, y, m: soft_dice(s, y)
+        return _tversky_block, (), (0.5, 0.5, 0.5 * BASELINE_DICE_EPS)
     if name == "tversky":
-        return lambda s, y, m: tversky(s, y)
+        return _tversky_block, (), (BASELINE_TVERSKY_ALPHA, BASELINE_TVERSKY_BETA,
+                                    BASELINE_DICE_EPS)
     raise ConfigError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")

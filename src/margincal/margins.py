@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +30,8 @@ RATIO_RTOL = 1e-10
 
 @dataclass
 class MarginOffsets:
-    """Per-class margin-offsets rho_0k and rho_k0; mu_k = rho_k0/rho_0k."""
+    """Per-class margin-offsets rho_0k and rho_k0; mu_k = rho_k0/rho_0k.
+    Each is a positive normal float64: the lower bound divides by them."""
 
     rho_0k: np.ndarray
     rho_k0: np.ndarray
@@ -39,11 +41,10 @@ class MarginOffsets:
         self.rho_k0 = np.asarray(self.rho_k0, dtype=np.float64)
         if self.rho_0k.shape != self.rho_k0.shape:
             raise ConfigError("margin-offset arrays must share one shape")
-        for name, arr in (("rho_0k", self.rho_0k), ("rho_k0", self.rho_k0)):
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name} contains non-finite values")
-            if np.any(arr <= 0):
-                raise ConfigError(f"{name} must be strictly positive")
+        k = _first_abnormal(self.rho_0k, self.rho_k0)
+        if k is not None:
+            raise ConfigError(f"rho_0k and rho_k0 of class {k} must be positive normal "
+                              "float64 numbers")
 
     @property
     def mu_k(self) -> np.ndarray:
@@ -62,6 +63,13 @@ class MarginOffsets:
         if self.k_classes != stats.k_classes:
             raise ConfigError(f"margins and stats disagree on the number of classes "
                               f"({self.k_classes} and {stats.k_classes})")
+
+
+def _first_abnormal(rho_0k: np.ndarray, rho_k0: np.ndarray) -> Optional[int]:
+    """The first class with an offset that is not a positive normal float64, or None."""
+    normal = np.finfo(np.float64).tiny
+    ok = (normal <= rho_0k) & (rho_0k < math.inf) & (normal <= rho_k0) & (rho_k0 < math.inf)
+    return None if ok.all() else int(np.flatnonzero(~ok)[0])
 
 
 def _check_no_empty_class(stats: LabelStats) -> None:
@@ -107,13 +115,10 @@ def compute_margins(
         mu_k = p_k * np.sqrt(n_k) / mu_den
         rho_0k = tau * rest / n_k
         rho_k0 = mu_k * rho_0k
-    # a subnormal offset has lost digits: its mu_k = rho_k0/rho_0k is off
-    normal = np.finfo(np.float64).tiny
-    in_range = (normal <= rho_0k) & (rho_0k < math.inf) & (normal <= rho_k0) & (rho_k0 < math.inf)
-    if not in_range.all():
+    k = _first_abnormal(rho_0k, rho_k0)
+    if k is not None:  # named here with the settings that put it there
         raise ConfigError(f"tau={float(tau)!r} and upsilon={float(upsilon)!r} put the "
-                          f"margin-offsets of class {int(np.flatnonzero(~in_range)[0])} "
-                          "outside float64's normal range")
+                          f"margin-offsets of class {k} outside float64's normal range")
     return MarginOffsets(rho_0k=rho_0k, rho_k0=rho_k0)
 
 
@@ -148,24 +153,23 @@ def write_margins_csv(m: MarginOffsets, stats: LabelStats, path) -> None:
 def read_margins_csv(path) -> tuple[MarginOffsets, LabelStats]:
     """Load margin-offsets and the label statistics they were computed from.
 
-    An empty class and a broken structural invariant (positivity, finiteness,
-    a ``mu_k`` column that misses rho_k0/rho_0k at the file's precision) are
-    hard errors.  Offsets that break the optimal pairwise ratios (a
-    hand-edited allocation for an ablation) load as they are;
-    ``verify_corollary_ratios`` tells them apart.
+    An empty class, a ``mu_k`` column that is not finite or misses
+    rho_k0/rho_0k at the file's precision (FormatError), and offsets that
+    break ``MarginOffsets``' rule (ConfigError) are hard errors.  Offsets that
+    break the optimal pairwise ratios (a hand-edited allocation for an
+    ablation) load as they are; ``verify_corollary_ratios`` tells them apart.
     """
     counts, (_, mu, rho_0k, rho_k0) = read_class_csv(path, MARGINS_CSV_HEADER, "margins")
     stats = LabelStats(counts)
     _check_no_empty_class(stats)
-    for name, arr in (("mu_k", mu), ("rho_0k", rho_0k), ("rho_k0", rho_k0)):
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"margins CSV column {name} contains non-finite values")
-    if np.any(rho_0k <= 0) or np.any(rho_k0 <= 0):
-        raise FormatError("margins CSV violates a structural invariant: "
-                          "offsets must be strictly positive")
+    if not np.all(np.isfinite(mu)):
+        raise FormatError("margins CSV column mu_k contains non-finite values")
     # the file stores 12 significant digits, so the stored mu_k can miss
-    # rho_k0/rho_0k by a few 1e-12; validate at format precision
-    if np.any(np.abs(rho_k0 - mu * rho_0k) > 1e-9 * rho_k0):
+    # rho_k0/rho_0k by a few 1e-12; validate at format precision (offsets
+    # out of range may overflow here, and fail MarginOffsets' rule below)
+    with np.errstate(all="ignore"):
+        off = np.abs(rho_k0 - mu * rho_0k) > 1e-9 * rho_k0
+    if np.any(off):
         raise FormatError(
             "margins CSV violates a structural invariant: mu_k != rho_k0/rho_0k"
         )

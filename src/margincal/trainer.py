@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, MarginCalError, NumericError, ShapeError, TrainError
 from .losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, _pixel_kernel,
-    _require_valid, _softmax_block, _tversky_slopes, _tversky_sums, _tversky_vjp,
+    BLOCK_PX, LOSS_NAMES, ScoreBatch, _block_rows, _check_margins, batch_loss, block_loss, loss_of,
 )
 from .margins import MarginOffsets
 from .metrics import MetricsReport, _Counts, _report
@@ -207,23 +206,23 @@ class _Step:
     still in cache for its backward pass.  ``run(i, row)`` copies block i's
     features above a row of ones (``_block_input``), runs forward, checks
     the scores (a non-finite one raises NumericError naming its image and
-    pixel) and applies ``loss``, a (kernel, args) pair:
-    a pixel-wise loss's block kernel and backward write the sums [n, value,
-    gradients] of its terms over the block's n valid pixels, which only
-    ``_StepTeam.gradients`` divides by n; ``_tversky_sums`` writes [n, I, A, B];
-    ``_tversky_vjp`` at the slopes (u, v) in ``args`` and backward write
-    [n, 0, gradients] of a batch's soft Dice or Tversky loss.  A block with
-    no valid pixel writes zeros; ``scratch`` holds its (d + 1, b),
-    (hidden + 1, b), (hidden, b) and (K, b) arrays.
+    pixel) and runs ``block_loss`` of ``loss`` (``loss_of``'s) at ``slopes``
+    on them.  Its row holds sums over the block's n valid pixels: [n, value,
+    fg, bg] followed by the parameter gradients of the value (``backward``),
+    in ``PixelMLP.flat``'s layout, or with ``slopes`` None the [n, I, A, B]
+    of a soft-Dice or Tversky sums walk.  A block with no valid pixel writes
+    zeros; ``scratch`` holds its (d + 1, b), (hidden + 1, b), (hidden, b) and
+    (K, b) arrays.
     """
 
     what = "a training step"
 
     def __init__(self, layers, features: FeatureBatch, masks: MaskBatch, image_ids, loss,
-                 scratch) -> None:
-        self.layers, self.masks, self.loss, self.scratch = layers, masks, loss, scratch
-        self.width = (1 + 3 * layers[1].shape[1] if loss[0] is _tversky_sums
-                      else 2 + layers[0].size + layers[1].size)
+                 slopes, scratch) -> None:
+        self.layers, self.masks, self.loss, self.slopes = layers, masks, loss, slopes
+        self.scratch, k_cls = scratch, layers[1].shape[1]
+        self.width = (1 + 3 * k_cls if slopes is None
+                      else 2 + 2 * k_cls + layers[0].size + layers[1].size)
         ppi = masks.pixels_per_image
         self.xt = features.features.T.reshape(-1, masks.n_images, ppi)
         self.y_img = masks.labels.reshape(masks.n_images, ppi)
@@ -245,18 +244,10 @@ class _Step:
         scores, act = _forward_cache(self.layers, x, act)
         _check_scores(scores, ids, start, self.masks.pixels_per_image)
         onehot, valid = _block_rows(labels, valid, k_cls)
-        kernel, args = self.loss
-        if kernel is _tversky_sums:
-            _tversky_sums(scores.T, onehot, valid, grad, *row[1:].reshape(3, k_cls))
-            return
-        if kernel is _tversky_vjp:
-            _softmax_block(scores.T, grad, valid)
-            _tversky_vjp(grad, onehot, *args)
-        else:
-            fg, bg = np.zeros(k_cls), np.zeros(k_cls)
-            kernel(scores.T, onehot, valid, grad, fg, bg, *args)
-            row[1] = fg.sum() + bg.sum()
-        backward(self.layers, x, act, grad.T, gpre, _layers(row[2:], d1 - 1, hidden, k_cls))
+        block_loss(self.loss, scores.T, onehot, valid, grad, row, self.slopes)
+        if self.slopes is not None:
+            backward(self.layers, x, act, grad.T, gpre,
+                     _layers(row[2 + 2 * k_cls :], d1 - 1, hidden, k_cls))
 
 
 class _StepTeam(_Team):
@@ -272,7 +263,7 @@ class _StepTeam(_Team):
     Everything fixed for a run is checked here, once, before any fork: that
     the training split has an image, ``_check_split`` of it and of each of
     ``splits``, a valid pixel in ``splits[1:]`` (``train``'s val split), and
-    margin-offsets for K for the margin-calibration loss (its kernel is made here).
+    margin-offsets for K for the margin-calibration loss (``loss_of``).
     """
 
     def __init__(self, model: PixelMLP, features: FeatureBatch, masks: MaskBatch,
@@ -284,13 +275,13 @@ class _StepTeam(_Team):
         if 0 in n_valid[2:]:  # splits[1:]: train's val split
             raise ShapeError("the val split has no valid pixels")
         k_cls = model.k_classes
-        kernel, args = _pixel_kernel(loss_name, margins, k_cls)
+        loss = loss_of(loss_name, margins, k_cls)
         params, ids, slopes = shared_arrays(
             (np.float64, model.flat.size), (np.int64, max_ids), (np.float64, (2, k_cls, 1)))
         layers = _layers(params, model.d, model.hidden, k_cls)
         self.params, self.ids, self.max_ids, self.slopes = params, ids, max_ids, slopes
-        self.weights = args if kernel is _tversky_slopes else None
-        step = (kernel, args) if self.weights is None else (_tversky_vjp, slopes)
+        self.loss = loss
+        step_slopes = () if loss[2] is None else tuple(slopes)
         # each process's block input, activations, their gradient and kernel rows, made once:
         # made and freed per block, they let malloc return the heap and fault it in again
         scratch = [np.empty(r * BLOCK_PX)
@@ -298,11 +289,11 @@ class _StepTeam(_Team):
 
         def make_walk(job: int):  # no reference to self: a cycle would keep the data
             if job < 0:
-                return _Step(layers, features, masks, ids[:-job], (_tversky_sums, ()), scratch)
+                return _Step(layers, features, masks, ids[:-job], loss, None, scratch)
             if job > max_ids:
                 x, y = splits[job - max_ids - 1]
                 return _Counts(_model_scores(layers, x, y), k_cls, y, None, "evaluate")
-            return _Step(layers, features, masks, ids[:job], step, scratch)
+            return _Step(layers, features, masks, ids[:job], loss, step_slopes, scratch)
 
         walks = [make_walk(job) for job in (-max_ids, *range(max_ids, max_ids + 1 + len(splits)))]
         n_blocks = max(w.n_blocks for w in walks)
@@ -316,23 +307,22 @@ class _StepTeam(_Team):
     def gradients(self, model: PixelMLP, image_ids) -> tuple[float, np.ndarray]:
         """Loss and gradient of the batch of whole images ``image_ids`` at
         ``model``'s parameters; the gradient is a vector in ``PixelMLP.flat``'s
-        layout, a view of the walk's folded row.  The pixel-wise losses are
-        means over valid pixels; soft Dice and Tversky take the loss and the
-        slopes of the step's walk from the sums of a walk before it.  The
-        blocks' rows are summed in block order, so the result is bitwise the
-        same whoever ran each block, and the first failing block raises as
-        it would in one process."""
+        layout, a view of the folded row of ``batch_loss``, whose walks are
+        the team's: job -n for a sums walk, job n at the slopes written into
+        shared memory.  The blocks' rows are summed in block order, so the
+        result is bitwise the same whoever ran each block, and the first
+        failing block raises as it would in one process."""
         self._load(model)
         n_ids = len(image_ids)
         self.ids[:n_ids] = image_ids
-        total = self.map(n_ids if self.weights is None else -n_ids)
-        n_valid = _require_valid(int(total[0]))
-        if self.weights is None:
-            total /= n_valid
-            return float(total[1]), total[2:]
-        per_class, u, v = _tversky_slopes(*total[1:].reshape(3, -1), *self.weights)
-        self.slopes[:] = u, v
-        return float(per_class.sum()), self.map(n_ids)[2:]
+
+        def walk(slopes):
+            if slopes:
+                self.slopes[:] = slopes
+            return self.map(-n_ids if slopes is None else n_ids)
+
+        value, total = batch_loss(self.loss, walk)
+        return value, total[2 + 2 * model.k_classes :]
 
     def evaluate(self, model: PixelMLP, split: int, epoch: int) -> MetricsReport:
         """``evaluate(model, *splits[split])``, bitwise, with no fork; a failure

@@ -47,3 +47,15 @@ def test_every_name_the_workloads_read_exists():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_every_traced_name_has_the_module_and_name_the_tracer_reads():
+    """``Tracer.install`` names each span ``<layer>.<__name__>``, the layer
+    taken from ``__module__``, and the per-layer metrics look the spans up by
+    those names: a ``functools.partial`` (no ``__name__``) or a lambda in a
+    traced name's place would fail every benchmark run, and only then."""
+    for module, attr in traced_attributes():
+        fn = getattr(module, attr)
+        where = f"{module.__name__}.{attr}"
+        assert getattr(fn, "__name__", None) == attr, where
+        assert getattr(fn, "__module__", "").startswith("margincal."), where

@@ -210,6 +210,28 @@ class TestNanSettings:
         assert [str(w.message) for w in caught] == []
         assert_clean_exit_one(code, capsys.readouterr(), message)
 
+    @pytest.mark.parametrize("command", ["eval", "bound"])
+    def test_subnormal_offsets_in_a_margins_csv_are_a_clean_error(self, tmp_path, capsys,
+                                                                  command):
+        """Offsets of 1e-320 keep the file's own rule (mu_k = rho_k0/rho_0k)
+        and break the offsets' rule.  Before, the file loaded, ``eval`` printed
+        two numpy overflow warnings from the lower bound's phi-sums and exited 0."""
+        margins_csv, out = tmp_path / "margins.csv", tmp_path / "out.csv"
+        margins_csv.write_text("class_index,n_pixels,p_k,mu_k,rho_0k,rho_k0\n"
+                               + "".join(f"{k},10,0.333333333333,1,1e-320,1e-320\n"
+                                         for k in range(3)))
+        model_path = tmp_path / "model.bin"
+        save_model(PixelMLP.init(FEATURE_DIM, 8, 3, seed=0), model_path)
+        argv = {"eval": ["eval", "--model", str(model_path), *SMALL_DATASET],
+                "bound": ["bound", "--m-pixels", "1"]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--margins", str(margins_csv), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert_clean_exit_one(code, capsys.readouterr(), "rho_0k and rho_k0 of class 0 must "
+                                                         "be positive normal float64 numbers")
+        assert not out.exists()
+
 
 class TestStatsMarginsFlow:
     def test_worked_example_margins_csv(self, tmp_path, capsys):

@@ -7,16 +7,20 @@ import pytest
 
 from margincal.errors import ConfigError, NumericError, ShapeError
 from margincal.gradcheck import check_losses
+import margincal.losses as losses_module
 from margincal.losses import (
     BLOCK_PX,
     LOSS_NAMES,
     LossResult,
     ScoreBatch,
+    _blocks,
+    _focal_block,
     _lambda,
+    _tversky_block,
+    _walk,
     calibrated_log_loss,
     cross_entropy,
     focal,
-    loss_by_name,
     rho_calibrated_log_loss,
     rho_margin_loss,
     rho_margin_objective,
@@ -36,6 +40,20 @@ def make_mask(labels):
 def simple_margins(k_classes=3, tau=2.0):
     counts = ([90, 7, 3, 5, 4] + [6] * k_classes)[:k_classes]
     return compute_margins(LabelStats(counts), tau=tau, upsilon=1.0)
+
+
+def public_loss(name, s, y, m):
+    """The public loss function of the loss ``name``; only the margin loss reads ``m``."""
+    if name == "margin_calibration":
+        return calibrated_log_loss(s, y, m)
+    return getattr(losses_module, name)(s, y)
+
+
+def described_loss(loss, s, y):
+    """``batch_loss`` of a (kernel, args, weights) description such as
+    ``loss_of`` returns, over the blocks of ``s`` and ``y``: a loss at
+    settings no loss name has."""
+    return _walk(loss, lambda: _blocks(s, y), s.k_classes, s.n_pixels)
 
 
 def margin_loss_oracle(scores, labels, m, ignore_index=255):
@@ -76,6 +94,27 @@ def cross_entropy_oracle(scores, labels, ignore_index=255):
         fg[labels[i]] += (log_total - s[labels[i]]) / len(rows)
         for j in range(k_cls):
             grad[i, j] = (math.exp(s[j] - log_total) - (j == labels[i])) / len(rows)
+    return LossResult(float(fg.sum()), grad, fg, np.zeros(k_cls))
+
+
+def focal_oracle(scores, labels, gamma, ignore_index=255):
+    """Focal loss -(1 - q)^gamma log q, q the label's softmax probability,
+    by a per-pixel scalar loop: dL/ds_j = slope (1[j = label] - p_j), with
+    slope = q dL/dq = gamma q (1 - q)^(gamma - 1) log q - (1 - q)^gamma."""
+    n, k_cls = scores.shape
+    rows = [i for i in range(n) if labels[i] != ignore_index]
+    fg = np.zeros(k_cls)
+    grad = np.zeros((n, k_cls))
+    for i in rows:
+        s = [float(v) for v in scores[i]]
+        top = max(s)
+        log_total = top + math.log(sum(math.exp(v - top) for v in s))
+        log_q = s[labels[i]] - log_total
+        q = math.exp(log_q)
+        fg[labels[i]] -= (1.0 - q) ** gamma * log_q / len(rows)
+        slope = gamma * q * (1.0 - q) ** (gamma - 1.0) * log_q - (1.0 - q) ** gamma
+        for j in range(k_cls):
+            grad[i, j] = slope * ((j == labels[i]) - math.exp(s[j] - log_total)) / len(rows)
     return LossResult(float(fg.sum()), grad, fg, np.zeros(k_cls))
 
 
@@ -436,14 +475,22 @@ class TestBaselineLosses:
             scores = rng.normal(size=(20, 3))
             labels = rng.integers(0, 3, size=20)
             ce = cross_entropy(ScoreBatch(scores=scores), make_mask(labels))
-            fo = focal(ScoreBatch(scores=scores), make_mask(labels), gamma=0.0)
+            fo = described_loss((_focal_block, (0.0,), None), ScoreBatch(scores=scores),
+                                make_mask(labels))
             assert fo.value == pytest.approx(ce.value, rel=1e-10)
             np.testing.assert_allclose(fo.grad, ce.grad, atol=1e-12)
 
-    @pytest.mark.parametrize("gamma", [-0.5, math.nan])
-    def test_focal_refuses_a_gamma_below_zero_or_nan(self, gamma):
-        with pytest.raises(ConfigError, match="^gamma must be non-negative$"):
-            focal(ScoreBatch(scores=[[1.0, 0.0]]), make_mask([0]), gamma=gamma)
+    def test_focal_fast_and_reference_agree(self):
+        """The focal loss and its gradient equal a per-pixel scalar loop, with an ignored pixel."""
+        rng = np.random.default_rng(78)
+        scores = rng.normal(size=(100, 3)) * 2
+        labels = rng.integers(0, 3, size=100).astype(np.uint8)
+        labels[4] = 255
+        fast = focal(ScoreBatch(scores=scores), make_mask(labels))
+        ref = focal_oracle(scores, labels, 0.4)
+        assert fast.value == pytest.approx(ref.value, rel=1e-13)
+        np.testing.assert_allclose(fast.per_class_fg, ref.per_class_fg, rtol=1e-13)
+        np.testing.assert_allclose(fast.grad, ref.grad, rtol=1e-12, atol=1e-17)
 
     def test_focal_skips_ignored_pixels(self):
         """Ignored rows get a zero gradient and leave the value as if absent."""
@@ -453,9 +500,10 @@ class TestBaselineLosses:
         labels[::4] = 255
         kept = labels != 255
         for gamma in (0.0, 0.4, 2.0):
-            res = focal(ScoreBatch(scores=scores), make_mask(labels), gamma=gamma)
-            alone = focal(ScoreBatch(scores=scores[kept]), make_mask(labels[kept]),
-                          gamma=gamma)
+            loss = (_focal_block, (gamma,), None)
+            res = described_loss(loss, ScoreBatch(scores=scores), make_mask(labels))
+            alone = described_loss(loss, ScoreBatch(scores=scores[kept]),
+                                   make_mask(labels[kept]))
             assert np.all(res.grad[~kept] == 0.0)
             np.testing.assert_allclose(res.grad[kept], alone.grad, rtol=1e-13, atol=1e-17)
             np.testing.assert_allclose(res.per_class_fg, alone.per_class_fg, rtol=1e-13)
@@ -477,19 +525,25 @@ class TestBaselineLosses:
         res = check_losses([name], seed=11, n_batches=5)[0]
         assert res.max_rel_err <= 1e-4, f"{name}: {res.max_rel_err}"
 
+    def test_a_wrong_region_gradient_fails_the_check(self, monkeypatch):
+        """The gradient check runs the kernel a training step runs: soft
+        Dice's and Tversky's gradient pass scaled by 1.01 fails it, and the
+        losses that do not use that kernel still pass."""
+        kernel = losses_module._tversky_block
+
+        def scaled(sc, onehot, valid, grad, *rest):
+            kernel(sc, onehot, valid, grad, *rest)
+            grad *= 1.01
+
+        monkeypatch.setattr(losses_module, "_tversky_block", scaled)
+        errors = {r.loss_name: r.max_rel_err for r in check_losses(LOSS_NAMES, 11, 3)}
+        assert errors["soft_dice"] > 1e-4 and errors["tversky"] > 1e-4
+        assert max(errors[name] for name in LOSS_NAMES[:3]) <= 1e-4
+
     def test_dice_perfect_prediction_low_loss(self):
         scores = np.array([[40.0, 0.0], [0.0, 40.0], [40.0, 0.0]])
         res = soft_dice(ScoreBatch(scores=scores), make_mask([0, 1, 0]))
         assert res.value < 1e-5
-
-    def test_a_vanished_region_denominator_names_its_class(self):
-        """At eps = 0, class 2 absent from the labels with its softmax
-        probability underflowing to 0 leaves 0/0 in its Dice index."""
-        scores = ScoreBatch(scores=[[0.0, 0.0, -800.0], [0.0, 1.0, -800.0]])
-        for loss in (lambda s, y: soft_dice(s, y, eps=0.0),
-                     lambda s, y: tversky(s, y, eps=0.0)):
-            with pytest.raises(NumericError, match="^Tversky denominator of class 2 is 0$"):
-                loss(scores, make_mask([0, 1]))
 
     @pytest.mark.parametrize("region_loss", ["tversky", "tversky_weights", "soft_dice"])
     def test_region_losses_match_row_major_oracles(self, region_loss):
@@ -503,10 +557,11 @@ class TestBaselineLosses:
         labels[::7] = 255
         labels[BLOCK_PX : 2 * BLOCK_PX] = 255
         batch, mask = ScoreBatch(scores=scores), make_mask(labels)
-        if region_loss == "soft_dice":
-            res, ref = soft_dice(batch, mask, eps=0.3), dice_oracle(scores, labels, 0.3)
+        if region_loss == "soft_dice":  # soft Dice at eps = 0.3 is Tversky at (1/2, 1/2, 0.15)
+            res = described_loss((_tversky_block, (), (0.5, 0.5, 0.15)), batch, mask)
+            ref = dice_oracle(scores, labels, 0.3)
         elif region_loss == "tversky_weights":
-            res = tversky(batch, mask, alpha=0.8, beta=0.1, eps=1e-3)
+            res = described_loss((_tversky_block, (), (0.8, 0.1, 1e-3)), batch, mask)
             ref = tversky_oracle(scores, labels, 0.8, 0.1, 1e-3)
         else:
             res = tversky(batch, mask)
@@ -525,17 +580,13 @@ class TestBaselineLosses:
         scores, mask = ScoreBatch(scores=[[800.0, 0.0, 0.0]]), make_mask([1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = loss_by_name(name)(scores, mask, simple_margins(3))
+            res = public_loss(name, scores, mask, simple_margins(3))
         assert np.isfinite(res.value)
         assert np.all(np.isfinite(res.grad))
         if name in ("cross_entropy", "focal"):
             # -log q = 800 with (1 - q)^gamma = 1, and the slope is -1 at q = 0
             assert res.value == 800.0
             np.testing.assert_array_equal(res.grad, [[1.0, -1.0, 0.0]])
-
-    def test_loss_by_name_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="unknown loss"):
-            loss_by_name("hinge")
 
     @pytest.mark.parametrize("loss", [calibrated_log_loss, rho_margin_objective, cross_entropy,
                                       focal, soft_dice, tversky], ids=lambda f: f.__name__)
@@ -555,10 +606,9 @@ class TestIgnoreLabelBelowK:
     def test_ignored_pixel_leaves_value_and_gradient_as_if_absent(self, name):
         labels = np.array([0, 1, 1], dtype=np.uint8)
         mask = MaskBatch(labels=labels, width=3, height=1, n_images=1, ignore_index=0)
-        loss = loss_by_name(name)
-        res = loss(ScoreBatch(scores=self.SCORES), mask, simple_margins(2))
-        alone = loss(ScoreBatch(scores=self.SCORES[1:]), make_mask(labels[1:]),
-                     simple_margins(2))
+        res = public_loss(name, ScoreBatch(scores=self.SCORES), mask, simple_margins(2))
+        alone = public_loss(name, ScoreBatch(scores=self.SCORES[1:]), make_mask(labels[1:]),
+                            simple_margins(2))
         assert res.value == pytest.approx(alone.value, rel=1e-15)
         np.testing.assert_array_equal(res.grad[0], 0.0)
         np.testing.assert_allclose(res.grad[1:], alone.grad, rtol=1e-15)

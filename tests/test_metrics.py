@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from margincal.errors import ConfigError, DataError, ShapeError
-from margincal.losses import BLOCK_PX, ScoreBatch, _pixel_kernel, rho_margin_objective
+from margincal.losses import BLOCK_PX, ScoreBatch, loss_of, rho_margin_objective
 from margincal.margins import compute_margins
 from margincal.metrics import (
     ConfusionCounts,
@@ -293,7 +293,7 @@ class TestLowerBoundReport:
             lower_bound_report(sb, mask, None)
         with pytest.raises(ConfigError,
                            match="^the margin-calibration loss needs margin-offsets$"):
-            _pixel_kernel("margin_calibration", None, 3)
+            loss_of("margin_calibration", None, 3)
 
     def test_scope_labels(self):
         sb, mask, margins, stats = self._random_case(1)

@@ -309,10 +309,10 @@ class TestGradientChecks:
                                                          cores):
         """Every focal check raises, whichever process claims it: the error
         is focal batch 0's, and the command writes no row."""
-        def failing_focal(s, y):
-            raise NumericError(f"focal at score {float(s.scores[0, 0])!r}")
+        def failing_focal(sc, *args):
+            raise NumericError(f"focal at score {float(sc[0, 0])!r}")
 
-        monkeypatch.setattr(losses_module, "focal", failing_focal)
+        monkeypatch.setattr(losses_module, "_focal_block", failing_focal)
         use_cores(monkeypatch, cores)
         first = float(_random_case(np.random.default_rng(3))[0][0, 0])
         with pytest.raises(NumericError) as caught:
@@ -347,6 +347,12 @@ class TestGradientChecks:
         assert err == "gradient check failed: cross_entropy nan above tol 0.0001\n"
         assert len(forks) == cores - 1
         assert_reaped(forks)
+
+    def test_an_unknown_loss_raises_before_any_fork(self, monkeypatch, forks):
+        use_cores(monkeypatch, 2)
+        with pytest.raises(ConfigError, match="^unknown loss 'hinge'; expected one of "):
+            check_losses(["cross_entropy", "hinge"], 0, 3)
+        assert forks == []
 
     def test_no_batches_raises_before_any_fork(self, monkeypatch, forks):
         use_cores(monkeypatch, 2)

@@ -10,9 +10,7 @@ import pytest
 import margincal.team as team_module
 import margincal.trainer as trainer_module
 from margincal.errors import ConfigError, NumericError, ShapeError, TrainError
-from margincal.losses import (
-    BLOCK_PX, LOSS_NAMES, ScoreBatch, calibrated_log_loss, cross_entropy, loss_by_name,
-)
+from margincal.losses import BLOCK_PX, LOSS_NAMES, ScoreBatch, calibrated_log_loss, cross_entropy
 from margincal.margins import compute_margins
 from margincal.metrics import lower_bound_report
 from margincal.segdata import (
@@ -39,6 +37,10 @@ from margincal.trainer import (
     write_train_log_csv,
     _block_input,
     _forward_cache,
+)
+from test_losses import (
+    cross_entropy_oracle, dice_oracle, focal_oracle, margin_loss_oracle, public_loss,
+    tversky_oracle,
 )
 from test_metrics import recount, tied_case
 
@@ -293,12 +295,33 @@ def step_gradients(model, feats, masks, ids, loss_name, margins=None):
     return value, split_flat(grad, model)
 
 
+def loss_oracle(loss_name, scores, labels, margins):
+    """The reference LossResult of the loss ``loss_name`` at its settings:
+    ``test_losses``' per-pixel scalar loops and whole-batch row-major formulas."""
+    return {
+        "margin_calibration": lambda: margin_loss_oracle(scores, labels, margins),
+        "cross_entropy": lambda: cross_entropy_oracle(scores, labels),
+        "focal": lambda: focal_oracle(scores, labels, 0.4),
+        "soft_dice": lambda: dice_oracle(scores, labels, 1e-6),
+        "tversky": lambda: tversky_oracle(scores, labels, 0.3, 0.7, 1e-6),
+    }[loss_name]()
+
+
+def assert_matches_oracle(value, grads, model, x, loss_name, labels, margins):
+    """A step's value and parameter gradients against ``loss_oracle`` of
+    ``model``'s scores of the features ``x``, chained through ``dense_pass``."""
+    scores, dense_grads = dense_pass(model, x)
+    want = loss_oracle(loss_name, scores, labels, margins)
+    assert value == pytest.approx(want.value, rel=1e-12)
+    for got, wanted in zip(grads, dense_grads(want.grad)):
+        assert np.max(np.abs(got - wanted)) <= 1e-12 * np.max(np.abs(wanted))
+
+
 class TestBlockedStep:
     """A training step (``_StepTeam.gradients``) walks a batch in pixel
-    blocks; a block stitched in wrongly changes its value or gradients
-    against the whole batch at once.  Soft Dice and Tversky take their value
-    from the folded sums of ``_blocks``' blocks, so it is bitwise the public
-    loss's where the step's blocks are those blocks, as here."""
+    blocks; a block stitched in wrongly, a normalisation applied twice or
+    soft-Dice or Tversky slopes taken from the wrong sums change its value
+    or gradients against the losses' reference formulas over the whole batch."""
 
     @pytest.mark.parametrize("loss_name", LOSS_NAMES)
     @pytest.mark.parametrize(
@@ -325,24 +348,16 @@ class TestBlockedStep:
         value, grads = step_gradients(model, feats, masks, ids, loss_name, margins)
 
         rows = np.concatenate([np.arange(i * ppi, (i + 1) * ppi) for i in ids])
-        x = feats.features[rows]
-        batch = MaskBatch(labels=labels[rows], width=size, height=size,
-                          n_images=len(ids))
-        scores, dense_grads = dense_pass(model, x)
-        whole = loss_by_name(loss_name)(ScoreBatch(scores=scores), batch, margins)
-        if loss_name in ("soft_dice", "tversky"):
-            assert value == whole.value
-        assert value == pytest.approx(whole.value, rel=1e-12)
-        for got, want in zip(grads, dense_grads(whole.grad)):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_matches_oracle(value, grads, model, feats.features[rows], loss_name, labels[rows],
+                              margins)
 
     @pytest.mark.parametrize("loss_name", ["margin_calibration", "cross_entropy", "focal"])
     def test_one_full_block_step_is_the_public_loss_bitwise(self, monkeypatch, loss_name):
         """A block's row holds sums and the step divides them by the valid
-        count once; with one block of 4,096 valid pixels (a power of two,
-        so the division is exact) the step is bitwise the public loss, whose
-        gradient is scaled before its backward pass.  Ties route through the
-        margin kernel's competitor rule."""
+        count once, as the oracles' means do; with one block of 4,096 valid
+        pixels (a power of two, so the division is exact) the step is also
+        bitwise the public loss, whose gradient is scaled before its backward
+        pass.  Ties route through the margin kernel's competitor rule."""
         feats, masks = tiny_dataset(seed=3, n_images=1, size=64, noise=0.1)
         assert np.all(masks.labels != masks.ignore_index)
         margins = compute_margins(accumulate_stats(masks, 3), tau=10.0, upsilon=1.0)
@@ -353,8 +368,10 @@ class TestBlockedStep:
 
         value, grads = step_gradients(model, feats, masks, np.arange(1), loss_name, margins)
 
+        assert_matches_oracle(value, grads, model, feats.features, loss_name, masks.labels,
+                              margins)
         scores, dense_grads = dense_pass(model, feats.features)
-        whole = loss_by_name(loss_name)(ScoreBatch(scores=scores), masks, margins)
+        whole = public_loss(loss_name, ScoreBatch(scores=scores), masks, margins)
         assert value == whole.value
         for got, want in zip(grads, dense_grads(whole.grad)):
             assert np.array_equal(got, want)
